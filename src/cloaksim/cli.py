@@ -26,8 +26,8 @@ from .homog import CellProblem, RadialCloakSpec, solve_cell
 from .presets import parse_preset, preset_field
 from .qsolve import PicardConfig, solve_quasilinear
 
-GLOBAL_DEFAULTS = {"h": 0.05, "modes": 8, "tol": 1e-8, "threads": 1,
-                   "seed": 0, "out_dir": "."}
+GLOBAL_DEFAULTS = {"h": 0.05, "modes": 8, "tol": 1e-8, "seed": 0,
+                   "out_dir": "."}
 
 
 def _parser():
@@ -37,7 +37,6 @@ def _parser():
     g.add_argument("--h", type=float, default=None, help="target mesh size")
     g.add_argument("--modes", type=int, default=None, help="Fourier mode count")
     g.add_argument("--tol", type=float, default=None, help="iteration tolerance")
-    g.add_argument("--threads", type=int, default=None)
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--out-dir", dest="out_dir", default=None)
     sub = p.add_subparsers(dest="command", required=True)
@@ -135,14 +134,13 @@ def _floats(text):
         raise PreconditionError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _cfg(args, g, schedule, kind):
+def _cfg(args, g, schedule):
     return ExperimentConfig(
-        kind=kind, schedule=tuple(schedule), h=g["h"], modes=g["modes"],
+        schedule=tuple(schedule), h=g["h"], modes=g["modes"],
         picard=PicardConfig(tol=g["tol"]),
         inclusion=getattr(args, "inclusion", "5I"),
         profile=getattr(args, "profile", "transformation"),
-        psi=getattr(args, "psi", 2.0),
-        threads=g["threads"], seed=g["seed"], out_dir=g["out_dir"])
+        psi=getattr(args, "psi", 2.0))
 
 
 def _domain_radius(coeff_key):
@@ -247,7 +245,7 @@ def _cmd_dndiff(args, g):
     return 0
 
 
-def _cell_profile(text, resolution):
+def _cell_profile(text):
     name, _, rest = text.partition(":")
     params = _floats(rest) if rest else []
 
@@ -270,7 +268,7 @@ def _cell_profile(text, resolution):
 
 
 def _cmd_cell(args, g):
-    a_cell = _cell_profile(args.profile, args.resolution)
+    a_cell = _cell_profile(args.profile)
     sol = solve_cell(CellProblem(a_cell, (args.resolution, args.resolution),
                                  name=args.profile))
     ev = np.linalg.eigvalsh(sol.tensor)
@@ -327,6 +325,9 @@ def _emit_and_report(report, args, g):
         print(line)
     for name, s in sorted(report.slopes.items()):
         print(f"slope[{name}] = {s['slope']:.4f} (r2={s['r2']:.4f})")
+        if s.get("dropped"):
+            print(f"slope[{name}]: {s['dropped']} non-converged rows left "
+                  "out of the fit", file=sys.stderr)
     if report.rows and all(not r.get("converged", True) for r in report.rows):
         print("no sweep point converged", file=sys.stderr)
         return 3
@@ -334,23 +335,22 @@ def _emit_and_report(report, args, g):
 
 
 def _cmd_sweep_regular(args, g):
-    cfg = _cfg(args, g, _floats(args.schedule), "regular-cloak")
+    cfg = _cfg(args, g, _floats(args.schedule))
     return _emit_and_report(run_regular_cloak_sweep(cfg), args, g)
 
 
 def _cmd_sweep_singular(args, g):
-    cfg = _cfg(args, g, _floats(args.schedule), "truncated-singular")
+    cfg = _cfg(args, g, _floats(args.schedule))
     return _emit_and_report(run_truncated_singular_sweep(cfg), args, g)
 
 
 def _cmd_sweep_homog(args, g):
-    cfg = _cfg(args, g, [int(v) for v in _floats(args.schedule)],
-               "homogenization")
+    cfg = _cfg(args, g, [int(v) for v in _floats(args.schedule)])
     return _emit_and_report(run_homogenization_sweep(cfg), args, g)
 
 
 def _cmd_diffeo_check(args, g):
-    cfg = _cfg(args, g, _floats(args.h_schedule), "diffeo-invariance")
+    cfg = _cfg(args, g, _floats(args.h_schedule))
     cfg.inclusion = args.coeff if args.coeff != "identity" else ""
     report = run_diffeo_invariance(cfg, dmap=regular_blowup(args.blowup))
     if args.out:
@@ -379,7 +379,6 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         g = _merge_globals(args)
-        np.random.seed(g["seed"] % (2 ** 32))
         os.makedirs(g["out_dir"], exist_ok=True)
         return _COMMANDS[args.command](args, g)
     except PreconditionError as exc:

@@ -74,10 +74,15 @@ class FourierBasis:
 
 
 class DtNOperator:
-    """DN pairing matrix of a coefficient over a FourierBasis."""
+    """DN pairing matrix of a coefficient over a FourierBasis.
+
+    Operators computed by dn_operator also keep the mesh, the nodal
+    solution of each column (row j solves datum j) and its Picard
+    iteration count; operators loaded by from_json have None there.
+    """
 
     def __init__(self, basis, pairing_matrix, coefficient="", nonlinear=False,
-                 converged=None):
+                 converged=None, solutions=None, iterations=None, mesh=None):
         pairing_matrix = np.asarray(pairing_matrix, dtype=float)
         if pairing_matrix.shape != (basis.size, basis.size):
             raise PreconditionError("pairing matrix does not match basis size")
@@ -88,6 +93,9 @@ class DtNOperator:
         if converged is None:
             converged = [True] * basis.size
         self.converged = list(bool(c) for c in converged)
+        self.solutions = solutions
+        self.iterations = iterations
+        self.mesh = mesh
 
     @property
     def all_converged(self):
@@ -131,33 +139,33 @@ def dn_operator(A, basis, mesh, cfg=None, source=None):
     amplitude one, and the operator records a nonlinearity flag: the matrix
     is then a finite probe of a nonlinear map, not a linear restriction.
     """
+    rb = np.linalg.norm(mesh.vertices[mesh.boundary], axis=1)
+    if np.abs(rb - basis.radius).max() > 1e-9 * basis.radius:
+        raise PreconditionError(
+            f"basis radius {basis.radius:g} does not match the mesh boundary "
+            f"radius {rb.max():.12g}")
     cfg = cfg or PicardConfig()
     traces = basis.trace_matrix(mesh)
     if A.is_linear:
         system = assemble_frozen(mesh, A, source=source)
-        cols = np.empty((basis.size, mesh.n_vertices))
+        solutions = np.empty((basis.size, mesh.n_vertices))
         for j in range(basis.size):
-            cols[j] = system.solve_dirichlet(traces[j], method="direct")
-        lifts = np.zeros_like(cols)
-        lifts[:, mesh.boundary] = traces
-        flux = cols @ system.matrix.T - system.load   # row j = flux of u_j
-        matrix = lifts @ flux.T                       # (i, j) = lift_i . flux_j
-        op = DtNOperator(basis, matrix, coefficient=A.name, nonlinear=False)
-        op._solutions = cols      # nodal solves, reusable by the sweeps
-        op._mesh = mesh
-        op._iterations = [1] * basis.size
-        return op
-    results = []
-    for j in range(basis.size):
-        results.append(solve_quasilinear(mesh, A, traces[j], config=cfg,
-                                         source=source))
-    matrix = dn_pairing(results, traces)
-    op = DtNOperator(basis, matrix, coefficient=A.name, nonlinear=True,
-                     converged=[r.converged for r in results])
-    op._solutions = np.stack([r.u.values for r in results])
-    op._mesh = mesh
-    op._iterations = [r.iterations for r in results]
-    return op
+            solutions[j] = system.solve_dirichlet(traces[j], method="direct")
+        systems = [system] * basis.size
+        iterations = [1] * basis.size
+        converged = None
+    else:
+        results = [solve_quasilinear(mesh, A, traces[j], config=cfg,
+                                     source=source)
+                   for j in range(basis.size)]
+        solutions = np.stack([r.u.values for r in results])
+        systems = [r.system for r in results]
+        iterations = [r.iterations for r in results]
+        converged = [r.converged for r in results]
+    matrix = dn_pairing(solutions, systems, traces)
+    return DtNOperator(basis, matrix, coefficient=A.name,
+                       nonlinear=not A.is_linear, converged=converged,
+                       solutions=solutions, iterations=iterations, mesh=mesh)
 
 
 def dn_difference(op1, op2):

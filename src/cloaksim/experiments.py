@@ -27,7 +27,6 @@ __all__ = ["ExperimentConfig", "DecayReport", "fit_loglog",
 
 @dataclass
 class ExperimentConfig:
-    kind: str = ""
     schedule: tuple = ()
     h: float = 0.05
     modes: int = 8
@@ -35,9 +34,6 @@ class ExperimentConfig:
     inclusion: str = "5I"
     profile: str = "transformation"
     psi: float = 2.0
-    threads: int = 1
-    seed: int = 0
-    out_dir: str = "."
 
     def __post_init__(self):
         if len(self.schedule) == 0:
@@ -55,13 +51,31 @@ class DecayReport:
     slopes: dict = dc_field(default_factory=dict)
     meta: dict = dc_field(default_factory=dict)
 
+    def converged_rows(self):
+        return [row for row in self.rows if row.get("converged", True)]
+
     def column(self, name, converged_only=True):
-        out = []
-        for row in self.rows:
-            if converged_only and not row.get("converged", True):
-                continue
-            out.append((row[self.parameter], row[name]))
-        return out
+        rows = self.converged_rows() if converged_only else self.rows
+        return [(row[self.parameter], row[name]) for row in rows]
+
+    def fit_slope(self, name, x=None, key=None):
+        """Log-log slope of column name against column x (the parameter by
+        default), stored in slopes[key or name].
+
+        Only converged rows enter the fit; when rows are dropped their
+        count is recorded in the entry as "dropped".
+        """
+        rows = self.converged_rows()
+        x = x or self.parameter
+        slope, intercept, r2, n = fit_loglog(
+            [(row[x], row[name]) for row in rows])
+        entry = {"slope": slope, "intercept": intercept, "r2": r2, "n": n}
+        if r2 < 0.9:
+            entry["flagged"] = True
+        if len(rows) < len(self.rows):
+            entry["dropped"] = len(self.rows) - len(rows)
+        self.slopes[key or name] = entry
+        return entry
 
     def to_dict(self):
         return {"kind": self.kind, "parameter": self.parameter,
@@ -95,16 +109,8 @@ def fit_loglog(pairs, min_points=4):
     return float(coef[0]), float(coef[1]), r2, len(pts)
 
 
-def _slope_entry(pairs, min_points=4):
-    slope, intercept, r2, n = fit_loglog(pairs, min_points)
-    entry = {"slope": slope, "intercept": intercept, "r2": r2, "n": n}
-    if r2 < 0.9:
-        entry["flagged"] = True
-    return entry
-
-
-def _first_cos_index(basis):
-    return 1  # index of cos(theta) in the trace ordering
+# index of cos(theta) in the FourierBasis trace ordering
+_COS1 = 1
 
 
 def _scaled_inclusion(inclusion, r, dim=2):
@@ -148,14 +154,13 @@ def run_regular_cloak_sweep(cfg):
     band = annulus(1.5, 2.0)
     ident = identity_field(2)
     op_ident = dn_operator(ident, basis, mesh, cfg.picard)
-    f_idx = _first_cos_index(basis)
-    ref = FeFunction(mesh, op_ident._solutions[f_idx])
+    ref = FeFunction(mesh, op_ident.solutions[_COS1])
 
     rows = []
     for r in sched:
         coeff_r = _scaled_inclusion(inclusion, r)
         op_r = dn_operator(coeff_r, basis, mesh, cfg.picard)
-        sol = FeFunction(mesh, op_r._solutions[f_idx])
+        sol = FeFunction(mesh, op_r.solutions[_COS1])
         diff = sol.values - ref.values
         rows.append({
             "r": r,
@@ -163,8 +168,8 @@ def run_regular_cloak_sweep(cfg):
             "l2": l2_norm(mesh, diff),
             "dn": dn_difference(op_r, op_ident),
             "neumann": neumann_trace_error(sol, ref, band, basis),
-            "iterations": op_r._iterations[f_idx],
-            "converged": bool(op_r.converged[f_idx] and op_r.all_converged),
+            "iterations": op_r.iterations[_COS1],
+            "converged": op_r.all_converged,
         })
     report = DecayReport(kind="regular-cloak", parameter="r", rows=rows,
                          meta={"h": cfg.h, "modes": cfg.modes,
@@ -172,7 +177,7 @@ def run_regular_cloak_sweep(cfg):
                                "n_vertices": mesh.n_vertices})
     if len(rows) >= 4:
         for col in ("h1", "l2", "dn", "neumann"):
-            report.slopes[col] = _slope_entry(report.column(col))
+            report.fit_slope(col)
     return report
 
 
@@ -209,7 +214,7 @@ def run_truncated_singular_sweep(cfg):
                                "inclusion": cfg.inclusion,
                                "monotone_decreasing": trend_ok})
     if len(rows) >= 4:
-        report.slopes["dn"] = _slope_entry(report.column("dn"))
+        report.fit_slope("dn")
     return report
 
 
@@ -243,7 +248,6 @@ def run_homogenization_sweep(cfg):
                                            profile=cfg.profile)
     basis = FourierBasis(cfg.modes, radius=3.0)
     rows = []
-    f_idx = _first_cos_index(basis)
     for n in sched:
         spec = specs[n - 1]
         dr = min(spec.eps / 8.0, cfg.h)
@@ -271,9 +275,9 @@ def run_homogenization_sweep(cfg):
         # as the field solution, avoiding extra factorizations of the big
         # systems here
         op_n = dn_operator(sigma_n, basis, mesh, cfg.picard)
-        u_n = op_n._solutions[f_idx]
+        u_n = op_n.solutions[_COS1]
         op_t = dn_operator(target, basis, mesh, cfg.picard)
-        u_t = op_t._solutions[f_idx]
+        u_t = op_t.solutions[_COS1]
         op_i = dn_operator(ident, basis, mesh, cfg.picard)
         limit = _mode_limit_values(mesh, spec)
         rows.append({
@@ -285,16 +289,15 @@ def run_homogenization_sweep(cfg):
             "dn_identity": dn_difference(op_n, op_i),
             "fit_residual": spec.max_residual,
             "fallback_points": spec.n_fallback,
-            "iterations": op_n._iterations[f_idx],
-            "converged": bool(op_n.converged[f_idx] and op_n.all_converged),
+            "iterations": op_n.iterations[_COS1],
+            "converged": op_n.all_converged,
             "n_vertices": mesh.n_vertices,
         })
     report = DecayReport(kind="homogenization", parameter="n", rows=rows,
                          meta={"h": cfg.h, "modes": cfg.modes,
                                "profile": cfg.profile, "psi": cfg.psi})
     if len(rows) >= 4:
-        eps_pairs = [(row["eps"], row["l2_target"]) for row in rows]
-        report.slopes["l2_target_vs_eps"] = _slope_entry(eps_pairs)
+        report.fit_slope("l2_target", x="eps", key="l2_target_vs_eps")
     return report
 
 
@@ -375,7 +378,6 @@ def emit_report(report, fmt, path):
     if fmt == "json":
         text = json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n"
     else:
-        comment = "#" if fmt == "gnuplot-dat" else "#"
         sep = "\t" if fmt == "gnuplot-dat" else ","
         if fmt == "gnuplot-dat":
             lines.append(f"# {report.kind} over {report.parameter}")
@@ -386,7 +388,7 @@ def emit_report(report, fmt, path):
             lines.append(sep.join(_fmt(row.get(k, "")) for k in keys))
         for name in sorted(report.slopes):
             s = report.slopes[name]
-            lines.append(f"{comment} slope[{name}] = {s['slope']:.6f} "
+            lines.append(f"# slope[{name}] = {s['slope']:.6f} "
                          f"(r2 = {s['r2']:.6f}, n = {s['n']})")
         text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:

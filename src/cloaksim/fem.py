@@ -20,6 +20,8 @@ __all__ = [
     "SparseSystem",
     "build_disk_mesh",
     "assemble_frozen",
+    "p1_elements",
+    "p1_stiffness",
     "l2_norm",
     "h1_norm",
     "h1_seminorm",
@@ -40,24 +42,13 @@ class TriMesh:
 
     def _geometry(self):
         v = self.vertices[self.triangles]              # (nt, 3, 2)
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        if np.any(det <= 0.0):
-            raise PreconditionError("mesh contains degenerate or flipped triangles")
-        self.areas = 0.5 * det
-        # grad of barycentric i: perp(p_k - p_j) / (2 area), (i,j,k) cyclic
-        grads = np.empty((len(det), 3, 2))
-        for i in range(3):
-            d = v[:, (i + 2) % 3] - v[:, (i + 1) % 3]
-            grads[:, i, 0] = -d[:, 1]
-            grads[:, i, 1] = d[:, 0]
-        self.grads = grads / (2.0 * self.areas)[:, None, None]
+        self.areas, self.grads = p1_elements(v)
         self.centroids = v.mean(axis=1)
         # edge midpoints opposite local vertex order: (m01, m12, m20)
         self.edge_mid = 0.5 * np.stack(
             [v[:, 0] + v[:, 1], v[:, 1] + v[:, 2], v[:, 2] + v[:, 0]], axis=1)
-        edges = np.stack([e1, v[:, 2] - v[:, 1], -e2], axis=1)
+        edges = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 1],
+                          v[:, 0] - v[:, 2]], axis=1)
         self.h_max = float(np.linalg.norm(edges, axis=2).max())
         mask = np.zeros(len(self.vertices), dtype=bool)
         mask[self.boundary] = True
@@ -269,6 +260,43 @@ def h1_norm(mesh, values, region=None):
                           h1_seminorm(mesh, values, region)))
 
 
+def p1_elements(corners):
+    """Areas and barycentric gradients of P1 triangles.
+
+    corners : (nt, 3, 2) vertex coordinates, counterclockwise.
+    Returns areas (nt,) and grads (nt, 3, 2), where grads[t, i] is the
+    gradient of the barycentric coordinate of corner i.
+    """
+    e1 = corners[:, 1] - corners[:, 0]
+    e2 = corners[:, 2] - corners[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    if np.any(det <= 0.0):
+        raise PreconditionError(
+            "mesh contains degenerate or flipped triangles")
+    areas = 0.5 * det
+    # grad of barycentric i: perp(p_k - p_j) / (2 area), (i,j,k) cyclic
+    grads = np.empty((len(det), 3, 2))
+    for i in range(3):
+        d = corners[:, (i + 2) % 3] - corners[:, (i + 1) % 3]
+        grads[:, i, 0] = -d[:, 1]
+        grads[:, i, 1] = d[:, 0]
+    grads /= (2.0 * areas)[:, None, None]
+    return areas, grads
+
+
+def p1_stiffness(areas, grads, amats, dofs, n_dofs):
+    """Global P1 stiffness matrix (CSR) of elementwise constant tensors.
+
+    amats : (nt, 2, 2) coefficient per triangle
+    dofs : (nt, 3) global degree of freedom of each corner
+    """
+    local = np.einsum("t,tic,tcd,tjd->tij", areas, grads, amats, grads)
+    rows = np.repeat(dofs, 3, axis=1).ravel()     # dofs[t, i]
+    cols = np.tile(dofs, (1, 3)).ravel()          # dofs[t, j]
+    return coo_matrix((local.ravel(), (rows, cols)),
+                      shape=(n_dofs, n_dofs)).tocsr()
+
+
 def assemble_frozen(mesh, field, state=None, source=None):
     """Stiffness matrix for the coefficient frozen at the nodal state.
 
@@ -299,14 +327,8 @@ def assemble_frozen(mesh, field, state=None, source=None):
     pts = mesh.edge_mid.reshape(-1, 2)
     mats = field.eval(pts, t_mid.reshape(-1)).reshape(nt, 3, 2, 2)
     amean = mats.mean(axis=1)                       # 1/3 weight per midpoint
-    local = np.einsum("t,tic,tcd,tjd->tij", mesh.areas, mesh.grads, amean,
-                      mesh.grads)
-
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()   # tris[t, i]
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()        # tris[t, j]
-    matrix = coo_matrix(
-        (local.ravel(), (rows, cols)),
-        shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
+    matrix = p1_stiffness(mesh.areas, mesh.grads, amean, mesh.triangles,
+                          mesh.n_vertices)
 
     load = np.zeros(mesh.n_vertices)
     if source is not None:
@@ -321,14 +343,17 @@ def assemble_frozen(mesh, field, state=None, source=None):
     return SparseSystem(matrix, load, mesh)
 
 
+# "auto" solves factor directly above this estimated condition number
+_COND_THRESHOLD = 1e8
+
+
 class SparseSystem:
     """Assembled symmetric system with Dirichlet elimination and solver choice."""
 
-    def __init__(self, matrix, load, mesh, cond_threshold=1e8):
+    def __init__(self, matrix, load, mesh):
         self.matrix = matrix
         self.load = load
         self.mesh = mesh
-        self.cond_threshold = cond_threshold
         self._lu = None
         ii = mesh.interior
         self._kii = matrix[ii][:, ii].tocsc()
@@ -360,9 +385,9 @@ class SparseSystem:
             raise PreconditionError("boundary_values must be one per boundary vertex")
         rhs = self.load[self.mesh.interior] - self._kib @ g
         if method == "auto":
-            method = "direct" if (self._lu is not None
-                                  or self.estimated_condition() > self.cond_threshold) \
-                else "cg"
+            direct = (self._lu is not None
+                      or self.estimated_condition() > _COND_THRESHOLD)
+            method = "direct" if direct else "cg"
         if method == "cg":
             d = self._kii.diagonal()
             inv = 1.0 / d

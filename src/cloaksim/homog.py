@@ -17,16 +17,16 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from .coeff import CoefficientField, IsotropicField, StructureConstants
 from .errors import NumericalError, PreconditionError
+from .fem import p1_elements, p1_stiffness
 
 __all__ = [
     "phi", "phi_M", "zeta",
     "CellProblem", "CellSolution", "solve_cell", "cell_lipschitz",
-    "HomogenizedTensor", "radial_homogenized", "lipschitz_in_t",
+    "HomogenizedTensor", "RadialTable", "radial_homogenized", "lipschitz_in_t",
     "LipschitzReport",
     "fit_cloak_amplitudes", "cell_means", "cloak_targets",
     "RadialCloakSpec", "build_isotropic_cloak_sequence", "default_schedule",
@@ -258,6 +258,39 @@ def _projector_matrices(points):
     return proj, np.eye(dim) - proj, rr
 
 
+class RadialTable:
+    """Values tabulated on an (r, t) lattice, interpolated piecewise linearly.
+
+    table has shape (len(r_values), len(t_values), n_components). Radius
+    and state are clamped to the lattice, so values beyond either end
+    hold the end value.
+    """
+
+    def __init__(self, r_values, t_values, table):
+        self.r_values = np.asarray(r_values, dtype=float)
+        self.t_values = np.asarray(t_values, dtype=float)
+        self.table = np.asarray(table, dtype=float)
+
+    def batch(self, r, t):
+        """(n_components, len(r)) values at radii r and state t (scalar or
+        one per radius)."""
+        rr = np.atleast_1d(np.asarray(r, dtype=float))
+        # (n_components, n_t, len(rr)): every state column interpolated in r
+        at_t = np.array([[np.interp(rr, self.r_values, col) for col in comp.T]
+                         for comp in self.table.transpose(2, 0, 1)])
+        tv = self.t_values
+        if len(tv) == 1:
+            return at_t[:, 0]
+        tt = np.broadcast_to(np.asarray(t, dtype=float), rr.shape)
+        j = np.clip(np.searchsorted(tv, tt) - 1, 0, len(tv) - 2)
+        ft = np.clip((tt - tv[j]) / (tv[j + 1] - tv[j]), 0.0, 1.0)
+        idx = np.arange(len(rr))
+        return at_t[:, j, idx] * (1 - ft) + at_t[:, j + 1, idx] * ft
+
+    def __call__(self, r, t):
+        return tuple(float(v[0]) for v in self.batch(float(r), float(t)))
+
+
 class HomogenizedTensor:
     """Radial effective tensor sigma_lo * P + sigma_hi * (I - P).
 
@@ -276,39 +309,28 @@ class HomogenizedTensor:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         proj, perp, rr = _projector_matrices(x)
-        tt = np.broadcast_to(np.asarray(t, dtype=float), rr.shape)
-        lo = np.empty_like(rr)
-        hi = np.empty_like(rr)
-        for i, (ri, ti) in enumerate(zip(rr, tt)):
-            lo[i], hi[i] = self.means(ri, ti)
+        if isinstance(self.means, RadialTable):
+            lo, hi = self.means.batch(rr, t)
+        else:
+            tt = np.broadcast_to(np.asarray(t, dtype=float), rr.shape)
+            lo, hi = np.array([self.means(ri, ti)
+                               for ri, ti in zip(rr, tt)]).T
         out = lo[:, None, None] * proj + hi[:, None, None] * perp
         return out[0] if single else out
 
     __call__ = eval
 
     def with_cache(self, r_values, t_values=(0.0,)):
-        r_values = np.asarray(r_values, dtype=float)
-        t_values = np.asarray(t_values, dtype=float)
-        table = np.empty((len(r_values), len(t_values), 2))
-        for i, r in enumerate(r_values):
-            for j, t in enumerate(t_values):
-                table[i, j] = self.means(r, t)
-        interp = _BilinearMeans(r_values, t_values, table)
-        return HomogenizedTensor(interp, provenance=self.provenance + "+cache",
+        table = np.array([[self.means(r, t) for t in t_values]
+                          for r in r_values], dtype=float)
+        return HomogenizedTensor(RadialTable(r_values, t_values, table),
+                                 provenance=self.provenance + "+cache",
                                  dim=self.dim, name=self.name)
 
     def as_field(self, constants=None, name=None):
         """CoefficientField adapter for assembly (vectorized over points)."""
-        means = self.means
-        if isinstance(means, _BilinearMeans):
-            def fn(pts, t):
-                proj, perp, rr = _projector_matrices(pts)
-                lo, hi = means.batch(rr, t)
-                return lo[:, None, None] * proj + hi[:, None, None] * perp
-        else:
-            def fn(pts, t):
-                out = self.eval(pts, t)
-                return out if out.ndim == 3 else out[None]
+        def fn(pts, t):
+            return self.eval(np.atleast_2d(pts), t)
         if constants is None:
             constants = self._estimate_constants()
         return CoefficientField(fn, constants, dim=self.dim,
@@ -319,40 +341,6 @@ class HomogenizedTensor:
         vals = np.array([self.means(r, 0.0) for r in rs])
         return StructureConstants(float(vals.min()) * 0.999,
                                   float(vals.max()) * 1.001, 0.0)
-
-
-class _BilinearMeans:
-    def __init__(self, r_values, t_values, table):
-        self.r_values = r_values
-        self.t_values = t_values
-        self.table = table
-
-    def batch(self, rr, t):
-        tt = np.broadcast_to(np.asarray(t, dtype=float), np.shape(rr))
-        lo = self._interp(rr, tt, 0)
-        hi = self._interp(rr, tt, 1)
-        return lo, hi
-
-    def _interp(self, rr, tt, comp):
-        rv, tv = self.r_values, self.t_values
-        i = np.clip(np.searchsorted(rv, rr) - 1, 0, max(len(rv) - 2, 0))
-        if len(rv) > 1:
-            fr = np.clip((rr - rv[i]) / (rv[i + 1] - rv[i]), 0.0, 1.0)
-        else:
-            i = np.zeros_like(i)
-            fr = np.zeros_like(np.asarray(rr, dtype=float))
-        if len(tv) > 1:
-            j = np.clip(np.searchsorted(tv, tt) - 1, 0, len(tv) - 2)
-            ft = np.clip((tt - tv[j]) / (tv[j + 1] - tv[j]), 0.0, 1.0)
-            a = self.table[i, j, comp] * (1 - fr) + self.table[np.minimum(i + 1, len(rv) - 1), j, comp] * fr
-            b = self.table[i, j + 1, comp] * (1 - fr) + self.table[np.minimum(i + 1, len(rv) - 1), j + 1, comp] * fr
-            return a * (1 - ft) + b * ft
-        ip1 = np.minimum(i + 1, len(rv) - 1)
-        return self.table[i, 0, comp] * (1 - fr) + self.table[ip1, 0, comp] * fr
-
-    def __call__(self, r, t):
-        lo, hi = self.batch(np.atleast_1d(float(r)), float(t))
-        return float(lo[0]), float(hi[0])
 
 
 def radial_homogenized(sigma_profile, dim=2, name=""):
@@ -496,16 +484,7 @@ def solve_cell(problem, tol=1e-10):
     if n1 < 2 or n2 < 2:
         raise PreconditionError("cell resolution must be at least 2 per axis")
     dofs, xy, ndof = _cell_grid(n1, n2)
-    e1 = xy[:, 1] - xy[:, 0]
-    e2 = xy[:, 2] - xy[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    areas = 0.5 * det
-    grads = np.empty((len(det), 3, 2))
-    for k in range(3):
-        d = xy[:, (k + 2) % 3] - xy[:, (k + 1) % 3]
-        grads[:, k, 0] = -d[:, 1]
-        grads[:, k, 1] = d[:, 0]
-    grads /= (2.0 * areas)[:, None, None]
+    areas, grads = p1_elements(xy)
 
     cent = xy.mean(axis=1)
     amat = problem.matrices(cent)
@@ -513,10 +492,7 @@ def solve_cell(problem, tol=1e-10):
     if sym_defect > 1e-12 * max(np.abs(amat).max(), 1.0):
         raise PreconditionError("cell coefficient must be symmetric")
 
-    local = np.einsum("t,tic,tcd,tjd->tij", areas, grads, amat, grads)
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    K = coo_matrix((local.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+    K = p1_stiffness(areas, grads, amat, dofs, ndof)
 
     rhs = np.zeros((2, ndof))
     for k in range(2):
@@ -658,28 +634,9 @@ class RadialCloakSpec:
                 self.max_residual = max(self.max_residual,
                                         abs(hm[0] - h[i]), abs(hm[1] - m[i]))
         self.n_fallback = int((~self.ok).sum())
-
-    def _tables(self, names, r, t):
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        tv = self.t_grid
-        if len(tv) > 1:
-            tt = np.broadcast_to(np.asarray(t, dtype=float), rr.shape)
-            j = np.clip(np.searchsorted(tv, tt) - 1, 0, len(tv) - 2)
-            ft = np.clip((tt - tv[j]) / (tv[j + 1] - tv[j]), 0.0, 1.0)
-        out = []
-        for nm in names:
-            tab = getattr(self, nm)
-            if tab.dtype == bool:
-                tab = tab.astype(float)
-            if len(tv) > 1:
-                lo = np.stack([np.interp(rr, self.r_grid, tab[:, jj])
-                               for jj in range(len(tv))])
-                a = lo[j, np.arange(len(rr))]
-                b = lo[np.minimum(j + 1, len(tv) - 1), np.arange(len(rr))]
-                out.append(a * (1 - ft) + b * ft)
-            else:
-                out.append(np.interp(rr, self.r_grid, tab[:, 0]))
-        return out
+        self.table = RadialTable(
+            self.r_grid, self.t_grid,
+            np.stack([self.a1, self.a2, self.ok, self.m_t], axis=2))
 
     def sigma(self, r, t=0.0):
         """Scalar coefficient at radius r (vectorized), state t."""
@@ -687,8 +644,7 @@ class RadialCloakSpec:
         out = np.ones_like(rr)
         ins = rr < 2.0
         if np.any(ins):
-            a1, a2, okf, miso = self._tables(("a1", "a2", "ok", "m_t"),
-                                             rr[ins], t)
+            a1, a2, okf, miso = self.table.batch(rr[ins], t)
             rp = rr[ins] / self.eps
             base = 1.0 + a1 * zeta(1, rp, self.M) - a2 * zeta(2, rp, self.M)
             vals = base ** 2
@@ -722,18 +678,13 @@ class RadialCloakSpec:
 
     def homogenized(self):
         """Reference anisotropic shell: the target means as a radial tensor."""
-        spec = self
-
-        class _Means(_BilinearMeans):
-            pass
-
-        table = np.stack([spec.h_t, spec.m_t], axis=2)
+        table = np.stack([self.h_t, self.m_t], axis=2)
         # extend by identity out to radius 3
-        r_ext = np.concatenate([spec.r_grid, [2.0 + 1e-9, 3.0]])
+        r_ext = np.concatenate([self.r_grid, [2.0 + 1e-9, 3.0]])
         ext = np.concatenate([table, np.ones((2,) + table.shape[1:])], axis=0)
-        means = _Means(r_ext, spec.t_grid, ext)
-        return HomogenizedTensor(means, provenance="closed-form-laminate",
-                                 dim=2, name=f"cloak-target(R={spec.R:g})")
+        return HomogenizedTensor(RadialTable(r_ext, self.t_grid, ext),
+                                 provenance="closed-form-laminate",
+                                 dim=2, name=f"cloak-target(R={self.R:g})")
 
 
 def build_isotropic_cloak_sequence(R_seq=None, eta_seq=None, eps_seq=None,

@@ -112,29 +112,31 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
                         damping_activated=activated, system=system)
 
 
-def dn_pairing(results, basis_matrix):
+def dn_pairing(solutions, systems, basis_matrix):
     """Boundary flux of each solution paired against each trace.
 
-    results : list of QSolveResult, one per boundary datum
+    solutions : (n, n_vertices) nodal solutions, one per boundary datum
+    systems : n SparseSystems, the assembled system each solution solves
+        (the same object repeated when one linear system serves them all)
     basis_matrix : (K, nb) trace values on the boundary vertices
 
-    Returns the (K, len(results)) matrix whose (i, j) entry is the work of
-    the j-th solution's boundary flux against the i-th trace. With the same
-    basis used for the data and a state-independent coefficient the matrix
-    is symmetric.
+    Returns the (K, n) matrix whose (i, j) entry is the work of the j-th
+    solution's boundary flux against the i-th trace. With the same basis
+    used for the data and a state-independent coefficient the matrix is
+    symmetric.
     """
     basis_matrix = np.atleast_2d(np.asarray(basis_matrix, dtype=float))
-    if not results:
-        raise PreconditionError("no solutions given")
-    mesh = results[0].mesh
+    if len(solutions) == 0 or len(systems) != len(solutions):
+        raise PreconditionError("need one assembled system per solution")
+    mesh = systems[0].mesh
     if basis_matrix.shape[1] != len(mesh.boundary):
         raise PreconditionError("basis columns must match boundary vertices")
     lifts = np.zeros((basis_matrix.shape[0], mesh.n_vertices))
     lifts[:, mesh.boundary] = basis_matrix
-    out = np.empty((basis_matrix.shape[0], len(results)))
-    for j, res in enumerate(results):
-        if res.mesh is not mesh:
+    out = np.empty((basis_matrix.shape[0], len(solutions)))
+    for j, (u, system) in enumerate(zip(solutions, systems)):
+        if system.mesh is not mesh:
             raise PreconditionError("solutions live on different meshes")
-        flux = res.system.matrix @ res.u.values - res.system.load
+        flux = system.matrix @ u - system.load
         out[:, j] = lifts @ flux
     return out

@@ -102,6 +102,7 @@ def test_criterion_2_baseline_pairing():
     assert elapsed <= 60.0
 
 
+@pytest.mark.slow
 def test_criterion_3_pushforward_invariance():
     t0 = time.monotonic()
     cfg = ExperimentConfig(schedule=(0.1, 0.05, 0.025), modes=8,
@@ -132,6 +133,7 @@ def test_criterion_3_pushforward_invariance():
     assert elapsed <= 600.0
 
 
+@pytest.mark.slow
 def test_criterion_4_near_cloak_decay():
     t0 = time.monotonic()
     details = []
@@ -153,6 +155,7 @@ def test_criterion_4_near_cloak_decay():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_shell_truncation_decay():
     t0 = time.monotonic()
     cfg = ExperimentConfig(schedule=(1.5, 1.25, 1.1), h=0.05, modes=8,
@@ -226,6 +229,7 @@ def test_criterion_6_effective_tensor_oracles():
     assert elapsed <= 120.0
 
 
+@pytest.mark.slow
 def test_criterion_7_oscillating_sequence():
     t0 = time.monotonic()
     cfg = ExperimentConfig(schedule=(1, 2, 3, 4), h=0.05, modes=8)

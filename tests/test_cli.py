@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cloaksim.cli as cli
+from cloaksim.experiments import DecayReport
 from cloaksim.fem import TriMesh
 
 
@@ -150,6 +151,18 @@ class TestSweeps:
     def test_homog_guard(self, tmp_path):
         assert run(["sweep-homog", "--schedule", "7",
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_dropped_rows_reported(self, tmp_path, capsys, monkeypatch):
+        rows = [{"rho": rho, "dn": rho - 1.0, "converged": rho != 1.3}
+                for rho in (1.8, 1.6, 1.4, 1.3, 1.2)]
+        rep = DecayReport(kind="truncated-singular", parameter="rho",
+                          rows=rows)
+        rep.fit_slope("dn")
+        monkeypatch.setattr(cli, "run_truncated_singular_sweep",
+                            lambda cfg: rep)
+        assert run(["sweep-singular", "--out", str(tmp_path / "s.csv")]) == 0
+        err = capsys.readouterr().err
+        assert "slope[dn]: 1 non-converged rows left out of the fit" in err
 
     def test_diffeo_check(self, tmp_path, capsys):
         out = tmp_path / "d.json"

@@ -118,6 +118,59 @@ class TestJson:
         with pytest.raises(PreconditionError):
             DtNOperator(FourierBasis(2), np.zeros((3, 3)))
 
+    def test_basis_radius_must_match_mesh(self):
+        mesh = build_disk_mesh(3.0, h_target=0.4)
+        with pytest.raises(PreconditionError):
+            dn_operator(identity_field(2), FourierBasis(2, radius=2.0), mesh)
+        op = dn_operator(identity_field(2), FourierBasis(2, radius=3.0), mesh)
+        assert op.solutions.shape == (5, mesh.n_vertices)
+
+    def test_loaded_operator_has_no_solutions(self):
+        mesh = build_disk_mesh(2.0, h_target=0.4)
+        op = dn_operator(identity_field(2), FourierBasis(2), mesh)
+        assert op.mesh is mesh and op.iterations == [1] * 5
+        back = DtNOperator.from_json(op.to_json())
+        assert back.solutions is None and back.iterations is None
+        assert back.mesh is None
+
+
+def kirchhoff_pairing(basis, n=512):
+    """Exact DN pairing of A = (2 + sin u) I at unit-amplitude data.
+
+    Theta(u) = 2u + 1 - cos u has Theta' = 2 + sin u, so Theta(u) is
+    harmonic with trace Theta(f). Its normal derivative on the circle of
+    radius R is sum_m (m / R) (a_m cos + b_m sin) over the Fourier
+    coefficients of Theta(f), and pairing with cos m / sin m over the
+    arc gives m pi a_m / m pi b_m.
+    """
+    theta = 2.0 * np.pi * np.arange(n) / n
+    out = np.zeros((basis.size, basis.size))
+    for j, m in enumerate(basis.modes()):
+        # index 0 is cos(0 theta), odd indices cos(m theta), even sin(m theta)
+        f = np.cos(m * theta) if j % 2 or j == 0 else np.sin(m * theta)
+        c = np.fft.rfft(2.0 * f + 1.0 - np.cos(f)) / n
+        for k in range(1, basis.max_mode + 1):
+            out[2 * k - 1, j] = k * np.pi * 2.0 * c[k].real
+            out[2 * k, j] = -k * np.pi * 2.0 * c[k].imag
+    return out
+
+
+class TestKirchhoffOracle:
+    def test_nonlinear_pairing_converges_at_second_order(self):
+        field = IsotropicField(lambda p, t: 2.0 + np.sin(t),
+                               StructureConstants(1.0, 3.0, 1.0))
+        basis = FourierBasis(max_mode=3, radius=2.0)
+        exact = kirchhoff_pairing(basis)
+        errs = []
+        for h in (0.2, 0.1):
+            op = dn_operator(field, basis, build_disk_mesh(2.0, h_target=h))
+            assert op.nonlinear and op.all_converged
+            errs.append(np.abs(op.pairing_matrix - exact).max()
+                        / np.abs(exact).max())
+        assert errs[0] <= 2.5e-3
+        assert errs[1] <= 6e-4
+        assert errs[0] / errs[1] >= 3.5
+
 
 class TestDifference:
     def test_zero_for_identical(self):

@@ -68,6 +68,19 @@ class TestDecayReport:
         assert rep.column("dn") == [(0.4, 1.0), (0.1, 0.25)]
         assert len(rep.column("dn", converged_only=False)) == 3
 
+    def test_fit_slope_counts_dropped_rows(self):
+        rows = [{"r": r, "dn": r ** 2, "converged": True}
+                for r in (0.4, 0.2, 0.1, 0.05)]
+        rep = DecayReport(kind="demo", parameter="r", rows=rows)
+        entry = rep.fit_slope("dn")
+        assert abs(entry["slope"] - 2.0) < 1e-12 and entry["n"] == 4
+        assert "dropped" not in entry
+        rep.rows.insert(1, {"r": 0.3, "dn": 5.0, "converged": False})
+        entry = rep.fit_slope("dn", key="dn_again")
+        assert rep.slopes["dn_again"] is entry
+        assert entry["dropped"] == 1 and entry["n"] == 4
+        assert abs(entry["slope"] - 2.0) < 1e-12
+
     def test_dict_round_trip(self):
         rep = self.make()
         back = DecayReport.from_dict(rep.to_dict())

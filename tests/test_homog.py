@@ -3,10 +3,11 @@ import pytest
 
 from cloaksim.errors import NumericalError, PreconditionError
 from cloaksim.homog import (CellProblem, HomogenizedTensor, RadialCloakSpec,
-                            build_isotropic_cloak_sequence, cell_lipschitz,
-                            cell_means, cloak_targets, default_schedule,
-                            fit_cloak_amplitudes, lipschitz_in_t, phi, phi_M,
-                            radial_homogenized, solve_cell, zeta)
+                            RadialTable, build_isotropic_cloak_sequence,
+                            cell_lipschitz, cell_means, cloak_targets,
+                            default_schedule, fit_cloak_amplitudes,
+                            lipschitz_in_t, phi, phi_M, radial_homogenized,
+                            solve_cell, zeta)
 
 
 class TestCutoffs:
@@ -175,6 +176,21 @@ class TestHomogenizedTensor:
         for r in rs:
             p = np.array([r, 0.0])
             assert np.abs(C.eval(p) - T.eval(p)).max() < 1e-12
+
+    def test_table_bilinear_and_clamped(self):
+        # a bilinear function is reproduced inside the lattice; outside,
+        # radius and state hold their end values
+        rs = np.array([0.5, 1.0, 2.0, 3.0])
+        ts = np.array([-1.0, 0.0, 2.0])
+        R, T = np.meshgrid(rs, ts, indexing="ij")
+        tab = RadialTable(rs, ts, np.stack([1 + R * T, 2 - R], axis=2))
+        r = np.array([0.7, 1.3, 2.9, 0.1, 4.0])
+        t = np.array([-0.5, 1.0, 0.3, 5.0, -3.0])
+        re, te = np.clip(r, 0.5, 3.0), np.clip(t, -1.0, 2.0)
+        got = tab.batch(r, t)
+        assert np.abs(got[0] - (1 + re * te)).max() < 1e-14
+        assert np.abs(got[1] - (2 - re)).max() < 1e-14
+        assert tab(1.3, 1.0) == pytest.approx((2.3, 0.7), abs=1e-14)
 
     def test_as_field_matches_eval(self):
         T = HomogenizedTensor(lambda r, t: (1.5, 2.5))
