@@ -208,8 +208,7 @@ def _cmd_solve(args, g):
                            h_target=g["h"])
     theta = mesh.boundary_angles()
     datum = np.cos(args.mode * theta)
-    res = solve_quasilinear(mesh, field, datum,
-                            PicardConfig(tol=g["tol"]), method="direct")
+    res = solve_quasilinear(mesh, field, datum, PicardConfig(tol=g["tol"]))
     doc = {"coefficient": args.coeff, "mode": args.mode,
            "l2": res.u.l2(), "h1": res.u.h1(),
            "iterations": res.iterations, "converged": res.converged}

@@ -150,7 +150,7 @@ def dn_operator(A, basis, mesh, cfg=None, source=None):
         system = assemble_frozen(mesh, A, source=source)
         solutions = np.empty((basis.size, mesh.n_vertices))
         for j in range(basis.size):
-            solutions[j] = system.solve_dirichlet(traces[j], method="direct")
+            solutions[j] = system.solve_dirichlet(traces[j])
         systems = [system] * basis.size
         iterations = [1] * basis.size
         converged = None

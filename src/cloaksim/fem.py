@@ -10,7 +10,8 @@ import io
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import cg, splu
+# cg is never called here; it stays bound because perfbench/tracing.py wraps it
+from scipy.sparse.linalg import cg, splu  # noqa: F401
 
 from .errors import NumericalError, PreconditionError
 
@@ -343,76 +344,42 @@ def assemble_frozen(mesh, field, state=None, source=None):
     return SparseSystem(matrix, load, mesh)
 
 
-# "auto" solves factor directly above this estimated condition number
-_COND_THRESHOLD = 1e8
-
-
 class SparseSystem:
-    """Assembled symmetric system with Dirichlet elimination and solver choice."""
+    """Assembled symmetric system with Dirichlet elimination.
+
+    The interior block is split off and factored on the first solve, with a
+    symmetric minimum-degree ordering; later solves reuse the factor.
+    """
 
     def __init__(self, matrix, load, mesh):
         self.matrix = matrix
         self.load = load
         self.mesh = mesh
+        self._kii = None
         self._lu = None
-        ii = mesh.interior
-        self._kii = matrix[ii][:, ii].tocsc()
-        self._kib = matrix[ii][:, mesh.boundary].tocsr()
-
-    def estimated_condition(self):
-        """Crude spectral estimate: diagonal contrast times mesh factor."""
-        d = self._kii.diagonal()
-        if np.any(d <= 0):
-            return np.inf
-        contrast = d.max() / d.min()
-        n = len(d)
-        return float(contrast * n)
 
     def _factor(self):
         if self._lu is None:
-            self._lu = splu(self._kii)
+            ii = self.mesh.interior
+            self._kii = self.matrix[ii][:, ii].tocsc()
+            self._lu = splu(self._kii, permc_spec="MMD_AT_PLUS_A")
         return self._lu
 
-    def solve_dirichlet(self, boundary_values, method="auto", tol=1e-10):
-        """Solve with the given boundary vertex values.
-
-        method: "auto" picks conjugate gradients for well conditioned
-        systems and a direct factorization otherwise; "cg" and "direct"
-        force the choice. The factorization is cached for repeated solves.
-        """
+    def solve_dirichlet(self, boundary_values):
+        """Solve with the given boundary vertex values."""
         g = np.asarray(boundary_values, dtype=float)
         if g.shape != (len(self.mesh.boundary),):
             raise PreconditionError("boundary_values must be one per boundary vertex")
-        rhs = self.load[self.mesh.interior] - self._kib @ g
-        if method == "auto":
-            direct = (self._lu is not None
-                      or self.estimated_condition() > _COND_THRESHOLD)
-            method = "direct" if direct else "cg"
-        if method == "cg":
-            d = self._kii.diagonal()
-            inv = 1.0 / d
-
-            def precond(x):
-                return inv * x
-
-            from scipy.sparse.linalg import LinearOperator
-            M = LinearOperator(self._kii.shape, matvec=precond)
-            x, info = cg(self._kii, rhs, rtol=tol, atol=0.0, M=M,
-                         maxiter=20 * len(rhs))
-            if info != 0:
-                x = self._factor().solve(rhs)
-        elif method == "direct":
-            x = self._factor().solve(rhs)
-        else:
-            raise PreconditionError(f"unknown method {method!r}")
+        full = np.zeros(self.mesh.n_vertices)
+        full[self.mesh.boundary] = g
+        rhs = (self.load - self.matrix @ full)[self.mesh.interior]
+        x = self._factor().solve(rhs)
         resid = np.linalg.norm(self._kii @ x - rhs)
         scale = np.linalg.norm(rhs)
         if scale > 0 and resid > 1e-8 * scale:
             raise NumericalError(
                 f"linear solve residual {resid / scale:.3e} above 1e-8")
-        full = np.empty(self.mesh.n_vertices)
         full[self.mesh.interior] = x
-        full[self.mesh.boundary] = g
         return full
 
     def energy(self, u, v=None):

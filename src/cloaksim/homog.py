@@ -503,7 +503,7 @@ def solve_cell(problem, tol=1e-10):
     keep = np.arange(1, ndof)
     Kred = K[keep][:, keep].tocsc()
     try:
-        lu = splu(Kred)
+        lu = splu(Kred, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise NumericalError(f"degenerate cell coefficient: {exc}") from None
     chi = np.zeros((2, ndof))

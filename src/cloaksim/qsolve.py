@@ -58,7 +58,7 @@ def _boundary_array(mesh, boundary_values):
 
 
 def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
-                      warm_start=None, method="auto"):
+                      warm_start=None):
     """Solve the frozen-coefficient fixed point problem on a mesh.
 
     Parameters
@@ -75,7 +75,7 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
 
     if field.is_linear and warm_start is None:
         system = assemble_frozen(mesh, field, source=source)
-        u = system.solve_dirichlet(g, method=method)
+        u = system.solve_dirichlet(g)
         return QSolveResult(FeFunction(mesh, u), converged=True, iterations=1,
                             updates=[], damping=cfg.damping, system=system)
 
@@ -88,7 +88,7 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
     system = None
     for it in range(1, cfg.max_iter + 1):
         system = assemble_frozen(mesh, field, state=u_prev, source=source)
-        u_hat = system.solve_dirichlet(g, method=method)
+        u_hat = system.solve_dirichlet(g)
         u_new = omega * u_hat + (1.0 - omega) * u_prev
         scale = max(l2_norm(mesh, u_new), 1e-30)
         upd = l2_norm(mesh, u_new - u_prev) / scale
@@ -131,12 +131,10 @@ def dn_pairing(solutions, systems, basis_matrix):
     mesh = systems[0].mesh
     if basis_matrix.shape[1] != len(mesh.boundary):
         raise PreconditionError("basis columns must match boundary vertices")
-    lifts = np.zeros((basis_matrix.shape[0], mesh.n_vertices))
-    lifts[:, mesh.boundary] = basis_matrix
     out = np.empty((basis_matrix.shape[0], len(solutions)))
     for j, (u, system) in enumerate(zip(solutions, systems)):
         if system.mesh is not mesh:
             raise PreconditionError("solutions live on different meshes")
         flux = system.matrix @ u - system.load
-        out[:, j] = lifts @ flux
+        out[:, j] = basis_matrix @ flux[mesh.boundary]
     return out

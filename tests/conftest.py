@@ -1,3 +1,5 @@
+import pytest
+
 verdict_lines = []
 
 
@@ -11,3 +13,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance verdicts")
     for line in verdict_lines:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """Record (matrix, factor) for every splu call made by cloaksim.fem."""
+    from cloaksim import fem
+
+    calls = []
+    real = fem.splu
+
+    def recording(matrix, **kwargs):
+        lu = real(matrix, **kwargs)
+        calls.append((matrix, lu))
+        return lu
+
+    monkeypatch.setattr(fem, "splu", recording)
+    return calls

@@ -63,6 +63,11 @@ class TestOperator:
         off = op.pairing_matrix - np.diag(d)
         assert np.abs(off).max() < 0.01 * np.pi
 
+    def test_linear_operator_factors_once(self, factors):
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        dn_operator(identity_field(2), FourierBasis(max_mode=3), mesh)
+        assert len(factors) == 1
+
     def test_symmetry_for_state_independent(self):
         mesh = build_disk_mesh(2.0, h_target=0.15)
         basis = FourierBasis(max_mode=4)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from scipy.sparse.linalg import splu
+
 from cloaksim.coeff import annulus, constant_field, identity_field
 from cloaksim.errors import NumericalError, PreconditionError
 from cloaksim.fem import (FeFunction, SparseSystem, TriMesh, assemble_frozen,
@@ -151,16 +153,23 @@ class TestSolve:
         mesh = build_disk_mesh(2.0, h_target=0.1)
         system = assemble_frozen(mesh, identity_field(2))
         bv = mesh.vertices[mesh.boundary, 0]
-        u = system.solve_dirichlet(bv, method="direct")
+        u = system.solve_dirichlet(bv)
         assert np.abs(u - mesh.vertices[:, 0]).max() < 5e-3
 
-    def test_cg_matches_direct(self):
+    def test_matches_dense_interior_solve(self):
+        # oracle: eliminate the boundary by hand and solve the dense block
         mesh = build_disk_mesh(2.0, h_target=0.2)
-        system = assemble_frozen(mesh, identity_field(2))
+        system = assemble_frozen(mesh, identity_field(2),
+                                 source=lambda p: 1.0 + p[:, 0])
         bv = np.cos(2.0 * mesh.boundary_angles())
-        ud = system.solve_dirichlet(bv, method="direct")
-        uc = system.solve_dirichlet(bv, method="cg", tol=1e-12)
-        assert np.abs(ud - uc).max() < 1e-8
+        K = system.matrix.toarray()
+        ii, bb = mesh.interior, mesh.boundary
+        want = np.empty(mesh.n_vertices)
+        want[bb] = bv
+        want[ii] = np.linalg.solve(K[np.ix_(ii, ii)],
+                                   system.load[ii] - K[np.ix_(ii, bb)] @ bv)
+        u = system.solve_dirichlet(bv)
+        assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_boundary_values_imposed_exactly(self):
         mesh = build_disk_mesh(1.0, h_target=0.25)
@@ -185,10 +194,18 @@ class TestSolve:
         # is pi; the discrete value sits slightly above
         assert np.pi - 0.05 < e < np.pi + 0.15
 
-    def test_estimated_condition_positive(self):
-        mesh = build_disk_mesh(1.0, h_target=0.3)
+
+class TestFactorization:
+    def test_ordering_reduces_fill(self, factors):
+        # symmetric minimum-degree ordering against SuperLU's default
+        # column ordering on the same interior block
+        mesh = build_disk_mesh(2.0, h_target=0.1)
+        assert len(mesh.interior) > 2000
         system = assemble_frozen(mesh, identity_field(2))
-        assert system.estimated_condition() > 0.0
+        system.solve_dirichlet(np.zeros(len(mesh.boundary)))
+        (kii, lu), = factors
+        default = splu(kii)
+        assert lu.L.nnz + lu.U.nnz < 0.75 * (default.L.nnz + default.U.nnz)
 
 
 class TestFeFunction:

@@ -91,6 +91,15 @@ class TestPicard:
         with pytest.raises(PreconditionError):
             solve_quasilinear(mesh, sin_field(), np.zeros(3))
 
+    def test_one_factorization_per_iteration(self, factors):
+        # the system re-assembled at convergence is only paired, never
+        # split or factored
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        res = solve_quasilinear(mesh, sin_field(),
+                                np.cos(mesh.boundary_angles()))
+        assert res.converged and res.iterations > 1
+        assert len(factors) == res.iterations
+
 
 def mms_error(h):
     # u* = x y with A(u) = (2 + sin u) I demands the source
