@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from .coeff import validate_structure, ball
 from .dnmap import DtNOperator, FourierBasis, dn_difference, dn_operator
 from .errors import NumericalError, PreconditionError
 from .experiments import (ExperimentConfig, emit_report, run_diffeo_invariance,
@@ -83,9 +82,11 @@ def _parser():
                         ("sweep-homog", "1,2,3,4")):
         s = sub.add_parser(name, help=f"{name.split('-')[1]} sweep")
         s.add_argument("--schedule", default=sched)
-        s.add_argument("--inclusion", default="5I")
-        s.add_argument("--profile", default="transformation")
-        s.add_argument("--psi", type=float, default=2.0)
+        if name == "sweep-homog":
+            s.add_argument("--profile", default="transformation")
+            s.add_argument("--psi", type=float, default=2.0)
+        else:
+            s.add_argument("--inclusion", default="5I")
         s.add_argument("--format", dest="fmt", default="csv",
                        choices=("csv", "json", "gnuplot-dat"))
         s.add_argument("--out", required=True)
@@ -244,15 +245,26 @@ def _cmd_dndiff(args, g):
     return 0
 
 
+# cell profile name -> the numbers of values it accepts
+_CELL_PARAM_COUNTS = {"laminate": (0, 2), "checker": (0, 2),
+                      "constant": (0, 1), "smooth-cos": (0,)}
+
+
 def _cell_profile(text):
     name, _, rest = text.partition(":")
     params = _floats(rest) if rest else []
+    if name not in _CELL_PARAM_COUNTS:
+        raise PreconditionError(f"unknown cell profile {text!r}")
+    if len(params) not in _CELL_PARAM_COUNTS[name]:
+        counts = " or ".join(str(n) for n in _CELL_PARAM_COUNTS[name])
+        raise PreconditionError(
+            f"cell profile {name} takes {counts} values, got {len(params)}")
 
     if name == "laminate":
-        a, b = (params + [1.0, 4.0])[:2] if len(params) >= 2 else (1.0, 4.0)
+        a, b = params or (1.0, 4.0)
         return lambda p: np.where(p[:, 0] % 1.0 < 0.5, a, b)
     if name == "checker":
-        a, b = (params + [1.0, 4.0])[:2] if len(params) >= 2 else (1.0, 4.0)
+        a, b = params or (1.0, 4.0)
 
         def checker(p):
             same = ((p[:, 0] % 1.0) < 0.5) == ((p[:, 1] % 1.0) < 0.5)
@@ -261,15 +273,12 @@ def _cell_profile(text):
     if name == "constant":
         c = params[0] if params else 1.0
         return lambda p: np.full(len(p), c)
-    if name == "smooth-cos":
-        return lambda p: 2.0 + np.cos(2 * np.pi * p[:, 0])
-    raise PreconditionError(f"unknown cell profile {text!r}")
+    return lambda p: 2.0 + np.cos(2 * np.pi * p[:, 0])
 
 
 def _cmd_cell(args, g):
     a_cell = _cell_profile(args.profile)
-    sol = solve_cell(CellProblem(a_cell, (args.resolution, args.resolution),
-                                 name=args.profile))
+    sol = solve_cell(CellProblem(a_cell, (args.resolution, args.resolution)))
     ev = np.linalg.eigvalsh(sol.tensor)
     doc = {"profile": args.profile,
            "tensor": [[float(v) for v in row] for row in sol.tensor],

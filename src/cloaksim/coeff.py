@@ -158,13 +158,12 @@ def identity_field(dim=2):
 class Region:
     """Radial region |x| in [r_lo, r_hi], used for sampling and dispatch."""
 
-    def __init__(self, r_lo, r_hi, dim=2, name=""):
+    def __init__(self, r_lo, r_hi, dim=2):
         if not (0.0 <= r_lo < r_hi):
             raise PreconditionError(f"need 0 <= r_lo < r_hi, got [{r_lo}, {r_hi}]")
         self.r_lo = float(r_lo)
         self.r_hi = float(r_hi)
         self.dim = dim
-        self.name = name or f"annulus[{r_lo:g},{r_hi:g}]"
 
     def contains(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -185,7 +184,7 @@ class Region:
 
 
 def ball(radius, dim=2):
-    return Region(0.0, radius, dim=dim, name=f"ball[{radius:g}]")
+    return Region(0.0, radius, dim=dim)
 
 
 def annulus(r_lo, r_hi, dim=2):

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .errors import PreconditionError
-from .fem import assemble_frozen
+from .fem import assemble_frozen, p1_stiffness
 from .qsolve import PicardConfig, dn_pairing, solve_quasilinear
 
 __all__ = ["FourierBasis", "DtNOperator", "dn_operator", "dn_difference",
@@ -210,21 +210,15 @@ def neumann_trace_error(u1, u2, band, basis=None, field1=None, field2=None):
     basis = basis or FourierBasis()
 
     def mode_fluxes(u):
+        # the band's identity stiffness applied to u, paired with the traces
+        # on the boundary rows, as in dn_pairing
         mesh = u.mesh
         inside = band.contains(mesh.centroids)
-        tris = mesh.triangles[inside]
-        grads = mesh.grads[inside]
-        areas = mesh.areas[inside]
-        uv = u.values[tris]
-        gu = np.einsum("tic,ti->tc", grads, uv)           # grad u per triangle
-        traces = basis.trace_matrix(mesh)
-        lifts = np.zeros((basis.size, mesh.n_vertices))
-        lifts[:, mesh.boundary] = traces
-        lv = lifts[:, tris]                                # (K, nt, 3)
-        gl = np.einsum("tic,kti->ktc", grads, lv)
-        flux = np.einsum("ktc,tc,t->k", gl, gu, areas)
-        masses = basis.masses(mesh)
-        return flux, masses
+        eye = np.broadcast_to(np.eye(2), (int(inside.sum()), 2, 2))
+        band_matrix = p1_stiffness(mesh.areas[inside], mesh.grads[inside], eye,
+                                   mesh.triangles[inside], mesh.n_vertices)
+        flux = basis.trace_matrix(mesh) @ (band_matrix @ u.values)[mesh.boundary]
+        return flux, basis.masses(mesh)
 
     f1, m1 = mode_fluxes(u1)
     f2, m2 = mode_fluxes(u2)

@@ -11,11 +11,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .coeff import CoefficientField, annulus, identity_field
+from .coeff import annulus, identity_field
 from .dnmap import FourierBasis, dn_operator, dn_difference, neumann_trace_error
-from .errors import NumericalError, PreconditionError
+from .errors import PreconditionError
 from .fem import FeFunction, build_disk_mesh, l2_norm, h1_norm
-from .geometry import regular_blowup, pushforward, truncated_singular_cloak
+from .geometry import (pushforward, regular_blowup, transformed_inner_tensor,
+                       truncated_singular_cloak)
 from .homog import build_isotropic_cloak_sequence
 from .presets import inclusion_field
 from .qsolve import PicardConfig
@@ -113,28 +114,6 @@ def fit_loglog(pairs, min_points=4):
 _COS1 = 1
 
 
-def _scaled_inclusion(inclusion, r, dim=2):
-    """Pull-back of the cloaked load to blow-up scale r: value A(x/r, t)
-    times r^(2-dim), supported on the r-disk, identity outside."""
-    scale = r ** (2 - dim)
-
-    def fn(pts, t):
-        pts = np.atleast_2d(pts)
-        rr = np.linalg.norm(pts, axis=1)
-        out = np.tile(np.eye(dim), (len(pts), 1, 1))
-        ins = rr < r
-        if np.any(ins):
-            out[ins] = scale * inclusion.eval(pts[ins] / r, np.asarray(t)[ins])
-        return out
-
-    c = inclusion.constants
-    lo = min(1.0, scale * c.alpha)
-    hi = max(1.0, scale * c.beta)
-    return CoefficientField(
-        fn, type(c)(lo, hi, c.lipschitz_l * max(scale, 1.0)), dim=dim,
-        name=f"near-cloak(r={r:g}, {inclusion.name})")
-
-
 def run_regular_cloak_sweep(cfg):
     """Near-cloak error decay as the blow-up radius r shrinks.
 
@@ -158,7 +137,7 @@ def run_regular_cloak_sweep(cfg):
 
     rows = []
     for r in sched:
-        coeff_r = _scaled_inclusion(inclusion, r)
+        coeff_r = transformed_inner_tensor(inclusion, r)
         op_r = dn_operator(coeff_r, basis, mesh, cfg.picard)
         sol = FeFunction(mesh, op_r.solutions[_COS1])
         diff = sol.values - ref.values

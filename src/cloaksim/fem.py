@@ -32,13 +32,10 @@ __all__ = [
 class TriMesh:
     """Triangulation of a disk with precomputed element geometry."""
 
-    def __init__(self, vertices, triangles, boundary, aligned_radii=(),
-                 h_target=None):
+    def __init__(self, vertices, triangles, boundary):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.int64)
         self.boundary = np.asarray(boundary, dtype=np.int64)
-        self.aligned_radii = tuple(float(r) for r in aligned_radii)
-        self.h_target = h_target
         self._geometry()
 
     def _geometry(self):
@@ -197,8 +194,7 @@ def build_disk_mesh(radius, aligned_radii=(), h_target=0.1, n_theta=None,
     tris = np.concatenate(tris, axis=0)
     boundary = ring_idx(len(rings) - 1, j)
 
-    mesh = TriMesh(verts, tris, boundary, aligned_radii=aligned_radii,
-                   h_target=h_target)
+    mesh = TriMesh(verts, tris, boundary)
     if default_theta and radial_bands is None and mesh.h_max > 1.5 * h_target:
         raise NumericalError(
             f"mesh h_max {mesh.h_max:.3g} exceeds 1.5 * h_target")

@@ -14,8 +14,8 @@ boundary pointwise. The state variable t rides along untouched.
 
 import numpy as np
 
-from .coeff import (CoefficientField, Region, StructureConstants, annulus,
-                    ball, identity_field, piecewise_field)
+from .coeff import (CoefficientField, StructureConstants, annulus, ball,
+                    identity_field, piecewise_field)
 from .errors import PreconditionError
 
 __all__ = [
@@ -35,15 +35,13 @@ class DiffMap:
     """Invertible map with an analytic jacobian, vectorized over points."""
 
     def __init__(self, forward, inverse, jacobian, dim=2, name="",
-                 domain=None, image=None, piece_radii=(), image_piece_radii=()):
+                 domain=None, image_piece_radii=()):
         self._forward = forward
         self._inverse = inverse
         self._jacobian = jacobian
         self.dim = dim
         self.name = name
         self.domain = domain
-        self.image = image
-        self.piece_radii = tuple(piece_radii)
         self.image_piece_radii = tuple(image_piece_radii)
 
     def _pts(self, x):
@@ -71,21 +69,8 @@ class DiffMap:
         out = self._jacobian(pts)
         return out[0] if single else out
 
-    def det_jacobian(self, x):
-        pts, single = self._pts(x)
-        out = np.linalg.det(self._jacobian(pts))
-        return float(out[0]) if single else out
-
     def __repr__(self):
         return f"DiffMap({self.name or 'anonymous'}, dim={self.dim})"
-
-
-def _radial_frame(pts, eps=0.0):
-    r = np.linalg.norm(pts, axis=1)
-    if eps == 0.0 and np.any(r == 0.0):
-        raise PreconditionError("map undefined at the origin")
-    hat = pts / np.maximum(r, 1e-300)[:, None]
-    return r, hat
 
 
 def _radial_matrix(hat, rad, tan, dim):
@@ -95,8 +80,8 @@ def _radial_matrix(hat, rad, tan, dim):
     return tan[:, None, None] * (eye[None] - proj) + rad[:, None, None] * proj
 
 
-def _radial_map(psi, dpsi, psi_inv, dim, name, outer, piece_radii,
-                image_piece_radii, origin_ok, origin_slope=None):
+def _radial_map(psi, dpsi, psi_inv, dim, name, domain, image_piece_radii,
+                origin_ok, origin_slope=None):
     """Build a DiffMap for x -> psi(|x|) x/|x|."""
 
     def forward(pts):
@@ -125,8 +110,7 @@ def _radial_map(psi, dpsi, psi_inv, dim, name, outer, piece_radii,
         return out
 
     return DiffMap(forward, inverse, jacobian, dim=dim, name=name,
-                   domain=ball(outer, dim=dim), image=ball(outer, dim=dim),
-                   piece_radii=piece_radii, image_piece_radii=image_piece_radii)
+                   domain=domain, image_piece_radii=image_piece_radii)
 
 
 def regular_blowup(r, dim=2):
@@ -150,8 +134,9 @@ def regular_blowup(r, dim=2):
     def psi_inv(rho):
         return np.where(rho <= 1.0, rho * r, (rho - a) / b)
 
-    return _radial_map(psi, dpsi, psi_inv, dim, f"regular_blowup({r:g})", 2.0,
-                       (r,), (1.0,), origin_ok=True, origin_slope=1.0 / r)
+    return _radial_map(psi, dpsi, psi_inv, dim, f"regular_blowup({r:g})",
+                       ball(2.0, dim=dim), (1.0,), origin_ok=True,
+                       origin_slope=1.0 / r)
 
 
 def singular_map(dim=2):
@@ -168,11 +153,8 @@ def singular_map(dim=2):
             raise PreconditionError("singular map inverse needs |y| > 1")
         return 2.0 * (rho - 1.0)
 
-    dmap = _radial_map(psi, dpsi, psi_inv, dim, "singular_map", 2.0,
-                       (), (1.0,), origin_ok=False)
-    dmap.domain = annulus(0.0, 2.0, dim=dim)
-    dmap.image = annulus(1.0, 2.0, dim=dim)
-    return dmap
+    return _radial_map(psi, dpsi, psi_inv, dim, "singular_map",
+                       annulus(0.0, 2.0, dim=dim), (1.0,), origin_ok=False)
 
 
 def fd_jacobian(dmap, x, step=1e-6):
@@ -203,7 +185,7 @@ def compose(outer, inner, name=""):
 
     return DiffMap(forward, inverse, jacobian, dim=inner.dim,
                    name=name or f"{outer.name}*{inner.name}",
-                   domain=inner.domain, image=outer.image)
+                   domain=inner.domain)
 
 
 def pushforward(field, dmap, constants=None, name=""):
@@ -245,11 +227,11 @@ def pushforward(field, dmap, constants=None, name=""):
 
 
 def transformed_inner_tensor(field, r):
-    """Coefficient of the blown-up inclusion on B_r: r^{2-N} A(x/r, t).
+    """The near-cloak of scale r: r^{2-N} A(x/r, t) on B_r, identity outside.
 
-    This is the pull-back of A under the linear piece of F_r, so solving with
-    it on B_r reproduces the boundary response of A on B_1 seen through the
-    blow-up. In two dimensions the scaling factor is 1.
+    On B_r this is the pull-back of A under the linear piece of F_r, so
+    solving with it reproduces the boundary response of A on B_1 seen
+    through the blow-up. In two dimensions the scaling factor is 1.
     """
     if not (0.0 < r < 2.0):
         raise PreconditionError(f"need 0 < r < 2, got {r}")
@@ -262,8 +244,10 @@ def transformed_inner_tensor(field, r):
     c = field.constants
     constants = StructureConstants(c.alpha * scale, c.beta * scale,
                                    c.lipschitz_l * scale)
-    return CoefficientField(fn, constants, dim=dim,
-                            name=f"inner[{field.name},r={r:g}]")
+    inner = CoefficientField(fn, constants, dim=dim)
+    return piecewise_field([(ball(r, dim=dim), inner),
+                            (None, identity_field(dim))],
+                           dim=dim, name=f"near-cloak(r={r:g}, {field.name})")
 
 
 def _singular_eigs(s, dim):

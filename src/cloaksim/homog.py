@@ -111,7 +111,7 @@ _BOX_LO = np.array([-0.999, -10.0])
 _BOX_HI = np.array([10.0, 0.999])
 
 
-def fit_cloak_amplitudes(h, m, M=8, tol=1e-10, max_iter=100):
+def fit_cloak_amplitudes(h, m, M=8, tol=1e-10):
     """Solve for (a1, a2) so the squared profile has harmonic mean h and
     arithmetic mean m over one period.
 
@@ -150,7 +150,7 @@ def fit_cloak_amplitudes(h, m, M=8, tol=1e-10, max_iter=100):
     if F is None:
         raise NumericalError("initial profile not positive")
     best = (np.abs(F).max(), a.copy())
-    for _ in range(max_iter):
+    for _ in range(100):
         if np.abs(F).max() <= tol:
             return float(a[0]), float(a[1])
         inv3 = base ** -3
@@ -299,9 +299,8 @@ class HomogenizedTensor:
     assembly loop; the quadrature-backed version is scalar and slow.
     """
 
-    def __init__(self, means, provenance="", dim=2, name=""):
+    def __init__(self, means, dim=2, name=""):
         self.means = means
-        self.provenance = provenance
         self.dim = dim
         self.name = name
 
@@ -324,7 +323,6 @@ class HomogenizedTensor:
         table = np.array([[self.means(r, t) for t in t_values]
                           for r in r_values], dtype=float)
         return HomogenizedTensor(RadialTable(r_values, t_values, table),
-                                 provenance=self.provenance + "+cache",
                                  dim=self.dim, name=self.name)
 
     def as_field(self, constants=None, name=None):
@@ -364,8 +362,7 @@ def radial_homogenized(sigma_profile, dim=2, name=""):
                         1.0, epsabs=1e-10, epsrel=1e-12, limit=200)
         return 1.0 / recip, arith
 
-    return HomogenizedTensor(means, provenance="closed-form-laminate",
-                             dim=dim, name=name)
+    return HomogenizedTensor(means, dim=dim, name=name)
 
 
 @dataclass
@@ -404,7 +401,6 @@ class CellProblem:
     """
     a_cell: object
     resolution: tuple = (64, 64)
-    name: str = ""
 
     def matrices(self, pts):
         out = np.asarray(self.a_cell(pts), dtype=float)
@@ -472,7 +468,7 @@ def _cell_grid(n1, n2):
     return tris_dof, tris_xy, 2 * n1 * n2
 
 
-def solve_cell(problem, tol=1e-10):
+def solve_cell(problem):
     """Periodic correctors and the effective tensor of one frozen cell.
 
     The cell is meshed as a crossed grid (four triangles per square), which
@@ -588,11 +584,9 @@ class RadialCloakSpec:
     """
 
     def __init__(self, R, eta, eps, psi=2.0, M=8, profile="transformation",
-                 r_spacing=None, t_grid=(0.0,), on_infeasible="isotropic"):
+                 r_spacing=None, t_grid=(0.0,)):
         if not (1.0 < R < 2.0) or eta <= 0.0 or eps <= 0.0:
             raise PreconditionError("need 1 < R < 2, eta > 0, eps > 0")
-        if on_infeasible not in ("isotropic", "abort"):
-            raise PreconditionError("on_infeasible must be isotropic or abort")
         self.R, self.eta, self.eps = float(R), float(eta), float(eps)
         self.psi, self.M, self.profile = psi, int(M), profile
         self.t_grid = np.asarray(t_grid, dtype=float)
@@ -615,7 +609,7 @@ class RadialCloakSpec:
                                  profile=profile)
             self.h_t[:, j] = h
             self.m_t[:, j] = m
-            for i, r in enumerate(self.r_grid):
+            for i in range(nr):
                 try:
                     # quadratic convergence makes the tighter tolerance
                     # nearly free, and the recorded residual must hold in
@@ -623,9 +617,6 @@ class RadialCloakSpec:
                     a1, a2 = fit_cloak_amplitudes(h[i], m[i], M=self.M,
                                                   tol=1e-13)
                 except NumericalError:
-                    if on_infeasible == "abort":
-                        raise NumericalError(
-                            f"amplitude fit failed at r={r:.4f}, t={t}")
                     self.ok[i, j] = False
                     continue
                 self.a1[i, j] = a1
@@ -644,7 +635,8 @@ class RadialCloakSpec:
         out = np.ones_like(rr)
         ins = rr < 2.0
         if np.any(ins):
-            a1, a2, okf, miso = self.table.batch(rr[ins], t)
+            tt = np.broadcast_to(np.asarray(t, dtype=float), rr.shape)[ins]
+            a1, a2, okf, miso = self.table.batch(rr[ins], tt)
             rp = rr[ins] / self.eps
             base = 1.0 + a1 * zeta(1, rp, self.M) - a2 * zeta(2, rp, self.M)
             vals = base ** 2
@@ -658,10 +650,7 @@ class RadialCloakSpec:
         spec = self
 
         def scalar_fn(pts, t):
-            rr = np.linalg.norm(np.atleast_2d(pts), axis=1)
-            if len(spec.t_grid) > 1:
-                return spec.sigma(rr, t)
-            return spec.sigma(rr)
+            return spec.sigma(np.linalg.norm(np.atleast_2d(pts), axis=1), t)
 
         rs = np.arange(self.eps / 64.0, 3.0, self.eps / 64.0)
         vals = self.sigma(rs)
@@ -683,35 +672,12 @@ class RadialCloakSpec:
         r_ext = np.concatenate([self.r_grid, [2.0 + 1e-9, 3.0]])
         ext = np.concatenate([table, np.ones((2,) + table.shape[1:])], axis=0)
         return HomogenizedTensor(RadialTable(r_ext, self.t_grid, ext),
-                                 provenance="closed-form-laminate",
                                  dim=2, name=f"cloak-target(R={self.R:g})")
 
 
-def build_isotropic_cloak_sequence(R_seq=None, eta_seq=None, eps_seq=None,
-                                   psi=2.0, M=8, profile="transformation",
-                                   n_terms=4, t_grid=(0.0,),
-                                   on_infeasible="isotropic"):
-    """The shrinking-shell sequence of isotropic oscillating coefficients.
-
-    Defaults to the geometric schedule R_n = 1 + 2^-n, eta_n = 2^-n / 4,
-    eps_n = 2^-n / 16. Sequences must move monotonically (R down toward 1,
-    widths down)."""
-    if R_seq is None:
-        sched = default_schedule(n_terms)
-        R_seq = [s[0] for s in sched]
-        eta_seq = [s[1] for s in sched]
-        eps_seq = [s[2] for s in sched]
-    R_seq = list(R_seq)
-    eta_seq = list(eta_seq)
-    eps_seq = list(eps_seq)
-    if not (len(R_seq) == len(eta_seq) == len(eps_seq)) or not R_seq:
-        raise PreconditionError("schedules must be nonempty, equal length")
-    for name, seq in (("R", R_seq), ("eta", eta_seq), ("eps", eps_seq)):
-        diffs = np.diff(seq)
-        if len(diffs) and np.any(diffs >= 0):
-            raise PreconditionError(f"{name} schedule must decrease")
-    out = []
-    for R, eta, eps in zip(R_seq, eta_seq, eps_seq):
-        out.append(RadialCloakSpec(R, eta, eps, psi=psi, M=M, profile=profile,
-                                   t_grid=t_grid, on_infeasible=on_infeasible))
-    return out
+def build_isotropic_cloak_sequence(psi=2.0, profile="transformation",
+                                   n_terms=4):
+    """The shrinking-shell sequence of isotropic oscillating coefficients,
+    one term per entry of default_schedule(n_terms)."""
+    return [RadialCloakSpec(R, eta, eps, psi=psi, profile=profile)
+            for R, eta, eps in default_schedule(n_terms)]

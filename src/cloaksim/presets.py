@@ -10,9 +10,9 @@ import re
 import numpy as np
 
 from .coeff import (CoefficientField, IsotropicField, StructureConstants,
-                    ball, constant_field, identity_field, piecewise_field)
+                    constant_field, identity_field)
 from .errors import PreconditionError
-from .geometry import truncated_singular_cloak
+from .geometry import transformed_inner_tensor, truncated_singular_cloak
 from .homog import HomogenizedTensor, cloak_targets
 
 __all__ = ["preset_field", "inclusion_field", "parse_preset", "PRESET_NAMES",
@@ -95,10 +95,9 @@ def preset_field(key):
         r = args[0]
         if not (0.0 < r < 1.0):
             raise PreconditionError("regular-cloak radius must lie in (0, 1)")
-        return piecewise_field(
-            [(ball(r, 2), constant_field(5.0 * np.eye(2), name="5I")),
-             (None, identity_field(2))],
-            name=f"regular-cloak({r:g})")
+        field = transformed_inner_tensor(inclusion_field("5I"), r)
+        field.name = f"regular-cloak({r:g})"
+        return field
     if name == "truncated-singular-cloak":
         _expect_args(name, args, 1)
         rho = args[0]
@@ -111,8 +110,7 @@ def preset_field(key):
             h, m = cloak_targets(float(r), R, eta)
             return h, m
 
-        tensor = HomogenizedTensor(means, provenance="closed-form-laminate",
-                                   dim=2, name=key)
+        tensor = HomogenizedTensor(means, dim=2, name=key)
         rs = np.unique(np.concatenate([
             np.linspace(1e-3, 3.0, 600),
             np.array([R - 2 * eta, R - eta, R, 2.0])]))

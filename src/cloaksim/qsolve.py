@@ -2,7 +2,8 @@
 
 Each step freezes the state dependence at the previous iterate and solves
 the resulting linear problem. A field that does not depend on the state is
-solved in a single step.
+solved in a single step. After three growing updates in a row the step is
+halved, once; the result records that it was.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -19,17 +20,12 @@ __all__ = ["PicardConfig", "QSolveResult", "solve_quasilinear", "dn_pairing"]
 class PicardConfig:
     tol: float = 1e-8
     max_iter: int = 200
-    damping: float = 1.0
-    # consecutive growing updates before the step is halved
-    nonmonotone_limit: int = 3
 
     def __post_init__(self):
         if not (0 < self.tol < 1):
             raise PreconditionError("tol must lie in (0, 1)")
         if self.max_iter < 1:
             raise PreconditionError("max_iter must be at least 1")
-        if not (0 < self.damping <= 1):
-            raise PreconditionError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -77,11 +73,11 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
         system = assemble_frozen(mesh, field, source=source)
         u = system.solve_dirichlet(g)
         return QSolveResult(FeFunction(mesh, u), converged=True, iterations=1,
-                            updates=[], damping=cfg.damping, system=system)
+                            updates=[], system=system)
 
     u_prev = np.zeros(mesh.n_vertices) if warm_start is None \
         else np.asarray(warm_start, dtype=float).copy()
-    omega = cfg.damping
+    omega = 1.0
     activated = False
     updates = []
     grow = 0
@@ -95,7 +91,7 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
         updates.append(upd)
         if len(updates) >= 2 and upd > updates[-2]:
             grow += 1
-            if grow >= cfg.nonmonotone_limit and not activated:
+            if grow >= 3 and not activated:
                 omega = 0.5 * omega
                 activated = True
         else:

@@ -106,6 +106,11 @@ class TestCell:
     def test_unknown_profile(self):
         assert run(["cell", "--profile", "wavelet:1"]) == 2
 
+    @pytest.mark.parametrize("profile", ["laminate:2", "checker:1,4,9",
+                                         "constant:2,9,9", "smooth-cos:1"])
+    def test_wrong_value_count(self, profile):
+        assert run(["cell", "--profile", profile, "--resolution", "8"]) == 2
+
 
 class TestCloakBuild:
     def test_shell_fit_document(self, tmp_path):
@@ -147,6 +152,15 @@ class TestSweeps:
                     "--out", str(tmp_path / "x.csv")]) == 2
         assert run(["sweep-regular", "--schedule", "1.4,0.2",
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-regular", "--psi", "3"],
+        ["sweep-singular", "--profile", "bogus"],
+        ["sweep-homog", "--inclusion", "5I"]])
+    def test_flags_of_other_sweeps_refused(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
 
     def test_homog_guard(self, tmp_path):
         assert run(["sweep-homog", "--schedule", "7",

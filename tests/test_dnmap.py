@@ -223,6 +223,24 @@ class TestNeumannTrace:
         band = annulus(1.5, 2.0)
         assert neumann_trace_error(u, u, band) == 0.0
 
+    def test_closed_form_against_zero_flux(self):
+        # u = (r/2)^2 cos 2theta has flux 2 pi against cos 2theta and none
+        # against the other traces, each of mass 2 pi; the zero function
+        # has no flux, so the weighted norm is sqrt(sqrt(5) (2 pi)^2 / 2 pi)
+        band = annulus(1.5, 2.0)
+        basis = FourierBasis(2)
+        want = np.sqrt(np.sqrt(5.0) * (2.0 * np.pi) ** 2 / (2.0 * np.pi))
+        errs = []
+        for h in (0.2, 0.1):
+            mesh = build_disk_mesh(2.0, h_target=h)
+            u = solve_mode(mesh, identity_field(2), 2)
+            zero = FeFunction(mesh, np.zeros(mesh.n_vertices))
+            got = neumann_trace_error(u, zero, band, basis=basis)
+            errs.append(abs(got - want) / want)
+        assert errs[0] <= 4e-3
+        assert errs[1] <= 1e-3
+        assert errs[0] / errs[1] >= 3.5
+
     def test_cross_mesh_small(self):
         # the same continuum problem on two meshes must give nearby fluxes
         band = annulus(1.5, 2.0)

@@ -6,12 +6,11 @@ import pytest
 from cloaksim.coeff import constant_field
 from cloaksim.errors import PreconditionError
 from cloaksim.experiments import (DecayReport, ExperimentConfig,
-                                  _scaled_inclusion, emit_report, fit_loglog,
+                                  emit_report, fit_loglog,
                                   run_diffeo_invariance,
                                   run_homogenization_sweep,
                                   run_regular_cloak_sweep,
                                   run_truncated_singular_sweep)
-from cloaksim.presets import inclusion_field
 from cloaksim.qsolve import PicardConfig
 
 
@@ -137,23 +136,6 @@ class TestEmit:
     def test_unknown_format_refused(self, tmp_path):
         with pytest.raises(PreconditionError):
             emit_report(self.make(), "yaml", tmp_path / "x.yaml")
-
-
-class TestScaledInclusion:
-    def test_values_and_support(self):
-        base = inclusion_field("5I")
-        f = _scaled_inclusion(base, 0.2)
-        pts = np.array([[0.1, 0.0], [0.5, 0.0]])
-        got = f.eval(pts, np.zeros(2))
-        # in 2d the load keeps its value on the shrunk disk
-        assert np.abs(got[0] - 5.0 * np.eye(2)).max() < 1e-13
-        assert np.abs(got[1] - np.eye(2)).max() < 1e-13
-
-    def test_state_passes_through(self):
-        base = inclusion_field("sin-5I")
-        f = _scaled_inclusion(base, 0.5)
-        got = f.eval(np.array([[0.2, 0.0]]), np.array([np.pi / 2.0]))
-        assert np.abs(got[0] - 15.0 * np.eye(2)).max() < 1e-12
 
 
 class TestDrivers:

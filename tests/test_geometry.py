@@ -7,6 +7,7 @@ from cloaksim.geometry import (compose, fd_jacobian, pushforward,
                                regular_blowup, singular_cloak_tensor,
                                singular_map, transformed_inner_tensor,
                                truncated_singular_cloak)
+from cloaksim.presets import inclusion_field
 
 
 def radial_point(s, angle=0.3, dim=2):
@@ -254,3 +255,16 @@ class TestInnerTensor:
         pulled = transformed_inner_tensor(inner, 0.25)
         val = pulled.eval(np.array([[0.1, 0.05]]), np.zeros(1))[0]
         assert np.abs(val - 5.0 * np.eye(2)).max() < 1e-12
+
+    def test_values_and_support(self):
+        f = transformed_inner_tensor(inclusion_field("5I"), 0.2)
+        pts = np.array([[0.1, 0.0], [0.5, 0.0]])
+        got = f.eval(pts, np.zeros(2))
+        # in 2d the load keeps its value on the shrunk disk
+        assert np.abs(got[0] - 5.0 * np.eye(2)).max() < 1e-13
+        assert np.abs(got[1] - np.eye(2)).max() < 1e-13
+
+    def test_state_passes_through(self):
+        f = transformed_inner_tensor(inclusion_field("sin-5I"), 0.5)
+        got = f.eval(np.array([[0.2, 0.0]]), np.array([np.pi / 2.0]))
+        assert np.abs(got[0] - 15.0 * np.eye(2)).max() < 1e-12

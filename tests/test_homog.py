@@ -369,24 +369,29 @@ class TestRadialCloakSpec:
         h2, m2 = T.means(2.5, 0.0)
         assert abs(h2 - 1.0) < 1e-9 and abs(m2 - 1.0) < 1e-9
 
-    def test_abort_mode_raises(self):
-        with pytest.raises(NumericalError):
-            RadialCloakSpec(1.5, 0.125, 0.03125, r_spacing=0.05,
-                            on_infeasible="abort")
-
     def test_state_dependent_floor(self):
         spec = RadialCloakSpec(1.5, 0.125, 0.03125, r_spacing=0.1,
                                psi=lambda r, t: 2.0 + t, t_grid=(0.0, 1.0))
         assert spec.sigma(0.3, 0.0) == pytest.approx(2.0, abs=1e-9)
         assert spec.sigma(0.3, 1.0) == pytest.approx(3.0, abs=1e-9)
 
+    def test_state_dependent_field_across_radius_two(self):
+        # one state per point, with points on both sides of r = 2
+        spec = RadialCloakSpec(1.5, 0.125, 0.03125, r_spacing=0.1,
+                               psi=lambda r, t: 2.0 + t, t_grid=(0.0, 1.0))
+        r = np.array([0.3, 2.5, 1.1])
+        t = np.array([1.0, 0.0, 0.5])
+        pts = np.stack([r, np.zeros(3)], axis=1)
+        got = spec.field().scalar(pts, t)
+        want = [spec.sigma(ri, ti) for ri, ti in zip(r, t)]
+        assert np.abs(got - want).max() < 1e-14
+        assert got[0] == pytest.approx(3.0, abs=1e-9)
+
     def test_bad_inputs(self):
         with pytest.raises(PreconditionError):
             RadialCloakSpec(2.5, 0.1, 0.01)
         with pytest.raises(PreconditionError):
             RadialCloakSpec(1.5, -0.1, 0.01)
-        with pytest.raises(PreconditionError):
-            RadialCloakSpec(1.5, 0.1, 0.01, on_infeasible="ignore")
 
 
 class TestSequence:
@@ -395,14 +400,3 @@ class TestSequence:
         assert len(seq) == 2
         assert seq[0].R == 1.5 and seq[1].R == 1.25
         assert seq[0].eps > seq[1].eps
-
-    def test_monotonicity_enforced(self):
-        with pytest.raises(PreconditionError):
-            build_isotropic_cloak_sequence(R_seq=[1.5, 1.6],
-                                           eta_seq=[0.1, 0.05],
-                                           eps_seq=[0.02, 0.01])
-
-    def test_length_mismatch(self):
-        with pytest.raises(PreconditionError):
-            build_isotropic_cloak_sequence(R_seq=[1.5], eta_seq=[0.1, 0.05],
-                                           eps_seq=[0.02, 0.01])

@@ -17,11 +17,9 @@ class TestConfig:
         cfg = PicardConfig()
         assert cfg.tol == 1e-8
         assert cfg.max_iter == 200
-        assert cfg.damping == 1.0
 
     @pytest.mark.parametrize("kw", [dict(tol=0.0), dict(tol=2.0),
-                                    dict(max_iter=0), dict(damping=0.0),
-                                    dict(damping=1.5)])
+                                    dict(max_iter=0)])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(PreconditionError):
             PicardConfig(**kw)
