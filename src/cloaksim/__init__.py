@@ -39,7 +39,6 @@ from .homog import (
     cloak_targets,
     default_schedule,
     fit_cloak_amplitudes,
-    lipschitz_in_t,
     radial_homogenized,
     solve_cell,
 )

@@ -248,7 +248,7 @@ def run_homogenization_sweep(cfg):
             h_target=cfg.h, n_theta=n_theta,
             radial_bands=[(seam, 2.0, dr)])
         sigma_n = spec.field()
-        target = spec.homogenized().as_field()
+        target = spec.homogenized()
         ident = identity_field(2)
         # dn_operator keeps its nodal solves; the cos-theta column doubles
         # as the field solution, avoiding extra factorizations of the big

@@ -13,7 +13,7 @@ Three layers:
   build_isotropic_cloak_sequence).
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -22,11 +22,12 @@ from scipy.sparse.linalg import splu
 from .coeff import CoefficientField, IsotropicField, StructureConstants
 from .errors import NumericalError, PreconditionError
 from .fem import p1_elements, p1_stiffness
+from .geometry import _radial_matrix
 
 __all__ = [
     "phi", "phi_M", "zeta",
     "CellProblem", "CellSolution", "solve_cell", "cell_lipschitz",
-    "HomogenizedTensor", "RadialTable", "radial_homogenized", "lipschitz_in_t",
+    "HomogenizedTensor", "RadialTable", "radial_homogenized",
     "LipschitzReport",
     "fit_cloak_amplitudes", "cell_means", "cloak_targets",
     "RadialCloakSpec", "build_isotropic_cloak_sequence", "default_schedule",
@@ -189,12 +190,6 @@ def fit_cloak_amplitudes(h, m, M=8, tol=1e-10):
 _PROFILES = ("transformation", "flattened")
 
 
-def _psi_value(psi, r, t):
-    if callable(psi):
-        return float(psi(r, t))
-    return float(psi)
-
-
 def cloak_targets(r, R, eta, psi=2.0, t=0.0, profile="transformation"):
     """Radial/tangential mean targets (h, m) for the shell construction.
 
@@ -203,7 +198,8 @@ def cloak_targets(r, R, eta, psi=2.0, t=0.0, profile="transformation"):
     homogenized shell is the anisotropic cloak itself; "flattened" keeps a
     conformal multiple of it (2(r-1)^2/r^2, 2), which is cheaper but keeps
     an order-one boundary mismatch. Inside r < R both blend smoothly to the
-    floor value psi; outside r >= 2 both are (1, 1).
+    floor value psi; outside r >= 2 both are (1, 1). A callable psi is
+    called once, as psi(radii, t) with the array of radii below R.
     """
     if not (1.0 < R < 2.0) or eta <= 0.0:
         raise PreconditionError("need 1 < R < 2 and eta > 0")
@@ -235,8 +231,7 @@ def cloak_targets(r, R, eta, psi=2.0, t=0.0, profile="transformation"):
     inner = r < R
     if np.any(inner):
         wgt = phi((R - r[inner]) / eta)
-        pv = np.array([_psi_value(psi, ri, t) for ri in r[inner]]) \
-            if callable(psi) else _psi_value(psi, 0.0, t)
+        pv = psi(r[inner], t) if callable(psi) else float(psi)
         h[inner] = float(h_ann(R)) * (1.0 - wgt) + pv * wgt
         m[inner] = float(m_ann(np.array(R))) * (1.0 - wgt) + pv * wgt
     if scalar:
@@ -247,23 +242,13 @@ def cloak_targets(r, R, eta, psi=2.0, t=0.0, profile="transformation"):
 # ---------------------------------------------------------------------------
 # homogenized tensors of radial microstructures
 
-def _projector_matrices(points):
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    rr = np.linalg.norm(points, axis=1)
-    if np.any(rr < 1e-14):
-        raise PreconditionError("radial projector undefined at the origin")
-    hat = points / rr[:, None]
-    dim = points.shape[1]
-    proj = np.einsum("mi,mj->mij", hat, hat)
-    return proj, np.eye(dim) - proj, rr
-
-
 class RadialTable:
     """Values tabulated on an (r, t) lattice, interpolated piecewise linearly.
 
     table has shape (len(r_values), len(t_values), n_components). Radius
     and state are clamped to the lattice, so values beyond either end
-    hold the end value.
+    hold the end value: a state outside t_values sees the table at the
+    nearest end of t_values.
     """
 
     def __init__(self, r_values, t_values, table):
@@ -291,63 +276,43 @@ class RadialTable:
         return tuple(float(v[0]) for v in self.batch(float(r), float(t)))
 
 
-class HomogenizedTensor:
-    """Radial effective tensor sigma_lo * P + sigma_hi * (I - P).
+class HomogenizedTensor(CoefficientField):
+    """Radial effective tensor lo P + hi (I - P), with P = x x^T / |x|^2.
 
-    means(r, t) -> (radial value, tangential value). Use with_cache to
-    tabulate the means on a lattice before handing the tensor to the
-    assembly loop; the quadrature-backed version is scalar and slow.
+    means is a RadialTable of (lo, hi). The constants are exact for its
+    piecewise-linear interpolant: alpha and beta are the table minimum and
+    maximum, and L is the steepest state slope between neighbouring
+    t_values, which is the Lipschitz modulus of the clamped interpolant
+    (0 for a single state).
     """
 
     def __init__(self, means, dim=2, name=""):
         self.means = means
-        self.dim = dim
-        self.name = name
 
-    def eval(self, x, t=0.0):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        proj, perp, rr = _projector_matrices(x)
-        if isinstance(self.means, RadialTable):
-            lo, hi = self.means.batch(rr, t)
-        else:
-            tt = np.broadcast_to(np.asarray(t, dtype=float), rr.shape)
-            lo, hi = np.array([self.means(ri, ti)
-                               for ri, ti in zip(rr, tt)]).T
-        out = lo[:, None, None] * proj + hi[:, None, None] * perp
-        return out[0] if single else out
+        def fn(pts, tt):
+            rr = np.linalg.norm(pts, axis=1)
+            if np.any(rr < 1e-14):
+                raise PreconditionError(
+                    "radial projector undefined at the origin")
+            lo, hi = means.batch(rr, tt)
+            return _radial_matrix(pts / rr[:, None], lo, hi, dim)
 
-    __call__ = eval
-
-    def with_cache(self, r_values, t_values=(0.0,)):
-        table = np.array([[self.means(r, t) for t in t_values]
-                          for r in r_values], dtype=float)
-        return HomogenizedTensor(RadialTable(r_values, t_values, table),
-                                 dim=self.dim, name=self.name)
-
-    def as_field(self, constants=None, name=None):
-        """CoefficientField adapter for assembly (vectorized over points)."""
-        def fn(pts, t):
-            return self.eval(np.atleast_2d(pts), t)
-        if constants is None:
-            constants = self._estimate_constants()
-        return CoefficientField(fn, constants, dim=self.dim,
-                                name=name if name is not None else self.name)
-
-    def _estimate_constants(self, r_range=(0.05, 3.0), n=200):
-        rs = np.linspace(r_range[0], r_range[1], n)
-        vals = np.array([self.means(r, 0.0) for r in rs])
-        return StructureConstants(float(vals.min()) * 0.999,
-                                  float(vals.max()) * 1.001, 0.0)
+        tab = means.table
+        dt = np.diff(means.t_values)[:, None]
+        slopes = np.abs(np.diff(tab, axis=1)) / dt
+        constants = StructureConstants(float(tab.min()), float(tab.max()),
+                                       float(slopes.max(initial=0.0)))
+        super().__init__(fn, constants, dim=dim, name=name)
 
 
-def radial_homogenized(sigma_profile, dim=2, name=""):
-    """Effective tensor of a radius-periodic scalar profile.
+def radial_homogenized(sigma_profile):
+    """Effective means of a radius-periodic scalar profile.
 
     sigma_profile(r, rprime, t) gives the scalar value at radius r, fast
-    variable rprime in [0, 1), state t. The radial effective value is the
-    harmonic mean over one period, the tangential one the arithmetic mean,
-    both by adaptive quadrature to absolute tolerance 1e-10.
+    variable rprime in [0, 1), state t. Returns means(r, t) -> (radial,
+    tangential): the radial effective value is the harmonic mean over one
+    period, the tangential one the arithmetic mean, both by adaptive
+    quadrature to absolute tolerance 1e-10.
     """
     def means(r, t):
         probe = sigma_profile(r, np.linspace(0.0, 1.0, 41)[:-1], t)
@@ -362,30 +327,13 @@ def radial_homogenized(sigma_profile, dim=2, name=""):
                         1.0, epsabs=1e-10, epsrel=1e-12, limit=200)
         return 1.0 / recip, arith
 
-    return HomogenizedTensor(means, dim=dim, name=name)
+    return means
 
 
 @dataclass
 class LipschitzReport:
     max_ratio: float
     corrector_ratio: float = None
-
-
-def lipschitz_in_t(tensor, t_grid, points):
-    """Max finite-difference ratio of tensor entries over consecutive t pairs."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 2:
-        raise PreconditionError("need at least two t values")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ev = tensor.eval if hasattr(tensor, "eval") else tensor
-    ratio = 0.0
-    for p in pts:
-        prev = np.asarray(ev(p, t_grid[0]))
-        for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-            cur = np.asarray(ev(p, t1))
-            ratio = max(ratio, np.abs(cur - prev).max() / abs(t1 - t0))
-            prev = cur
-    return LipschitzReport(max_ratio=float(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -415,20 +363,15 @@ class CellSolution:
     tensor: np.ndarray
     correctors: np.ndarray        # (2, ndof)
     mean_residual: float
+    grad_chi: np.ndarray          # (2, n_triangles, 2), constant per triangle
+    areas: np.ndarray             # (n_triangles,)
     bounds: tuple = None          # (harmonic, arithmetic) for isotropic cells
-    _geom: dict = dc_field(default=None, repr=False)
 
     def corrector_h1(self, other=None):
-        """H1 seminorm of the correctors (or of the difference with other)."""
-        g = self._geom
-        vals = self.correctors if other is None \
-            else self.correctors - other.correctors
-        out = np.zeros(2)
-        for k in range(2):
-            u = vals[k][g["dofs"]]
-            gu = np.einsum("tic,ti->tc", g["grads"], u)
-            out[k] = np.sqrt((g["areas"] * (gu ** 2).sum(axis=1)).sum())
-        return out
+        """H1 seminorm of the correctors (or of the difference with other,
+        solved on the same grid)."""
+        g = self.grad_chi if other is None else self.grad_chi - other.grad_chi
+        return np.sqrt((self.areas * (g ** 2).sum(axis=2)).sum(axis=1))
 
 
 def _cell_grid(n1, n2):
@@ -510,6 +453,10 @@ def solve_cell(problem):
         if resid > max(1e-8 * scale, 1e-12):
             raise NumericalError(f"cell solve residual {resid:.2e}")
         chi[k][keep] = sol
+    # free the factor before allocating grad_chi, which the solution keeps:
+    # allocated above a live factor, it fragments the heap, and repeated
+    # cell solves then peak about 10 % higher in resident memory
+    del lu, Kred, K
 
     mass = np.zeros(ndof)
     np.add.at(mass, dofs.ravel(), np.repeat(areas / 3.0, 3))
@@ -534,9 +481,9 @@ def solve_cell(problem):
         arith = float((areas * s).sum() / areas.sum())
         bounds = (harm, arith)
 
-    geom = {"dofs": dofs, "grads": grads, "areas": areas}
     return CellSolution(tensor=astar, correctors=chi,
-                        mean_residual=mean_residual, bounds=bounds, _geom=geom)
+                        mean_residual=mean_residual, grad_chi=grad_chi,
+                        areas=areas, bounds=bounds)
 
 
 def cell_lipschitz(a_cell_of_t, t_grid, resolution=(64, 64)):
@@ -581,6 +528,12 @@ class RadialCloakSpec:
     the two-mean fit has no solution (targets nearly equal away from 1,
     which happens on the sealed floor region) fall back to the isotropic
     target value; their count is recorded.
+
+    psi is the floor value inside the shell: a number, or a callable
+    psi(r, t) that takes an array of radii and one state. The tables are
+    fitted at the states of t_grid only; a state outside t_grid holds the
+    value at the nearest end, so the Lipschitz constant L of field() and
+    homogenized() is the slope of that clamped interpolant.
     """
 
     def __init__(self, R, eta, eps, psi=2.0, M=8, profile="transformation",

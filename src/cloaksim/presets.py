@@ -13,7 +13,7 @@ from .coeff import (CoefficientField, IsotropicField, StructureConstants,
                     constant_field, identity_field)
 from .errors import PreconditionError
 from .geometry import transformed_inner_tensor, truncated_singular_cloak
-from .homog import HomogenizedTensor, cloak_targets
+from .homog import HomogenizedTensor, RadialTable, cloak_targets
 
 __all__ = ["preset_field", "inclusion_field", "parse_preset", "PRESET_NAMES",
            "INCLUSION_NAMES"]
@@ -105,16 +105,12 @@ def preset_field(key):
     if name == "homogenized-radial":
         _expect_args(name, args, 2)
         R, eta = args
-
-        def means(r, t):
-            h, m = cloak_targets(float(r), R, eta)
-            return h, m
-
-        tensor = HomogenizedTensor(means, dim=2, name=key)
         rs = np.unique(np.concatenate([
             np.linspace(1e-3, 3.0, 600),
             np.array([R - 2 * eta, R - eta, R, 2.0])]))
-        return tensor.with_cache(rs).as_field(name=key)
+        table = np.stack(cloak_targets(rs, R, eta), axis=1)[:, None, :]
+        return HomogenizedTensor(RadialTable(rs, (0.0,), table), dim=2,
+                                 name=key)
     if name == "laminate":
         _expect_args(name, args, 3)
         a, b, eps = args

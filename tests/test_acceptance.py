@@ -177,9 +177,9 @@ def test_criterion_5_shell_truncation_decay():
 def test_criterion_6_effective_tensor_oracles():
     t0 = time.monotonic()
     # radial quadrature laminate
-    T = radial_homogenized(
+    means = radial_homogenized(
         lambda r, s, t: np.where(np.asarray(s) < 0.5, 1.0, 4.0))
-    h, m = T.means(1.0, 0.0)
+    h, m = means(1.0, 0.0)
     radial_err = max(abs(h - 1.6), abs(m - 2.5))
 
     # periodic cell laminate

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from cloaksim.coeff import CoefficientField, annulus, validate_structure
 from cloaksim.errors import NumericalError, PreconditionError
 from cloaksim.homog import (CellProblem, HomogenizedTensor, RadialCloakSpec,
                             RadialTable, build_isotropic_cloak_sequence,
                             cell_lipschitz, cell_means, cloak_targets,
-                            default_schedule, fit_cloak_amplitudes,
-                            lipschitz_in_t, phi, phi_M, radial_homogenized,
-                            solve_cell, zeta)
+                            default_schedule, fit_cloak_amplitudes, phi,
+                            phi_M, radial_homogenized, solve_cell, zeta)
 
 
 class TestCutoffs:
@@ -149,7 +149,8 @@ class TestCloakTargets:
 
 class TestHomogenizedTensor:
     def constant_tensor(self):
-        return HomogenizedTensor(lambda r, t: (2.0, 5.0), name="const")
+        means = RadialTable([0.1, 3.0], [0.0], np.full((2, 1, 2), [2.0, 5.0]))
+        return HomogenizedTensor(means, name="const")
 
     def test_eval_axis_point(self):
         T = self.constant_tensor()
@@ -169,13 +170,18 @@ class TestHomogenizedTensor:
         with pytest.raises(PreconditionError):
             self.constant_tensor().eval(np.array([0.0, 0.0]))
 
-    def test_cache_exact_at_nodes(self):
-        T = HomogenizedTensor(lambda r, t: (1.0 + r, 2.0 + r * r))
-        rs = np.linspace(0.2, 2.0, 10)
-        C = T.with_cache(rs)
-        for r in rs:
-            p = np.array([r, 0.0])
-            assert np.abs(C.eval(p) - T.eval(p)).max() < 1e-12
+    def test_constants_read_off_the_table(self):
+        # lo = 1 + r t, hi = 4 - t on r in {1, 2}, t in {0, 0.5, 2}: the
+        # extremes are 1 and 5, the steepest state slope is d lo/dt = 2
+        rs, ts = np.array([1.0, 2.0]), np.array([0.0, 0.5, 2.0])
+        R, T = np.meshgrid(rs, ts, indexing="ij")
+        tensor = HomogenizedTensor(
+            RadialTable(rs, ts, np.stack([1 + R * T, 4 - T], axis=2)))
+        assert isinstance(tensor, CoefficientField)
+        c = tensor.constants
+        assert (c.alpha, c.beta, c.lipschitz_l) == (1.0, 5.0, 2.0)
+        assert self.constant_tensor().constants.lipschitz_l == 0.0
+        assert validate_structure(tensor, annulus(0.5, 2.5)).ok
 
     def test_table_bilinear_and_clamped(self):
         # a bilinear function is reproduced inside the lattice; outside,
@@ -192,48 +198,29 @@ class TestHomogenizedTensor:
         assert np.abs(got[1] - (2 - re)).max() < 1e-14
         assert tab(1.3, 1.0) == pytest.approx((2.3, 0.7), abs=1e-14)
 
-    def test_as_field_matches_eval(self):
-        T = HomogenizedTensor(lambda r, t: (1.5, 2.5))
-        f = T.as_field()
-        pts = np.array([[0.5, 0.2], [-1.0, 0.7]])
-        want = T.eval(pts)
-        got = f.eval(pts, np.zeros(2))
-        assert np.abs(got - want).max() < 1e-12
-
-    def test_lipschitz_zero_when_state_free(self):
-        rep = lipschitz_in_t(self.constant_tensor(), [0.0, 0.5, 1.0],
-                             np.array([[1.0, 0.0], [0.5, 0.5]]))
-        assert rep.max_ratio == 0.0
-
-    def test_lipschitz_finite_when_state_matters(self):
-        T = HomogenizedTensor(lambda r, t: (2.0 + np.sin(t), 2.0 + np.sin(t)))
-        rep = lipschitz_in_t(T, np.linspace(0.0, 1.0, 5),
-                             np.array([[1.0, 0.0]]))
-        assert 0.0 < rep.max_ratio <= 1.01
-
 
 class TestRadialHomogenized:
     def test_laminate_means(self):
         # alternating {1, 4}: harmonic 1.6, arithmetic 2.5
-        T = radial_homogenized(
+        means = radial_homogenized(
             lambda r, s, t: np.where(np.asarray(s) < 0.5, 1.0, 4.0))
-        h, m = T.means(1.0, 0.0)
+        h, m = means(1.0, 0.0)
         assert abs(h - 1.6) < 1e-6
         assert abs(m - 2.5) < 1e-6
 
     def test_smooth_profile_means(self):
         # 2 + cos(2 pi s): arithmetic 2, harmonic sqrt(3)
-        T = radial_homogenized(lambda r, s, t: 2.0 + np.cos(2 * np.pi *
-                                                            np.asarray(s)))
-        h, m = T.means(1.0, 0.0)
+        means = radial_homogenized(lambda r, s, t: 2.0 + np.cos(2 * np.pi *
+                                                                np.asarray(s)))
+        h, m = means(1.0, 0.0)
         assert abs(h - np.sqrt(3.0)) < 1e-9
         assert abs(m - 2.0) < 1e-9
 
     def test_nonpositive_profile_refused(self):
-        T = radial_homogenized(
+        means = radial_homogenized(
             lambda r, s, t: np.cos(2 * np.pi * np.asarray(s)))
         with pytest.raises(NumericalError):
-            T.means(1.0, 0.0)
+            means(1.0, 0.0)
 
 
 def laminate_cell(lo=1.0, hi=4.0):
@@ -290,6 +277,15 @@ class TestCellProblems:
             ev = np.linalg.eigvalsh(sol.tensor)
             assert harm - 1e-10 <= ev.min()
             assert ev.max() <= arith + 1e-10
+
+    def test_laminate_corrector_seminorms(self):
+        # on a laminate the first corrector has slope h/a - 1 (h the
+        # harmonic mean) and the second is zero: (1, 4) gives slopes
+        # +-0.6, (1, 9) gives +-0.8, so their difference has slopes +-0.2
+        s4 = solve_cell(CellProblem(laminate_cell(1.0, 4.0), (16, 16)))
+        s9 = solve_cell(CellProblem(laminate_cell(1.0, 9.0), (16, 16)))
+        assert np.abs(s4.corrector_h1() - [0.6, 0.0]).max() < 1e-12
+        assert np.abs(s9.corrector_h1(s4) - [0.2, 0.0]).max() < 1e-12
 
     def test_resolution_floor(self):
         with pytest.raises(PreconditionError):
@@ -374,6 +370,24 @@ class TestRadialCloakSpec:
                                psi=lambda r, t: 2.0 + t, t_grid=(0.0, 1.0))
         assert spec.sigma(0.3, 0.0) == pytest.approx(2.0, abs=1e-9)
         assert spec.sigma(0.3, 1.0) == pytest.approx(3.0, abs=1e-9)
+
+    def test_homogenized_alpha_below_eigenvalue(self):
+        # the radial eigenvalue at |x| = R = 1.5 is (R - 1)/R = 1/3
+        T = RadialCloakSpec(1.5, 0.125, 0.03125).homogenized()
+        ev = np.linalg.eigvalsh(T.eval(np.array([1.5, 0.0]), 0.0))
+        assert ev.min() == pytest.approx(1.0 / 3.0, abs=1e-14)
+        assert T.constants.alpha <= ev.min()
+
+    def test_state_dependent_homogenized_constants(self):
+        spec = RadialCloakSpec(1.5, 0.125, 0.03125, r_spacing=0.1,
+                               psi=lambda r, t: 2.0 + t, t_grid=(0.0, 1.0))
+        T = spec.homogenized()
+        c = T.constants
+        assert c.alpha == pytest.approx(1.0 / 3.0, abs=1e-14)
+        assert c.beta == pytest.approx(3.0, abs=1e-14)
+        assert c.lipschitz_l == pytest.approx(1.0, abs=1e-14)
+        assert not T.is_linear
+        assert validate_structure(T, annulus(0.05, 3.0)).ok
 
     def test_state_dependent_field_across_radius_two(self):
         # one state per point, with points on both sides of r = 2

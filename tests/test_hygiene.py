@@ -1,6 +1,7 @@
 """Static checks on the package source, using only the standard library."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import cloaksim
@@ -34,3 +35,13 @@ def test_every_import_is_used():
              if path.name != "__init__.py"
              for line, name in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_every_exported_name_exists():
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"cloaksim.{path.stem}")
+        missing += [f"{path.name}: {name}"
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert not missing, "undefined names in __all__:\n" + "\n".join(missing)

@@ -92,6 +92,13 @@ class TestPresets:
         assert abs(got[1, 1] - m) < 5e-5
         assert abs(got[0, 1]) < 1e-12
 
+    def test_homogenized_radial_alpha_below_eigenvalue(self):
+        # the radial eigenvalue at |x| = R = 1.5 is (R - 1)/R = 1/3
+        f = preset_field("homogenized-radial(1.5,0.125)")
+        ev = np.linalg.eigvalsh(f.eval(np.array([1.5, 0.0]), 0.0))
+        assert ev.min() == pytest.approx(1.0 / 3.0, abs=1e-14)
+        assert f.constants.alpha <= ev.min()
+
     def test_laminate_alternates(self):
         f = preset_field("laminate(1,4,0.2)")
         # first half period value 1, second half value 4
