@@ -97,6 +97,17 @@ class CoefficientField:
                 f"expected {(len(pts), self.dim, self.dim)}")
         return out[0] if single else out
 
+    def bind(self, points):
+        """The field at fixed points as a function of the state alone.
+
+        points : (m, dim). Returns at(t) -> (m, dim, dim), with t scalar or
+        shape (m,), equal to eval(points, t). A solver that evaluates the
+        same points at many states binds once; fields with costly
+        point-only work override this and evaluate through it.
+        """
+        pts, _ = _as_points(points, self.dim)
+        return lambda t: self.eval(pts, t)
+
     @property
     def is_linear(self):
         return self.constants.is_linear
@@ -284,8 +295,9 @@ def validate_structure(field, region, n_grid=None, t_values=None, n_dirs=16,
     sym = ell = bnd = lip = 0.0
     prev = None
     prev_t = None
+    at = field.bind(pts)
     for t in t_values:
-        mats = field.eval(pts, float(t))
+        mats = at(float(t))
         scale = max(np.abs(mats).max(), c.beta)
         sym = max(sym, np.abs(mats - np.transpose(mats, (0, 2, 1))).max() / scale)
         # quadratic forms along each direction

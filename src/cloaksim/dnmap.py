@@ -147,7 +147,7 @@ def dn_operator(A, basis, mesh, cfg=None, source=None):
     cfg = cfg or PicardConfig()
     traces = basis.trace_matrix(mesh)
     if A.is_linear:
-        system = assemble_frozen(mesh, A, source=source)
+        system = assemble_frozen(mesh, mesh.bind(A), source=source)
         solutions = np.empty((basis.size, mesh.n_vertices))
         for j in range(basis.size):
             solutions[j] = system.solve_dirichlet(traces[j])

@@ -42,9 +42,11 @@ class TriMesh:
         v = self.vertices[self.triangles]              # (nt, 3, 2)
         self.areas, self.grads = p1_elements(v)
         self.centroids = v.mean(axis=1)
-        # edge midpoints opposite local vertex order: (m01, m12, m20)
-        self.edge_mid = 0.5 * np.stack(
-            [v[:, 0] + v[:, 1], v[:, 1] + v[:, 2], v[:, 2] + v[:, 0]], axis=1)
+        # the assembly quadrature points: edge midpoints (m01, m12, m20) of
+        # each triangle in turn, shape (3 * nt, 2)
+        self.midpoints = 0.5 * np.stack(
+            [v[:, 0] + v[:, 1], v[:, 1] + v[:, 2], v[:, 2] + v[:, 0]],
+            axis=1).reshape(-1, 2)
         edges = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 1],
                           v[:, 0] - v[:, 2]], axis=1)
         self.h_max = float(np.linalg.norm(edges, axis=2).max())
@@ -60,6 +62,11 @@ class TriMesh:
     @property
     def n_triangles(self):
         return len(self.triangles)
+
+    def bind(self, field):
+        """The field at the assembly quadrature points as a function of the
+        state alone: the coefficient that assemble_frozen takes."""
+        return field.bind(self.midpoints)
 
     def boundary_angles(self):
         b = self.vertices[self.boundary]
@@ -287,20 +294,23 @@ def p1_stiffness(areas, grads, amats, dofs, n_dofs):
     amats : (nt, 2, 2) coefficient per triangle
     dofs : (nt, 3) global degree of freedom of each corner
     """
-    local = np.einsum("t,tic,tcd,tjd->tij", areas, grads, amats, grads)
+    local = grads @ amats @ grads.transpose(0, 2, 1)
+    local *= areas[:, None, None]
     rows = np.repeat(dofs, 3, axis=1).ravel()     # dofs[t, i]
     cols = np.tile(dofs, (1, 3)).ravel()          # dofs[t, j]
     return coo_matrix((local.ravel(), (rows, cols)),
                       shape=(n_dofs, n_dofs)).tocsr()
 
 
-def assemble_frozen(mesh, field, state=None, source=None):
+def assemble_frozen(mesh, coef, state=None, source=None):
     """Stiffness matrix for the coefficient frozen at the nodal state.
 
     Parameters
     ----------
     mesh : TriMesh
-    field : CoefficientField
+    coef : callable
+        The coefficient bound at the quadrature points by mesh.bind(field):
+        coef(t) -> (3 * nt, 2, 2).
     state : array (n_vertices,), optional
         Nodal values of the state u at which A(x, u) is frozen; zeros when
         omitted (covers the t-independent case).
@@ -314,22 +324,22 @@ def assemble_frozen(mesh, field, state=None, source=None):
     """
     nt = mesh.n_triangles
     if state is None:
-        t_mid = np.zeros((nt, 3))
+        t_mid = 0.0
     else:
         state = np.asarray(state, dtype=float)
         tv = state[mesh.triangles]
         t_mid = 0.5 * np.stack(
             [tv[:, 0] + tv[:, 1], tv[:, 1] + tv[:, 2], tv[:, 2] + tv[:, 0]],
-            axis=1)
-    pts = mesh.edge_mid.reshape(-1, 2)
-    mats = field.eval(pts, t_mid.reshape(-1)).reshape(nt, 3, 2, 2)
-    amean = mats.mean(axis=1)                       # 1/3 weight per midpoint
+            axis=1).reshape(-1)
+    # 1/3 weight per midpoint; the per-midpoint matrices are not kept
+    # through p1_stiffness, which lowers the resident peak of a solve
+    amean = coef(t_mid).reshape(nt, 3, 2, 2).mean(axis=1)
     matrix = p1_stiffness(mesh.areas, mesh.grads, amean, mesh.triangles,
                           mesh.n_vertices)
 
     load = np.zeros(mesh.n_vertices)
     if source is not None:
-        gq = np.asarray(source(pts), dtype=float).reshape(nt, 3)
+        gq = np.asarray(source(mesh.midpoints), dtype=float).reshape(nt, 3)
         contrib = np.empty((nt, 3))
         # basis i is 1/2 on the two midpoints of its incident edges
         contrib[:, 0] = gq[:, 0] + gq[:, 2]

@@ -14,8 +14,8 @@ boundary pointwise. The state variable t rides along untouched.
 
 import numpy as np
 
-from .coeff import (CoefficientField, StructureConstants, annulus, ball,
-                    identity_field, piecewise_field)
+from .coeff import (CoefficientField, StructureConstants, _as_points, annulus,
+                    ball, identity_field, piecewise_field)
 from .errors import PreconditionError
 
 __all__ = [
@@ -181,11 +181,34 @@ def compose(outer, inner, name=""):
 
     def jacobian(pts):
         mid = inner._forward(pts)
-        return np.einsum("mij,mjk->mik", outer._jacobian(mid), inner._jacobian(pts))
+        return outer._jacobian(mid) @ inner._jacobian(pts)
 
     return DiffMap(forward, inverse, jacobian, dim=inner.dim,
                    name=name or f"{outer.name}*{inner.name}",
                    domain=inner.domain)
+
+
+class PushforwardField(CoefficientField):
+    """F_*A: DF A DF^T / |det DF| at x = F^{-1}(y).
+
+    Binding computes x, DF and det DF once; each state then costs one
+    batched product js A js^T with js = DF / sqrt|det DF|.
+    """
+
+    def __init__(self, field, dmap, constants, name):
+        self.field = field
+        self.dmap = dmap
+        super().__init__(lambda pts, tt: self.bind(pts)(tt), constants,
+                         dim=field.dim, name=name)
+
+    def bind(self, points):
+        pts, _ = _as_points(points, self.dim)
+        x = self.dmap._inverse(pts)
+        jac = self.dmap._jacobian(x)
+        js = jac / np.sqrt(np.abs(np.linalg.det(jac)))[:, None, None]
+        jst = js.transpose(0, 2, 1)
+        inner = self.field.bind(x)
+        return lambda t: js @ inner(t) @ jst
 
 
 def pushforward(field, dmap, constants=None, name=""):
@@ -199,14 +222,6 @@ def pushforward(field, dmap, constants=None, name=""):
     if field.dim != dmap.dim:
         raise PreconditionError("field and map dimensions differ")
     dim = field.dim
-
-    def fn(pts, tt):
-        x = dmap._inverse(pts)
-        jac = dmap._jacobian(x)
-        det = np.abs(np.linalg.det(jac))
-        mats = field.eval(x, tt)
-        out = np.einsum("mij,mjk,mlk->mil", jac, mats, jac)
-        return out / det[:, None, None]
 
     if constants is None:
         dom = dmap.domain or ball(2.0, dim=dim)
@@ -222,8 +237,8 @@ def pushforward(field, dmap, constants=None, name=""):
         constants = StructureConstants(c.alpha * lo, c.beta * hi,
                                        c.lipschitz_l * hi)
 
-    return CoefficientField(fn, constants, dim=dim,
-                            name=name or f"{dmap.name}_*{field.name}")
+    return PushforwardField(field, dmap, constants,
+                            name or f"{dmap.name}_*{field.name}")
 
 
 def transformed_inner_tensor(field, r):

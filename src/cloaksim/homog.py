@@ -606,14 +606,12 @@ class RadialCloakSpec:
             return spec.sigma(np.linalg.norm(np.atleast_2d(pts), axis=1), t)
 
         rs = np.arange(self.eps / 64.0, 3.0, self.eps / 64.0)
-        vals = self.sigma(rs)
-        lip = 0.0
-        if len(self.t_grid) > 1:
-            for t0, t1 in zip(self.t_grid[:-1], self.t_grid[1:]):
-                dv = np.abs(self.sigma(rs, t1) - self.sigma(rs, t0))
-                lip = max(lip, dv.max() / abs(t1 - t0))
+        vals = np.stack([self.sigma(rs, t) for t in self.t_grid])
+        dt = np.abs(np.diff(self.t_grid))[:, None]
+        slopes = np.abs(np.diff(vals, axis=0)) / dt
         constants = StructureConstants(float(vals.min()) * 0.999,
-                                       float(vals.max()) * 1.001, lip)
+                                       float(vals.max()) * 1.001,
+                                       float(slopes.max(initial=0.0)))
         label = name if name is not None else \
             f"cloak-sigma(R={self.R:g},eps={self.eps:g})"
         return IsotropicField(scalar_fn, constants, dim=2, name=label)

@@ -211,7 +211,7 @@ class TestDifference:
 
 
 def solve_mode(mesh, field, k):
-    system = assemble_frozen(mesh, field)
+    system = assemble_frozen(mesh, mesh.bind(field))
     bv = np.cos(k * mesh.boundary_angles())
     return FeFunction(mesh, system.solve_dirichlet(bv))
 

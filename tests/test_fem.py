@@ -27,7 +27,7 @@ class TestLocalAssembly:
         # hand integration on the unit right triangle with A = I gives
         # K = 1/2 [[2,-1,-1],[-1,1,0],[-1,0,1]]
         mesh = unit_triangle()
-        system = assemble_frozen(mesh, identity_field(2))
+        system = assemble_frozen(mesh, mesh.bind(identity_field(2)))
         K = system.matrix.toarray()
         want = 0.5 * np.array([[2.0, -1.0, -1.0],
                                [-1.0, 1.0, 0.0],
@@ -36,20 +36,22 @@ class TestLocalAssembly:
 
     def test_constant_coefficient_scales_stiffness(self):
         mesh = unit_triangle()
-        K1 = assemble_frozen(mesh, identity_field(2)).matrix.toarray()
-        K7 = assemble_frozen(mesh, constant_field(7.0 * np.eye(2))).matrix.toarray()
+        one = mesh.bind(identity_field(2))
+        seven = mesh.bind(constant_field(7.0 * np.eye(2)))
+        K1 = assemble_frozen(mesh, one).matrix.toarray()
+        K7 = assemble_frozen(mesh, seven).matrix.toarray()
         assert np.abs(K7 - 7.0 * K1).max() < 1e-13
 
     def test_stiffness_rows_sum_to_zero(self):
         # constants lie in the kernel
         mesh = build_disk_mesh(2.0, h_target=0.4)
-        K = assemble_frozen(mesh, identity_field(2)).matrix
+        K = assemble_frozen(mesh, mesh.bind(identity_field(2))).matrix
         assert np.abs(K @ np.ones(mesh.n_vertices)).max() < 1e-12
 
     def test_source_load_integrates_one(self):
         # for g = 1 the load row sums to the mesh area
         mesh = build_disk_mesh(1.0, h_target=0.2)
-        system = assemble_frozen(mesh, identity_field(2),
+        system = assemble_frozen(mesh, mesh.bind(identity_field(2)),
                                  source=lambda p: np.ones(len(p)))
         assert abs(system.load.sum() - mesh.areas.sum()) < 1e-12
         # and the total area approximates the disk
@@ -151,7 +153,7 @@ class TestSolve:
     def test_harmonic_mode_on_disk(self):
         # boundary r cos(theta) extends harmonically to x
         mesh = build_disk_mesh(2.0, h_target=0.1)
-        system = assemble_frozen(mesh, identity_field(2))
+        system = assemble_frozen(mesh, mesh.bind(identity_field(2)))
         bv = mesh.vertices[mesh.boundary, 0]
         u = system.solve_dirichlet(bv)
         assert np.abs(u - mesh.vertices[:, 0]).max() < 5e-3
@@ -159,7 +161,7 @@ class TestSolve:
     def test_matches_dense_interior_solve(self):
         # oracle: eliminate the boundary by hand and solve the dense block
         mesh = build_disk_mesh(2.0, h_target=0.2)
-        system = assemble_frozen(mesh, identity_field(2),
+        system = assemble_frozen(mesh, mesh.bind(identity_field(2)),
                                  source=lambda p: 1.0 + p[:, 0])
         bv = np.cos(2.0 * mesh.boundary_angles())
         K = system.matrix.toarray()
@@ -173,20 +175,20 @@ class TestSolve:
 
     def test_boundary_values_imposed_exactly(self):
         mesh = build_disk_mesh(1.0, h_target=0.25)
-        system = assemble_frozen(mesh, identity_field(2))
+        system = assemble_frozen(mesh, mesh.bind(identity_field(2)))
         bv = np.sin(mesh.boundary_angles())
         u = system.solve_dirichlet(bv)
         assert np.abs(u[mesh.boundary] - bv).max() == 0.0
 
     def test_wrong_boundary_length_rejected(self):
         mesh = build_disk_mesh(1.0, h_target=0.25)
-        system = assemble_frozen(mesh, identity_field(2))
+        system = assemble_frozen(mesh, mesh.bind(identity_field(2)))
         with pytest.raises(PreconditionError):
             system.solve_dirichlet(np.zeros(3))
 
     def test_energy_quadratic_form(self):
         mesh = build_disk_mesh(1.0, h_target=0.25)
-        system = assemble_frozen(mesh, identity_field(2))
+        system = assemble_frozen(mesh, mesh.bind(identity_field(2)))
         bv = np.cos(mesh.boundary_angles())
         u = system.solve_dirichlet(bv)
         e = system.energy(u)
@@ -201,7 +203,7 @@ class TestFactorization:
         # column ordering on the same interior block
         mesh = build_disk_mesh(2.0, h_target=0.1)
         assert len(mesh.interior) > 2000
-        system = assemble_frozen(mesh, identity_field(2))
+        system = assemble_frozen(mesh, mesh.bind(identity_field(2)))
         system.solve_dirichlet(np.zeros(len(mesh.boundary)))
         (kii, lu), = factors
         default = splu(kii)

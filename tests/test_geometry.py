@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from cloaksim.coeff import constant_field, identity_field
+from cloaksim.coeff import (IsotropicField, StructureConstants, ball,
+                            constant_field, identity_field, piecewise_field)
 from cloaksim.errors import PreconditionError
 from cloaksim.geometry import (compose, fd_jacobian, pushforward,
                                regular_blowup, singular_cloak_tensor,
                                singular_map, transformed_inner_tensor,
                                truncated_singular_cloak)
-from cloaksim.presets import inclusion_field
+from cloaksim.homog import HomogenizedTensor, RadialTable
+from cloaksim.presets import inclusion_field, preset_field
 
 
 def radial_point(s, angle=0.3, dim=2):
@@ -166,6 +168,104 @@ class TestPushforward:
         y = compose(F2, F1).forward(x)
         t = np.zeros(len(y))
         assert np.abs(lhs.eval(y, t) - rhs.eval(y, t)).max() < 1e-10
+
+    def test_isotropic_sin_eigenvalues_closed_form(self):
+        # regular_blowup(0.5) is y = psi(s) x/s with s = |x|, psi(s) = 2s
+        # on [0, 1/2] and (2/3)(1 + s) on [1/2, 2]. In 2D the push-forward
+        # of sigma I has radial eigenvalue sigma psi' s / psi and tangential
+        # eigenvalue sigma psi / (s psi'), at s = psi^{-1}(|y|).
+        A = pushforward(preset_field("isotropic-sin"), regular_blowup(0.5))
+        rng = np.random.default_rng(11)
+        rho = rng.uniform(0.05, 2.0, 300)
+        th = rng.uniform(0.0, 2.0 * np.pi, 300)
+        t = rng.uniform(-4.0, 4.0, 300)
+        yhat = np.stack([np.cos(th), np.sin(th)], axis=1)
+        perp = np.stack([-np.sin(th), np.cos(th)], axis=1)
+        s = np.where(rho <= 1.0, rho / 2.0, 1.5 * rho - 1.0)
+        psi = np.where(s <= 0.5, 2.0 * s, (2.0 / 3.0) * (1.0 + s))
+        dpsi = np.where(s <= 0.5, 2.0, 2.0 / 3.0)
+        sigma = 2.0 + np.sin(t)
+        mats = A.eval(rho[:, None] * yhat, t)
+        rad = np.einsum("mi,mij,mj->m", yhat, mats, yhat)
+        tan = np.einsum("mi,mij,mj->m", perp, mats, perp)
+        off = np.einsum("mi,mij,mj->m", yhat, mats, perp)
+        np.testing.assert_allclose(rad, sigma * dpsi * s / psi, rtol=1e-13)
+        np.testing.assert_allclose(tan, sigma * psi / (s * dpsi), rtol=1e-13)
+        assert np.abs(off).max() <= 1e-13 * np.abs(mats).max()
+
+
+def _sin_iso(dim):
+    return IsotropicField(lambda p, t: 2.0 + np.sin(t),
+                          StructureConstants(1.0, 3.0, 1.0), dim=dim)
+
+
+def _radial_table_tensor():
+    table = np.array([[[1.0, 2.0], [1.5, 2.5]],
+                      [[0.5, 3.0], [1.0, 4.0]],
+                      [[1.0, 1.0], [2.0, 1.0]]])
+    return HomogenizedTensor(RadialTable([0.0, 1.0, 3.0], [0.0, 1.0], table))
+
+
+def _plain(field):
+    return field, field.eval
+
+
+def _pushforward_case(inner, dmap):
+    # reference: DF A DF^T / |det DF| at x = F^{-1}(y), one point at a time
+    def reference(y, t):
+        x = dmap.inverse(y)
+        jac = dmap.jacobian(x)
+        mats = inner.eval(x, t)
+        return np.array([j @ a @ j.T / abs(np.linalg.det(j))
+                         for j, a in zip(jac, mats)])
+
+    return pushforward(inner, dmap), reference
+
+
+def _piecewise_case():
+    # reference: each region's points through its own piece
+    region, inner, outer = ball(0.8), _sin_iso(2), constant_field(3.0)
+
+    def reference(y, t):
+        tt = np.broadcast_to(t, len(y))
+        mask = region.contains(y)
+        out = np.empty((len(y), 2, 2))
+        out[mask] = inner.eval(y[mask], tt[mask])
+        out[~mask] = outer.eval(y[~mask], tt[~mask])
+        return out
+
+    return piecewise_field([(region, inner), (None, outer)]), reference
+
+
+BOUND_CASES = {
+    "constant": lambda: _plain(constant_field(np.array([[2.0, 0.5],
+                                                        [0.5, 3.0]]))),
+    "isotropic": lambda: _plain(_sin_iso(2)),
+    "piecewise": _piecewise_case,
+    "near-cloak": lambda: _plain(transformed_inner_tensor(_sin_iso(2), 0.5)),
+    "truncated-shell": lambda: _plain(truncated_singular_cloak(
+        1.25, interior=_sin_iso(2))),
+    "homogenized": lambda: _plain(_radial_table_tensor()),
+    "pushforward-2d": lambda: _pushforward_case(
+        preset_field("isotropic-sin"), regular_blowup(0.5)),
+    "pushforward-3d": lambda: _pushforward_case(
+        _sin_iso(3), regular_blowup(0.5, dim=3)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BOUND_CASES))
+def test_bind_matches_eval(key):
+    field, reference = BOUND_CASES[key]()
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(200, field.dim))
+    y = rng.uniform(0.05, 1.95, 200)[:, None] * x / np.linalg.norm(
+        x, axis=1)[:, None]
+    at = field.bind(y)
+    # one binding serves state after state, per point or scalar
+    for t in (rng.uniform(-3.0, 3.0, 200), rng.uniform(-3.0, 3.0, 200), 0.7):
+        want = reference(y, t)
+        assert np.abs(at(t) - want).max() <= 1e-14 * np.abs(want).max()
+        np.testing.assert_array_equal(field.eval(y, t), at(t))
 
 
 class TestSingularCloakTensor:

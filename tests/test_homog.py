@@ -371,6 +371,17 @@ class TestRadialCloakSpec:
         assert spec.sigma(0.3, 0.0) == pytest.approx(2.0, abs=1e-9)
         assert spec.sigma(0.3, 1.0) == pytest.approx(3.0, abs=1e-9)
 
+    def test_state_dependent_field_bounds(self):
+        # the floor is 12 at t = 1; the bounds must cover every t_grid
+        # state, not only t = 0
+        spec = RadialCloakSpec(1.5, 0.125, 0.03125,
+                               psi=lambda r, t: 2.0 + 10.0 * t,
+                               t_grid=(0.0, 1.0))
+        f = spec.field()
+        assert f.constants.beta >= 12.0
+        assert validate_structure(f, annulus(0.05, 3.0),
+                                  t_values=[0.0, 1.0]).ok
+
     def test_homogenized_alpha_below_eigenvalue(self):
         # the radial eigenvalue at |x| = R = 1.5 is (R - 1)/R = 1/3
         T = RadialCloakSpec(1.5, 0.125, 0.03125).homogenized()

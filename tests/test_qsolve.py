@@ -4,6 +4,7 @@ import pytest
 from cloaksim.coeff import IsotropicField, StructureConstants, identity_field
 from cloaksim.errors import PreconditionError
 from cloaksim.fem import build_disk_mesh, l2_norm
+from cloaksim.geometry import DiffMap, pushforward, regular_blowup
 from cloaksim.qsolve import PicardConfig, solve_quasilinear
 
 
@@ -97,6 +98,28 @@ class TestPicard:
                                 np.cos(mesh.boundary_angles()))
         assert res.converged and res.iterations > 1
         assert len(factors) == res.iterations
+
+    def test_pushforward_maps_points_once(self):
+        # F^{-1} and DF at the quadrature points do not depend on the
+        # state, so a Picard solve computes them once, not once per step
+        base = regular_blowup(0.5)
+        calls = {"inverse": 0, "jacobian": 0}
+
+        def counted(name, fn):
+            def wrapped(pts):
+                calls[name] += 1
+                return fn(pts)
+            return wrapped
+
+        dmap = DiffMap(base.forward, counted("inverse", base.inverse),
+                       counted("jacobian", base.jacobian),
+                       domain=base.domain)
+        field = pushforward(sin_field(), dmap)
+        mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.3)
+        calls.update(inverse=0, jacobian=0)
+        res = solve_quasilinear(mesh, field, np.cos(mesh.boundary_angles()))
+        assert res.converged and res.iterations > 2
+        assert calls == {"inverse": 1, "jacobian": 1}
 
 
 def mms_error(h):
