@@ -24,9 +24,9 @@ def show_spec():
     print(f"{'r':>6} {'target (h, m)':>22} {'a1':>9} {'a2':>9}")
     for i in range(0, len(spec.r_grid), max(1, len(spec.r_grid) // 10)):
         r = spec.r_grid[i]
-        h, m = spec.h_t[i, 0], spec.m_t[i, 0]
-        if spec.ok[i, 0]:
-            a1, a2 = spec.a1[i, 0], spec.a2[i, 0]
+        h, m = spec.h_t[i], spec.m_t[i]
+        if spec.ok[i]:
+            a1, a2 = spec.a1[i], spec.a2[i]
             hh, mm = cell_means(a1, a2)
             assert abs(hh - h) < 1e-9 and abs(mm - m) < 1e-9
             print(f"{r:6.3f} ({h:9.5f}, {m:9.5f}) {a1:9.5f} {a2:9.5f}")

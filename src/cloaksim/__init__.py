@@ -11,6 +11,7 @@ from .errors import CloakSimError, NumericalError, PreconditionError
 from .coeff import (
     CoefficientField,
     IsotropicField,
+    ProductField,
     StructureConstants,
     constant_field,
     identity_field,

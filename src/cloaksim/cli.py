@@ -299,11 +299,11 @@ def _cmd_cloak_build(args, g):
                            M=args.M, profile=args.profile)
     points = []
     for i, r in enumerate(spec.r_grid):
-        fitted = bool(spec.ok[i, 0])
-        h, m = float(spec.h_t[i, 0]), float(spec.m_t[i, 0])
+        fitted = bool(spec.ok[i])
+        h, m = float(spec.h_t[i]), float(spec.m_t[i])
         points.append({
             "r": float(r),
-            "a1": float(spec.a1[i, 0]), "a2": float(spec.a2[i, 0]),
+            "a1": float(spec.a1[i]), "a2": float(spec.a2[i]),
             # achieved homogenized eigenvalues; fallback points carry the
             # isotropic substitute, not the unattainable pair
             "eigenvalues": [h, m] if fitted else [m, m],

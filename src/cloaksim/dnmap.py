@@ -131,7 +131,7 @@ class DtNOperator:
                    converged=doc.get("converged"))
 
 
-def dn_operator(A, basis, mesh, cfg=None, source=None):
+def dn_operator(A, basis, mesh, cfg=None):
     """Solve one boundary value problem per basis function and pair fluxes.
 
     For a state-independent coefficient a single factorization serves all
@@ -147,7 +147,7 @@ def dn_operator(A, basis, mesh, cfg=None, source=None):
     cfg = cfg or PicardConfig()
     traces = basis.trace_matrix(mesh)
     if A.is_linear:
-        system = assemble_frozen(mesh, mesh.bind(A), source=source)
+        system = assemble_frozen(mesh, mesh.bind(A))
         solutions = np.empty((basis.size, mesh.n_vertices))
         for j in range(basis.size):
             solutions[j] = system.solve_dirichlet(traces[j])
@@ -155,8 +155,7 @@ def dn_operator(A, basis, mesh, cfg=None, source=None):
         iterations = [1] * basis.size
         converged = None
     else:
-        results = [solve_quasilinear(mesh, A, traces[j], config=cfg,
-                                     source=source)
+        results = [solve_quasilinear(mesh, A, traces[j], config=cfg)
                    for j in range(basis.size)]
         solutions = np.stack([r.u.values for r in results])
         systems = [r.system for r in results]

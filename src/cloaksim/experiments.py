@@ -55,10 +55,6 @@ class DecayReport:
     def converged_rows(self):
         return [row for row in self.rows if row.get("converged", True)]
 
-    def column(self, name, converged_only=True):
-        rows = self.converged_rows() if converged_only else self.rows
-        return [(row[self.parameter], row[name]) for row in rows]
-
     def fit_slope(self, name, x=None, key=None):
         """Log-log slope of column name against column x (the parameter by
         default), stored in slopes[key or name].
@@ -81,12 +77,6 @@ class DecayReport:
     def to_dict(self):
         return {"kind": self.kind, "parameter": self.parameter,
                 "rows": self.rows, "slopes": self.slopes, "meta": self.meta}
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(kind=doc["kind"], parameter=doc["parameter"],
-                   rows=doc["rows"], slopes=doc["slopes"],
-                   meta=doc.get("meta", {}))
 
 
 def fit_loglog(pairs, min_points=4):

@@ -68,6 +68,21 @@ class TriMesh:
         state alone: the coefficient that assemble_frozen takes."""
         return field.bind(self.midpoints)
 
+    def load(self, source):
+        """Load vector of the right-hand side source(points) -> values,
+        integrated by the assembly quadrature: what assemble_frozen takes."""
+        nt = self.n_triangles
+        gq = np.asarray(source(self.midpoints), dtype=float).reshape(nt, 3)
+        contrib = np.empty((nt, 3))
+        # basis i is 1/2 on the two midpoints of its incident edges
+        contrib[:, 0] = gq[:, 0] + gq[:, 2]
+        contrib[:, 1] = gq[:, 0] + gq[:, 1]
+        contrib[:, 2] = gq[:, 1] + gq[:, 2]
+        contrib *= (self.areas / 6.0)[:, None]
+        out = np.zeros(self.n_vertices)
+        np.add.at(out, self.triangles.ravel(), contrib.ravel())
+        return out
+
     def boundary_angles(self):
         b = self.vertices[self.boundary]
         return np.arctan2(b[:, 1], b[:, 0])
@@ -218,10 +233,6 @@ class FeFunction:
         self.mesh = mesh
         self.values = values
 
-    @classmethod
-    def interpolate(cls, mesh, fn):
-        return cls(mesh, np.asarray(fn(mesh.vertices), dtype=float))
-
     def l2(self, region=None):
         return l2_norm(self.mesh, self.values, region)
 
@@ -302,7 +313,7 @@ def p1_stiffness(areas, grads, amats, dofs, n_dofs):
                       shape=(n_dofs, n_dofs)).tocsr()
 
 
-def assemble_frozen(mesh, coef, state=None, source=None):
+def assemble_frozen(mesh, coef, state=None, load=None):
     """Stiffness matrix for the coefficient frozen at the nodal state.
 
     Parameters
@@ -314,9 +325,8 @@ def assemble_frozen(mesh, coef, state=None, source=None):
     state : array (n_vertices,), optional
         Nodal values of the state u at which A(x, u) is frozen; zeros when
         omitted (covers the t-independent case).
-    source : callable or None
-        Right-hand side g(points) -> values; integrated with the same
-        midpoint rule.
+    load : array (n_vertices,), optional
+        Right-hand side vector, from mesh.load(source); zeros when omitted.
 
     Returns
     -------
@@ -336,17 +346,8 @@ def assemble_frozen(mesh, coef, state=None, source=None):
     amean = coef(t_mid).reshape(nt, 3, 2, 2).mean(axis=1)
     matrix = p1_stiffness(mesh.areas, mesh.grads, amean, mesh.triangles,
                           mesh.n_vertices)
-
-    load = np.zeros(mesh.n_vertices)
-    if source is not None:
-        gq = np.asarray(source(mesh.midpoints), dtype=float).reshape(nt, 3)
-        contrib = np.empty((nt, 3))
-        # basis i is 1/2 on the two midpoints of its incident edges
-        contrib[:, 0] = gq[:, 0] + gq[:, 2]
-        contrib[:, 1] = gq[:, 0] + gq[:, 1]
-        contrib[:, 2] = gq[:, 1] + gq[:, 2]
-        contrib *= (mesh.areas / 6.0)[:, None]
-        np.add.at(load, mesh.triangles.ravel(), contrib.ravel())
+    if load is None:
+        load = np.zeros(mesh.n_vertices)
     return SparseSystem(matrix, load, mesh)
 
 
@@ -387,9 +388,3 @@ class SparseSystem:
                 f"linear solve residual {resid / scale:.3e} above 1e-8")
         full[self.mesh.interior] = x
         return full
-
-    def energy(self, u, v=None):
-        """Bilinear form u^T K v over the full vertex set."""
-        if v is None:
-            v = u
-        return float(u @ (self.matrix @ v))

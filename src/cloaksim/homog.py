@@ -27,7 +27,7 @@ from .geometry import _radial_matrix
 __all__ = [
     "phi", "phi_M", "zeta",
     "CellProblem", "CellSolution", "solve_cell", "cell_lipschitz",
-    "HomogenizedTensor", "RadialTable", "radial_homogenized",
+    "HomogenizedTensor", "radial_homogenized",
     "LipschitzReport",
     "fit_cloak_amplitudes", "cell_means", "cloak_targets",
     "RadialCloakSpec", "build_isotropic_cloak_sequence", "default_schedule",
@@ -190,7 +190,7 @@ def fit_cloak_amplitudes(h, m, M=8, tol=1e-10):
 _PROFILES = ("transformation", "flattened")
 
 
-def cloak_targets(r, R, eta, psi=2.0, t=0.0, profile="transformation"):
+def cloak_targets(r, R, eta, psi=2.0, profile="transformation"):
     """Radial/tangential mean targets (h, m) for the shell construction.
 
     On the working annulus (R, 2) the "transformation" profile matches the
@@ -198,8 +198,7 @@ def cloak_targets(r, R, eta, psi=2.0, t=0.0, profile="transformation"):
     homogenized shell is the anisotropic cloak itself; "flattened" keeps a
     conformal multiple of it (2(r-1)^2/r^2, 2), which is cheaper but keeps
     an order-one boundary mismatch. Inside r < R both blend smoothly to the
-    floor value psi; outside r >= 2 both are (1, 1). A callable psi is
-    called once, as psi(radii, t) with the array of radii below R.
+    floor value psi, a number; outside r >= 2 both are (1, 1).
     """
     if not (1.0 < R < 2.0) or eta <= 0.0:
         raise PreconditionError("need 1 < R < 2 and eta > 0")
@@ -231,7 +230,7 @@ def cloak_targets(r, R, eta, psi=2.0, t=0.0, profile="transformation"):
     inner = r < R
     if np.any(inner):
         wgt = phi((R - r[inner]) / eta)
-        pv = psi(r[inner], t) if callable(psi) else float(psi)
+        pv = float(psi)
         h[inner] = float(h_ann(R)) * (1.0 - wgt) + pv * wgt
         m[inner] = float(m_ann(np.array(R))) * (1.0 - wgt) + pv * wgt
     if scalar:
@@ -242,66 +241,29 @@ def cloak_targets(r, R, eta, psi=2.0, t=0.0, profile="transformation"):
 # ---------------------------------------------------------------------------
 # homogenized tensors of radial microstructures
 
-class RadialTable:
-    """Values tabulated on an (r, t) lattice, interpolated piecewise linearly.
-
-    table has shape (len(r_values), len(t_values), n_components). Radius
-    and state are clamped to the lattice, so values beyond either end
-    hold the end value: a state outside t_values sees the table at the
-    nearest end of t_values.
-    """
-
-    def __init__(self, r_values, t_values, table):
-        self.r_values = np.asarray(r_values, dtype=float)
-        self.t_values = np.asarray(t_values, dtype=float)
-        self.table = np.asarray(table, dtype=float)
-
-    def batch(self, r, t):
-        """(n_components, len(r)) values at radii r and state t (scalar or
-        one per radius)."""
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        # (n_components, n_t, len(rr)): every state column interpolated in r
-        at_t = np.array([[np.interp(rr, self.r_values, col) for col in comp.T]
-                         for comp in self.table.transpose(2, 0, 1)])
-        tv = self.t_values
-        if len(tv) == 1:
-            return at_t[:, 0]
-        tt = np.broadcast_to(np.asarray(t, dtype=float), rr.shape)
-        j = np.clip(np.searchsorted(tv, tt) - 1, 0, len(tv) - 2)
-        ft = np.clip((tt - tv[j]) / (tv[j + 1] - tv[j]), 0.0, 1.0)
-        idx = np.arange(len(rr))
-        return at_t[:, j, idx] * (1 - ft) + at_t[:, j + 1, idx] * ft
-
-    def __call__(self, r, t):
-        return tuple(float(v[0]) for v in self.batch(float(r), float(t)))
-
-
 class HomogenizedTensor(CoefficientField):
     """Radial effective tensor lo P + hi (I - P), with P = x x^T / |x|^2.
 
-    means is a RadialTable of (lo, hi). The constants are exact for its
-    piecewise-linear interpolant: alpha and beta are the table minimum and
-    maximum, and L is the steepest state slope between neighbouring
-    t_values, which is the Lipschitz modulus of the clamped interpolant
-    (0 for a single state).
+    lo and hi are tabulated at the increasing radii and interpolated
+    piecewise linearly, holding the end value beyond either end. The
+    constants are exact for that interpolant: alpha and beta are the table
+    minimum and maximum, and the tensor does not depend on the state.
     """
 
-    def __init__(self, means, dim=2, name=""):
-        self.means = means
+    def __init__(self, radii, lo, hi, dim=2, name=""):
+        radii, lo, hi = (np.asarray(v, dtype=float) for v in (radii, lo, hi))
 
         def fn(pts, tt):
             rr = np.linalg.norm(pts, axis=1)
             if np.any(rr < 1e-14):
                 raise PreconditionError(
                     "radial projector undefined at the origin")
-            lo, hi = means.batch(rr, tt)
-            return _radial_matrix(pts / rr[:, None], lo, hi, dim)
+            return _radial_matrix(pts / rr[:, None], np.interp(rr, radii, lo),
+                                  np.interp(rr, radii, hi), dim)
 
-        tab = means.table
-        dt = np.diff(means.t_values)[:, None]
-        slopes = np.abs(np.diff(tab, axis=1)) / dt
-        constants = StructureConstants(float(tab.min()), float(tab.max()),
-                                       float(slopes.max(initial=0.0)))
+        table = np.concatenate([lo, hi])
+        constants = StructureConstants(float(table.min()),
+                                       float(table.max()), 0.0)
         super().__init__(fn, constants, dim=dim, name=name)
 
 
@@ -486,18 +448,19 @@ def solve_cell(problem):
                         areas=areas, bounds=bounds)
 
 
-def cell_lipschitz(a_cell_of_t, t_grid, resolution=(64, 64)):
+def cell_lipschitz(a_cell_of_t, t_values, resolution=(64, 64)):
     """Finite-difference t-Lipschitz data from repeated cell solves.
 
     a_cell_of_t(t) returns the frozen cell coefficient callable for that t.
     Reports the max tensor-entry ratio and the max corrector H1 ratio.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    sols = [solve_cell(CellProblem(a_cell_of_t(t), resolution)) for t in t_grid]
+    t_values = np.asarray(t_values, dtype=float)
+    sols = [solve_cell(CellProblem(a_cell_of_t(t), resolution))
+            for t in t_values]
     ratio = 0.0
     corr = 0.0
-    for (t0, s0), (t1, s1) in zip(zip(t_grid[:-1], sols[:-1]),
-                                  zip(t_grid[1:], sols[1:])):
+    for (t0, s0), (t1, s1) in zip(zip(t_values[:-1], sols[:-1]),
+                                  zip(t_values[1:], sols[1:])):
         dt = abs(t1 - t0)
         ratio = max(ratio, np.abs(s1.tensor - s0.tensor).max() / dt)
         corr = max(corr, s1.corrector_h1(s0).max() / dt)
@@ -519,30 +482,27 @@ def default_schedule(n_terms=4):
 class RadialCloakSpec:
     """One term of the isotropic cloak sequence.
 
-    Holds the fitted amplitude tables on a radius (and optionally state)
-    lattice, and evaluates the oscillating scalar coefficient
+    Holds the fitted amplitude tables on a radius lattice, and evaluates
+    the oscillating scalar coefficient
 
-        sigma(x, t) = [1 + a1 zeta1(|x|/eps) - a2 zeta2(|x|/eps)]^2
+        sigma(x) = [1 + a1 zeta1(|x|/eps) - a2 zeta2(|x|/eps)]^2
 
     inside radius 2 and 1 outside (up to radius 3). Lattice points where
     the two-mean fit has no solution (targets nearly equal away from 1,
     which happens on the sealed floor region) fall back to the isotropic
     target value; their count is recorded.
 
-    psi is the floor value inside the shell: a number, or a callable
-    psi(r, t) that takes an array of radii and one state. The tables are
-    fitted at the states of t_grid only; a state outside t_grid holds the
-    value at the nearest end, so the Lipschitz constant L of field() and
-    homogenized() is the slope of that clamped interpolant.
+    psi is the floor value inside the shell, a number. The coefficient
+    does not depend on the state; a quasi-linear shell a(u) sigma is
+    ProductField(a, constants of a, spec.field()).
     """
 
     def __init__(self, R, eta, eps, psi=2.0, M=8, profile="transformation",
-                 r_spacing=None, t_grid=(0.0,)):
+                 r_spacing=None):
         if not (1.0 < R < 2.0) or eta <= 0.0 or eps <= 0.0:
             raise PreconditionError("need 1 < R < 2, eta > 0, eps > 0")
         self.R, self.eta, self.eps = float(R), float(eta), float(eps)
-        self.psi, self.M, self.profile = psi, int(M), profile
-        self.t_grid = np.asarray(t_grid, dtype=float)
+        self.psi, self.M, self.profile = float(psi), int(M), profile
 
         dr = r_spacing if r_spacing is not None else min(0.02, eta / 8.0)
         base = np.arange(dr, 2.0 + dr / 2, dr)
@@ -550,46 +510,37 @@ class RadialCloakSpec:
         rs = np.unique(np.concatenate([base, marks[marks > dr / 2]]))
         self.r_grid = rs[rs <= 2.0 + 1e-12]
 
-        nr, nt = len(self.r_grid), len(self.t_grid)
-        self.a1 = np.zeros((nr, nt))
-        self.a2 = np.zeros((nr, nt))
-        self.ok = np.ones((nr, nt), dtype=bool)
-        self.h_t = np.empty((nr, nt))
-        self.m_t = np.empty((nr, nt))
+        nr = len(self.r_grid)
+        self.h_t, self.m_t = cloak_targets(self.r_grid, R, eta, psi=psi,
+                                           profile=profile)
+        self.a1 = np.zeros(nr)
+        self.a2 = np.zeros(nr)
+        self.ok = np.ones(nr, dtype=bool)
         self.max_residual = 0.0
-        for j, t in enumerate(self.t_grid):
-            h, m = cloak_targets(self.r_grid, R, eta, psi=psi, t=t,
-                                 profile=profile)
-            self.h_t[:, j] = h
-            self.m_t[:, j] = m
-            for i in range(nr):
-                try:
-                    # quadratic convergence makes the tighter tolerance
-                    # nearly free, and the recorded residual must hold in
-                    # the (mean_1, mean_2) metric, not the solved one
-                    a1, a2 = fit_cloak_amplitudes(h[i], m[i], M=self.M,
-                                                  tol=1e-13)
-                except NumericalError:
-                    self.ok[i, j] = False
-                    continue
-                self.a1[i, j] = a1
-                self.a2[i, j] = a2
-                hm = cell_means(a1, a2, self.M)
-                self.max_residual = max(self.max_residual,
-                                        abs(hm[0] - h[i]), abs(hm[1] - m[i]))
+        for i, (h, m) in enumerate(zip(self.h_t, self.m_t)):
+            try:
+                # quadratic convergence makes the tighter tolerance nearly
+                # free, and the recorded residual must hold in the
+                # (mean_1, mean_2) metric, not the solved one
+                a1, a2 = fit_cloak_amplitudes(h, m, M=self.M, tol=1e-13)
+            except NumericalError:
+                self.ok[i] = False
+                continue
+            self.a1[i] = a1
+            self.a2[i] = a2
+            hm = cell_means(a1, a2, self.M)
+            self.max_residual = max(self.max_residual,
+                                    abs(hm[0] - h), abs(hm[1] - m))
         self.n_fallback = int((~self.ok).sum())
-        self.table = RadialTable(
-            self.r_grid, self.t_grid,
-            np.stack([self.a1, self.a2, self.ok, self.m_t], axis=2))
 
-    def sigma(self, r, t=0.0):
-        """Scalar coefficient at radius r (vectorized), state t."""
+    def sigma(self, r):
+        """Scalar coefficient at radius r (vectorized)."""
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.ones_like(rr)
         ins = rr < 2.0
         if np.any(ins):
-            tt = np.broadcast_to(np.asarray(t, dtype=float), rr.shape)[ins]
-            a1, a2, okf, miso = self.table.batch(rr[ins], tt)
+            a1, a2, okf, miso = (np.interp(rr[ins], self.r_grid, col) for col
+                                 in (self.a1, self.a2, self.ok, self.m_t))
             rp = rr[ins] / self.eps
             base = 1.0 + a1 * zeta(1, rp, self.M) - a2 * zeta(2, rp, self.M)
             vals = base ** 2
@@ -600,30 +551,24 @@ class RadialCloakSpec:
 
     def field(self, name=None):
         """IsotropicField on the disk of radius 3."""
-        spec = self
-
         def scalar_fn(pts, t):
-            return spec.sigma(np.linalg.norm(np.atleast_2d(pts), axis=1), t)
+            return self.sigma(np.linalg.norm(np.atleast_2d(pts), axis=1))
 
-        rs = np.arange(self.eps / 64.0, 3.0, self.eps / 64.0)
-        vals = np.stack([self.sigma(rs, t) for t in self.t_grid])
-        dt = np.abs(np.diff(self.t_grid))[:, None]
-        slopes = np.abs(np.diff(vals, axis=0)) / dt
+        vals = self.sigma(np.arange(self.eps / 64.0, 3.0, self.eps / 64.0))
         constants = StructureConstants(float(vals.min()) * 0.999,
-                                       float(vals.max()) * 1.001,
-                                       float(slopes.max(initial=0.0)))
+                                       float(vals.max()) * 1.001, 0.0)
         label = name if name is not None else \
             f"cloak-sigma(R={self.R:g},eps={self.eps:g})"
         return IsotropicField(scalar_fn, constants, dim=2, name=label)
 
     def homogenized(self):
         """Reference anisotropic shell: the target means as a radial tensor."""
-        table = np.stack([self.h_t, self.m_t], axis=2)
         # extend by identity out to radius 3
         r_ext = np.concatenate([self.r_grid, [2.0 + 1e-9, 3.0]])
-        ext = np.concatenate([table, np.ones((2,) + table.shape[1:])], axis=0)
-        return HomogenizedTensor(RadialTable(r_ext, self.t_grid, ext),
-                                 dim=2, name=f"cloak-target(R={self.R:g})")
+        one = np.ones(2)
+        return HomogenizedTensor(r_ext, np.concatenate([self.h_t, one]),
+                                 np.concatenate([self.m_t, one]), dim=2,
+                                 name=f"cloak-target(R={self.R:g})")
 
 
 def build_isotropic_cloak_sequence(psi=2.0, profile="transformation",

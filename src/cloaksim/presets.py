@@ -9,11 +9,11 @@ import re
 
 import numpy as np
 
-from .coeff import (CoefficientField, IsotropicField, StructureConstants,
+from .coeff import (IsotropicField, ProductField, StructureConstants,
                     constant_field, identity_field)
 from .errors import PreconditionError
 from .geometry import transformed_inner_tensor, truncated_singular_cloak
-from .homog import HomogenizedTensor, RadialTable, cloak_targets
+from .homog import HomogenizedTensor, cloak_targets
 
 __all__ = ["preset_field", "inclusion_field", "parse_preset", "PRESET_NAMES",
            "INCLUSION_NAMES"]
@@ -39,16 +39,9 @@ def parse_preset(key):
     return name, args
 
 
-def _sin_field(scale=1.0):
-    def fn(pts, t):
-        s = scale * (2.0 + np.sin(t))
-        out = np.zeros((len(pts), 2, 2))
-        out[:, 0, 0] = s
-        out[:, 1, 1] = s
-        return out
-    return CoefficientField(
-        fn, StructureConstants(scale, 3.0 * scale, scale), dim=2,
-        name=f"(2+sin t)*{scale:g}I" if scale != 1.0 else "(2+sin t)I")
+def _two_plus_sin(t):
+    """2 + sin t: values in [1, 3], Lipschitz modulus 1."""
+    return 2.0 + np.sin(t)
 
 
 def inclusion_field(key):
@@ -59,7 +52,9 @@ def inclusion_field(key):
     if key == "5I":
         return constant_field(5.0 * np.eye(2), name="5I")
     if key in ("sin-5I", "(2+sin t)5I", "(2+sin t)*5I"):
-        return _sin_field(5.0)
+        return ProductField(_two_plus_sin, (1.0, 3.0, 1.0),
+                            constant_field(5.0 * np.eye(2)),
+                            name="(2+sin t)*5I")
     raise PreconditionError(
         f"unknown inclusion {key!r}; expected one of {INCLUSION_NAMES}")
 
@@ -89,7 +84,8 @@ def preset_field(key):
         return identity_field(2)
     if name == "isotropic-sin":
         _expect_args(name, args, 0)
-        return _sin_field(1.0)
+        return ProductField(_two_plus_sin, (1.0, 3.0, 1.0), identity_field(2),
+                            name="(2+sin t)I")
     if name == "regular-cloak":
         _expect_args(name, args, 1)
         r = args[0]
@@ -101,15 +97,15 @@ def preset_field(key):
     if name == "truncated-singular-cloak":
         _expect_args(name, args, 1)
         rho = args[0]
-        return truncated_singular_cloak(rho, interior=_sin_field(5.0))
+        return truncated_singular_cloak(rho,
+                                        interior=inclusion_field("sin-5I"))
     if name == "homogenized-radial":
         _expect_args(name, args, 2)
         R, eta = args
         rs = np.unique(np.concatenate([
             np.linspace(1e-3, 3.0, 600),
             np.array([R - 2 * eta, R - eta, R, 2.0])]))
-        table = np.stack(cloak_targets(rs, R, eta), axis=1)[:, None, :]
-        return HomogenizedTensor(RadialTable(rs, (0.0,), table), dim=2,
+        return HomogenizedTensor(rs, *cloak_targets(rs, R, eta), dim=2,
                                  name=key)
     if name == "laminate":
         _expect_args(name, args, 3)

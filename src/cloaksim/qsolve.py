@@ -69,9 +69,10 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
     cfg = config or PicardConfig()
     g = _boundary_array(mesh, boundary_values)
     coef = mesh.bind(field)
+    load = None if source is None else mesh.load(source)
 
     if field.is_linear and warm_start is None:
-        system = assemble_frozen(mesh, coef, source=source)
+        system = assemble_frozen(mesh, coef, load=load)
         u = system.solve_dirichlet(g)
         return QSolveResult(FeFunction(mesh, u), converged=True, iterations=1,
                             updates=[], system=system)
@@ -84,7 +85,7 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
     grow = 0
     system = None
     for it in range(1, cfg.max_iter + 1):
-        system = assemble_frozen(mesh, coef, state=u_prev, source=source)
+        system = assemble_frozen(mesh, coef, state=u_prev, load=load)
         u_hat = system.solve_dirichlet(g)
         u_new = omega * u_hat + (1.0 - omega) * u_prev
         scale = max(l2_norm(mesh, u_new), 1e-30)
@@ -100,7 +101,7 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
         u_prev = u_new
         if upd <= cfg.tol:
             # final state must match the assembled operator
-            system = assemble_frozen(mesh, coef, state=u_prev, source=source)
+            system = assemble_frozen(mesh, coef, state=u_prev, load=load)
             return QSolveResult(FeFunction(mesh, u_prev), converged=True,
                                 iterations=it, updates=updates, damping=omega,
                                 damping_activated=activated, system=system)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cloaksim.coeff import (CoefficientField, IsotropicField,
+from cloaksim.coeff import (CoefficientField, IsotropicField, ProductField,
                             StructureConstants, annulus, ball, constant_field,
                             identity_field, piecewise_field,
                             validate_structure)
@@ -119,12 +119,59 @@ class TestPiecewise:
             piecewise_field([])
 
 
+class TestProductField:
+    B = np.array([[2.0, 0.5], [0.5, 3.0]])
+
+    def product(self, base=None):
+        base = base or constant_field(self.B)
+        return ProductField(lambda t: 2.0 + np.sin(t), (1.0, 3.0, 1.0), base)
+
+    def test_constants_exact(self):
+        # alpha and beta are attained at sin t = -1 and +1; the Lipschitz
+        # modulus is the slope of the operator norm at t = 0, where
+        # d/dt (2 + sin t) = 1
+        f = self.product()
+        lo, hi = np.linalg.eigvalsh(self.B)
+        c = f.constants
+        assert (c.alpha, c.beta, c.lipschitz_l) == (lo, 3.0 * hi, hi)
+        p = np.array([0.4, -0.2])
+        assert np.linalg.eigvalsh(f.eval(p, -np.pi / 2.0)).min() == \
+            pytest.approx(c.alpha, rel=1e-14)
+        assert np.linalg.eigvalsh(f.eval(p, np.pi / 2.0)).max() == \
+            pytest.approx(c.beta, rel=1e-14)
+        dt = 1e-6
+        slope = np.linalg.norm(f.eval(p, dt) - f.eval(p, 0.0), 2) / dt
+        assert slope == pytest.approx(c.lipschitz_l, rel=1e-9)
+        assert not f.is_linear
+        assert validate_structure(f, annulus(0.1, 2.0)).ok
+
+    def test_values_and_one_base_evaluation(self):
+        calls = []
+
+        def fn(pts, tt):
+            calls.append(len(pts))
+            return np.broadcast_to(self.B, (len(pts), 2, 2)).copy()
+
+        f = self.product(CoefficientField(fn, StructureConstants(1.0, 4.0)))
+        pts = np.array([[0.1, 0.2], [1.0, -0.5], [0.0, 1.5]])
+        at = f.bind(pts)
+        for t in (np.array([0.0, 1.0, -2.0]), 0.3, np.array([3.0, 0.5, 0.0])):
+            want = (2.0 + np.sin(np.broadcast_to(t, 3)))[:, None, None] * self.B
+            assert np.abs(at(t) - want).max() <= 1e-15
+        assert calls == [3]
+
+    def test_state_dependent_base_refused(self):
+        base = IsotropicField(lambda p, t: 2.0 + np.sin(t),
+                              StructureConstants(1.0, 3.0, 1.0))
+        with pytest.raises(PreconditionError):
+            self.product(base)
+
+
 class TestValidateStructure:
     def test_identity_passes(self):
         rep = validate_structure(identity_field(2), ball(2.0))
         assert rep.ok
         assert rep.symmetry_defect <= 1e-12
-        assert "ok" in rep.summary()
 
     def test_honest_constants_pass(self):
         f = IsotropicField(lambda p, t: 2.0 + np.sin(t),

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from cloaksim.coeff import (IsotropicField, StructureConstants, annulus,
-                            constant_field, identity_field)
+from cloaksim.coeff import (IsotropicField, ProductField, StructureConstants,
+                            annulus, constant_field, identity_field)
 from cloaksim.dnmap import (DtNOperator, FourierBasis, dn_difference,
                             dn_operator, neumann_trace_error)
 from cloaksim.errors import PreconditionError
 from cloaksim.fem import FeFunction, assemble_frozen, build_disk_mesh
+from cloaksim.geometry import (pushforward, regular_blowup,
+                               truncated_singular_cloak)
+from cloaksim.presets import preset_field
 
 
 class TestBasis:
@@ -139,25 +142,36 @@ class TestJson:
         assert back.mesh is None
 
 
+def theta(u):
+    """Kirchhoff transform of a(u) = 2 + sin u: Theta' = a, Theta(0) = 0."""
+    return 2.0 * u + 1.0 - np.cos(u)
+
+
+def theta_data(basis, n=512):
+    """Column j: the basis coefficients of Theta(f_j), by FFT on n angles.
+
+    Index 0 is cos(0 theta), odd indices cos(m theta), even sin(m theta).
+    """
+    angles = 2.0 * np.pi * np.arange(n) / n
+    out = np.zeros((basis.size, basis.size))
+    for j, m in enumerate(basis.modes()):
+        f = np.cos(m * angles) if j % 2 or j == 0 else np.sin(m * angles)
+        c = np.fft.rfft(theta(f))[:basis.max_mode + 1] / n
+        out[0, j] = c[0].real
+        out[1::2, j] = 2.0 * c[1:].real
+        out[2::2, j] = -2.0 * c[1:].imag
+    return out
+
+
 def kirchhoff_pairing(basis, n=512):
     """Exact DN pairing of A = (2 + sin u) I at unit-amplitude data.
 
-    Theta(u) = 2u + 1 - cos u has Theta' = 2 + sin u, so Theta(u) is
-    harmonic with trace Theta(f). Its normal derivative on the circle of
-    radius R is sum_m (m / R) (a_m cos + b_m sin) over the Fourier
-    coefficients of Theta(f), and pairing with cos m / sin m over the
-    arc gives m pi a_m / m pi b_m.
+    Theta(u) is harmonic with trace Theta(f). Its normal derivative on the
+    circle of radius R is sum_m (m / R) (a_m cos + b_m sin) over the
+    Fourier coefficients of Theta(f), and pairing with cos m / sin m over
+    the arc gives m pi a_m / m pi b_m.
     """
-    theta = 2.0 * np.pi * np.arange(n) / n
-    out = np.zeros((basis.size, basis.size))
-    for j, m in enumerate(basis.modes()):
-        # index 0 is cos(0 theta), odd indices cos(m theta), even sin(m theta)
-        f = np.cos(m * theta) if j % 2 or j == 0 else np.sin(m * theta)
-        c = np.fft.rfft(2.0 * f + 1.0 - np.cos(f)) / n
-        for k in range(1, basis.max_mode + 1):
-            out[2 * k - 1, j] = k * np.pi * 2.0 * c[k].real
-            out[2 * k, j] = -k * np.pi * 2.0 * c[k].imag
-    return out
+    return (np.pi * basis.modes())[:, None] * theta_data(basis, n)
 
 
 class TestKirchhoffOracle:
@@ -174,6 +188,45 @@ class TestKirchhoffOracle:
                         / np.abs(exact).max())
         assert errs[0] <= 2.5e-3
         assert errs[1] <= 6e-4
+        assert errs[0] / errs[1] >= 3.5
+
+    def test_pushforward_pairing_converges_at_second_order(self):
+        # F_*(a(u) I) = a(u) F_*I, and the blow-up fixes the outer circle,
+        # so the push-forward has the exact pairing of (2 + sin u) I
+        field = pushforward(preset_field("isotropic-sin"), regular_blowup(0.5))
+        basis = FourierBasis(max_mode=3, radius=2.0)
+        exact = kirchhoff_pairing(basis)
+        errs = []
+        for h in (0.2, 0.1):
+            mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=h)
+            op = dn_operator(field, basis, mesh)
+            assert op.nonlinear and op.all_converged
+            errs.append(np.abs(op.pairing_matrix - exact).max()
+                        / np.abs(exact).max())
+        assert errs[0] <= 2e-2
+        assert errs[1] <= 5e-3
+        assert errs[0] / errs[1] >= 3.5
+
+    def test_product_shell_is_the_linear_shell_on_transformed_data(self):
+        # div(a(u) B grad u) = div(B grad Theta(u)): the column of a(u) B
+        # with datum f_j is the linear B operator applied to Theta(f_j).
+        # B is radial, so its operator keeps modes apart, and the modes of
+        # Theta(f_j) above the basis never meet a trace of the basis
+        shell = truncated_singular_cloak(1.5)
+        field = ProductField(lambda t: 2.0 + np.sin(t), (1.0, 3.0, 1.0),
+                             shell)
+        basis = FourierBasis(max_mode=3, radius=2.0)
+        data = theta_data(basis)
+        errs = []
+        for h in (0.1, 0.05):
+            mesh = build_disk_mesh(2.0, aligned_radii=(1.0, 1.5), h_target=h)
+            want = dn_operator(shell, basis, mesh).pairing_matrix @ data
+            op = dn_operator(field, basis, mesh)
+            assert op.nonlinear and op.all_converged
+            errs.append(np.abs(op.pairing_matrix - want).max()
+                        / np.abs(want).max())
+        assert errs[0] <= 1e-3
+        assert errs[1] <= 2.5e-4
         assert errs[0] / errs[1] >= 3.5
 
 

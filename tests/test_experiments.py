@@ -62,10 +62,11 @@ class TestDecayReport:
                                           "r2": 1.0, "n": 3}},
                            meta={"h": 0.1})
 
-    def test_column_filters_unconverged(self):
+    def test_converged_rows_filter_unconverged(self):
         rep = self.make()
-        assert rep.column("dn") == [(0.4, 1.0), (0.1, 0.25)]
-        assert len(rep.column("dn", converged_only=False)) == 3
+        assert [(row["r"], row["dn"]) for row in rep.converged_rows()] == \
+            [(0.4, 1.0), (0.1, 0.25)]
+        assert len(rep.rows) == 3
 
     def test_fit_slope_counts_dropped_rows(self):
         rows = [{"r": r, "dn": r ** 2, "converged": True}
@@ -82,11 +83,13 @@ class TestDecayReport:
 
     def test_dict_round_trip(self):
         rep = self.make()
-        back = DecayReport.from_dict(rep.to_dict())
-        assert back.kind == rep.kind
-        assert back.rows == rep.rows
-        assert back.slopes == rep.slopes
-        assert back.meta == rep.meta
+        doc = rep.to_dict()
+        back = json.loads(json.dumps(doc))
+        assert back == doc
+        assert back["kind"] == rep.kind and back["parameter"] == rep.parameter
+        assert back["rows"] == rep.rows
+        assert back["slopes"] == rep.slopes
+        assert back["meta"] == rep.meta
 
 
 class TestEmit:

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from cloaksim.coeff import (IsotropicField, StructureConstants, ball,
-                            constant_field, identity_field, piecewise_field)
+from cloaksim.coeff import (IsotropicField, ProductField, StructureConstants,
+                            ball, constant_field, identity_field,
+                            piecewise_field)
 from cloaksim.errors import PreconditionError
 from cloaksim.geometry import (compose, fd_jacobian, pushforward,
                                regular_blowup, singular_cloak_tensor,
                                singular_map, transformed_inner_tensor,
                                truncated_singular_cloak)
-from cloaksim.homog import HomogenizedTensor, RadialTable
+from cloaksim.homog import HomogenizedTensor
 from cloaksim.presets import inclusion_field, preset_field
 
 
@@ -199,11 +200,27 @@ def _sin_iso(dim):
                           StructureConstants(1.0, 3.0, 1.0), dim=dim)
 
 
+# radii, then the radial and tangential values there
+_RADIAL_TABLE = ([0.0, 1.0, 3.0], [1.0, 0.5, 1.0], [2.0, 3.0, 1.0])
+
+
 def _radial_table_tensor():
-    table = np.array([[[1.0, 2.0], [1.5, 2.5]],
-                      [[0.5, 3.0], [1.0, 4.0]],
-                      [[1.0, 1.0], [2.0, 1.0]]])
-    return HomogenizedTensor(RadialTable([0.0, 1.0, 3.0], [0.0, 1.0], table))
+    return HomogenizedTensor(*_RADIAL_TABLE)
+
+
+def _product_case():
+    # reference: (2 + sin t) (lo P + hi (I - P)), with lo and hi
+    # interpolated at |y| and P = y y^T / |y|^2
+    def reference(y, t):
+        r = np.linalg.norm(y, axis=1)
+        lo, hi = (np.interp(r, _RADIAL_TABLE[0], v) for v in _RADIAL_TABLE[1:])
+        proj = y[:, :, None] * y[:, None, :] / (r ** 2)[:, None, None]
+        base = lo[:, None, None] * proj + hi[:, None, None] * (np.eye(2) - proj)
+        return np.asarray(2.0 + np.sin(t))[..., None, None] * base
+
+    field = ProductField(lambda t: 2.0 + np.sin(t), (1.0, 3.0, 1.0),
+                         _radial_table_tensor())
+    return field, reference
 
 
 def _plain(field):
@@ -246,6 +263,7 @@ BOUND_CASES = {
     "truncated-shell": lambda: _plain(truncated_singular_cloak(
         1.25, interior=_sin_iso(2))),
     "homogenized": lambda: _plain(_radial_table_tensor()),
+    "product": _product_case,
     "pushforward-2d": lambda: _pushforward_case(
         preset_field("isotropic-sin"), regular_blowup(0.5)),
     "pushforward-3d": lambda: _pushforward_case(

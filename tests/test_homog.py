@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cloaksim.coeff import CoefficientField, annulus, validate_structure
+from cloaksim.coeff import (CoefficientField, ProductField, annulus,
+                            validate_structure)
 from cloaksim.errors import NumericalError, PreconditionError
 from cloaksim.homog import (CellProblem, HomogenizedTensor, RadialCloakSpec,
-                            RadialTable, build_isotropic_cloak_sequence,
+                            build_isotropic_cloak_sequence,
                             cell_lipschitz, cell_means, cloak_targets,
                             default_schedule, fit_cloak_amplitudes, phi,
                             phi_M, radial_homogenized, solve_cell, zeta)
@@ -149,8 +150,8 @@ class TestCloakTargets:
 
 class TestHomogenizedTensor:
     def constant_tensor(self):
-        means = RadialTable([0.1, 3.0], [0.0], np.full((2, 1, 2), [2.0, 5.0]))
-        return HomogenizedTensor(means, name="const")
+        return HomogenizedTensor([0.1, 3.0], [2.0, 2.0], [5.0, 5.0],
+                                 name="const")
 
     def test_eval_axis_point(self):
         T = self.constant_tensor()
@@ -171,32 +172,29 @@ class TestHomogenizedTensor:
             self.constant_tensor().eval(np.array([0.0, 0.0]))
 
     def test_constants_read_off_the_table(self):
-        # lo = 1 + r t, hi = 4 - t on r in {1, 2}, t in {0, 0.5, 2}: the
-        # extremes are 1 and 5, the steepest state slope is d lo/dt = 2
-        rs, ts = np.array([1.0, 2.0]), np.array([0.0, 0.5, 2.0])
-        R, T = np.meshgrid(rs, ts, indexing="ij")
-        tensor = HomogenizedTensor(
-            RadialTable(rs, ts, np.stack([1 + R * T, 4 - T], axis=2)))
+        # lo = 1 + r, hi = 6 - 2 r on r in {0.5, 1, 2}: the extremes are
+        # 1.5 (lo at 0.5) and 5 (hi at 0.5), and no state enters
+        rs = np.array([0.5, 1.0, 2.0])
+        tensor = HomogenizedTensor(rs, 1.0 + rs, 6.0 - 2.0 * rs)
         assert isinstance(tensor, CoefficientField)
         c = tensor.constants
-        assert (c.alpha, c.beta, c.lipschitz_l) == (1.0, 5.0, 2.0)
-        assert self.constant_tensor().constants.lipschitz_l == 0.0
-        assert validate_structure(tensor, annulus(0.5, 2.5)).ok
+        assert (c.alpha, c.beta, c.lipschitz_l) == (1.5, 5.0, 0.0)
+        assert tensor.is_linear
+        assert validate_structure(tensor, annulus(0.1, 2.5)).ok
 
-    def test_table_bilinear_and_clamped(self):
-        # a bilinear function is reproduced inside the lattice; outside,
-        # radius and state hold their end values
+    def test_table_linear_and_clamped(self):
+        # a function linear in r is reproduced inside the table; outside,
+        # the radius holds its end value; the state plays no part
         rs = np.array([0.5, 1.0, 2.0, 3.0])
-        ts = np.array([-1.0, 0.0, 2.0])
-        R, T = np.meshgrid(rs, ts, indexing="ij")
-        tab = RadialTable(rs, ts, np.stack([1 + R * T, 2 - R], axis=2))
+        tensor = HomogenizedTensor(rs, 1.0 + rs, 8.0 - rs)
         r = np.array([0.7, 1.3, 2.9, 0.1, 4.0])
-        t = np.array([-0.5, 1.0, 0.3, 5.0, -3.0])
-        re, te = np.clip(r, 0.5, 3.0), np.clip(t, -1.0, 2.0)
-        got = tab.batch(r, t)
-        assert np.abs(got[0] - (1 + re * te)).max() < 1e-14
-        assert np.abs(got[1] - (2 - re)).max() < 1e-14
-        assert tab(1.3, 1.0) == pytest.approx((2.3, 0.7), abs=1e-14)
+        re = np.clip(r, 0.5, 3.0)
+        pts = np.stack([np.zeros(5), r], axis=1)
+        got = tensor.eval(pts, np.linspace(-3.0, 3.0, 5))
+        # on the y axis the radial direction is e_2
+        assert np.abs(got[:, 1, 1] - (1.0 + re)).max() < 1e-14
+        assert np.abs(got[:, 0, 0] - (8.0 - re)).max() < 1e-14
+        assert np.abs(got[:, 0, 1]).max() < 1e-14
 
 
 class TestRadialHomogenized:
@@ -358,29 +356,36 @@ class TestRadialCloakSpec:
 
     def test_homogenized_reference(self, spec):
         T = spec.homogenized()
-        h, m = T.means(1.75, 0.0)
+        # on the x axis the radial eigenvalue is entry [0, 0], the
+        # tangential one [1, 1]
+        got = T.eval(np.array([1.75, 0.0]))
         hw, mw = cloak_targets(1.75, R=1.5, eta=0.125)
-        assert abs(h - hw) < 1e-6
-        assert abs(m - mw) < 1e-6
-        h2, m2 = T.means(2.5, 0.0)
-        assert abs(h2 - 1.0) < 1e-9 and abs(m2 - 1.0) < 1e-9
+        assert abs(got[0, 0] - hw) < 1e-6
+        assert abs(got[1, 1] - mw) < 1e-6
+        far = T.eval(np.array([2.5, 0.0]))
+        assert np.abs(far - np.eye(2)).max() < 1e-9
 
-    def test_state_dependent_floor(self):
-        spec = RadialCloakSpec(1.5, 0.125, 0.03125, r_spacing=0.1,
-                               psi=lambda r, t: 2.0 + t, t_grid=(0.0, 1.0))
-        assert spec.sigma(0.3, 0.0) == pytest.approx(2.0, abs=1e-9)
-        assert spec.sigma(0.3, 1.0) == pytest.approx(3.0, abs=1e-9)
+    def test_state_dependent_floor(self, spec):
+        # the quasi-linear shell a(u) sigma: on the floor sigma = psi = 2
+        shell = ProductField(lambda t: 2.0 + np.sin(t), (1.0, 3.0, 1.0),
+                             spec.field())
+        pts = np.array([[0.3, 0.0], [0.0, 0.3]])
+        got = shell.eval(pts, np.array([0.0, np.pi / 2.0]))
+        assert np.abs(got[0] - 4.0 * np.eye(2)).max() < 1e-9
+        assert np.abs(got[1] - 6.0 * np.eye(2)).max() < 1e-9
 
-    def test_state_dependent_field_bounds(self):
-        # the floor is 12 at t = 1; the bounds must cover every t_grid
-        # state, not only t = 0
-        spec = RadialCloakSpec(1.5, 0.125, 0.03125,
-                               psi=lambda r, t: 2.0 + 10.0 * t,
-                               t_grid=(0.0, 1.0))
-        f = spec.field()
-        assert f.constants.beta >= 12.0
-        assert validate_structure(f, annulus(0.05, 3.0),
-                                  t_values=[0.0, 1.0]).ok
+    def test_state_dependent_field_bounds(self, spec):
+        # a(t) = 2 + 10 t clamped to t in [0, 1]: the floor is 24 at t = 1,
+        # and the bounds must cover every state, not only t = 0
+        sigma = spec.field()
+        shell = ProductField(lambda t: 2.0 + 10.0 * np.clip(t, 0.0, 1.0),
+                             (2.0, 12.0, 10.0), sigma)
+        c, s = shell.constants, sigma.constants
+        assert (c.alpha, c.beta, c.lipschitz_l) == \
+            (2.0 * s.alpha, 12.0 * s.beta, 10.0 * s.beta)
+        assert c.beta >= 24.0
+        assert validate_structure(shell, annulus(0.05, 3.0),
+                                  t_values=np.linspace(-0.5, 1.5, 9)).ok
 
     def test_homogenized_alpha_below_eigenvalue(self):
         # the radial eigenvalue at |x| = R = 1.5 is (R - 1)/R = 1/3
@@ -390,27 +395,31 @@ class TestRadialCloakSpec:
         assert T.constants.alpha <= ev.min()
 
     def test_state_dependent_homogenized_constants(self):
-        spec = RadialCloakSpec(1.5, 0.125, 0.03125, r_spacing=0.1,
-                               psi=lambda r, t: 2.0 + t, t_grid=(0.0, 1.0))
-        T = spec.homogenized()
-        c = T.constants
-        assert c.alpha == pytest.approx(1.0 / 3.0, abs=1e-14)
-        assert c.beta == pytest.approx(3.0, abs=1e-14)
-        assert c.lipschitz_l == pytest.approx(1.0, abs=1e-14)
-        assert not T.is_linear
-        assert validate_structure(T, annulus(0.05, 3.0)).ok
+        # (2 + sin u) times the target shell, whose table runs from 1/3
+        # to its largest tangential mean
+        T = RadialCloakSpec(1.5, 0.125, 0.03125, r_spacing=0.1).homogenized()
+        shell = ProductField(lambda t: 2.0 + np.sin(t), (1.0, 3.0, 1.0), T)
+        c, b = shell.constants, T.constants
+        assert b.alpha == pytest.approx(1.0 / 3.0, abs=1e-14)
+        assert (c.alpha, c.beta, c.lipschitz_l) == \
+            (b.alpha, 3.0 * b.beta, b.beta)
+        assert not shell.is_linear
+        assert validate_structure(shell, annulus(0.05, 3.0)).ok
 
-    def test_state_dependent_field_across_radius_two(self):
+    def test_state_dependent_field_across_radius_two(self, spec):
         # one state per point, with points on both sides of r = 2
-        spec = RadialCloakSpec(1.5, 0.125, 0.03125, r_spacing=0.1,
-                               psi=lambda r, t: 2.0 + t, t_grid=(0.0, 1.0))
+        shell = ProductField(lambda t: 2.0 + np.sin(t), (1.0, 3.0, 1.0),
+                             spec.field())
         r = np.array([0.3, 2.5, 1.1])
         t = np.array([1.0, 0.0, 0.5])
         pts = np.stack([r, np.zeros(3)], axis=1)
-        got = spec.field().scalar(pts, t)
-        want = [spec.sigma(ri, ti) for ri, ti in zip(r, t)]
-        assert np.abs(got - want).max() < 1e-14
-        assert got[0] == pytest.approx(3.0, abs=1e-9)
+        got = shell.eval(pts, t)
+        want = (2.0 + np.sin(t)) * spec.sigma(r)
+        assert np.abs(got[:, 0, 0] - want).max() < 1e-14
+        assert np.abs(got[:, 1, 1] - want).max() < 1e-14
+        assert got[1, 0, 0] == 2.0
+        assert got[0, 0, 0] == pytest.approx(2.0 * (2.0 + np.sin(1.0)),
+                                             abs=1e-9)
 
     def test_bad_inputs(self):
         with pytest.raises(PreconditionError):
