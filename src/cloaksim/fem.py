@@ -4,6 +4,13 @@ Meshes are structured: concentric vertex rings with a common angular count,
 so requested radii (interfaces of piecewise coefficients) can be matched
 exactly by a ring of vertices. Assembly is vectorized over triangles, with
 the coefficient sampled at the three edge midpoints of each element.
+
+A Dirichlet solve factors its system once, in one of two kinds. When the
+mesh records its ring layout and the matrix is invariant under a rotation
+by one angular step (the coefficient is rotation-equivariant), the angular
+Fourier transform splits the problem into one Hermitian tridiagonal system
+over the rings per mode (RingFactor). Otherwise SuperLU factors the
+interior block.
 """
 
 import io
@@ -19,6 +26,8 @@ __all__ = [
     "TriMesh",
     "FeFunction",
     "SparseSystem",
+    "RingFactor",
+    "ring_factor",
     "build_disk_mesh",
     "assemble_frozen",
     "p1_elements",
@@ -30,12 +39,19 @@ __all__ = [
 
 
 class TriMesh:
-    """Triangulation of a disk with precomputed element geometry."""
+    """Triangulation of a disk with precomputed element geometry.
 
-    def __init__(self, vertices, triangles, boundary):
+    n_theta is the vertex count per ring when the mesh has the layout of
+    build_disk_mesh: the center vertex, then rings of n_theta vertices in
+    angular order from the inside out, the last ring the boundary. It is
+    None for any other mesh.
+    """
+
+    def __init__(self, vertices, triangles, boundary, n_theta=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.int64)
         self.boundary = np.asarray(boundary, dtype=np.int64)
+        self.n_theta = n_theta
         self._geometry()
 
     def _geometry(self):
@@ -216,7 +232,7 @@ def build_disk_mesh(radius, aligned_radii=(), h_target=0.1, n_theta=None,
     tris = np.concatenate(tris, axis=0)
     boundary = ring_idx(len(rings) - 1, j)
 
-    mesh = TriMesh(verts, tris, boundary)
+    mesh = TriMesh(verts, tris, boundary, n_theta=n_theta)
     if default_theta and radial_bands is None and mesh.h_max > 1.5 * h_target:
         raise NumericalError(
             f"mesh h_max {mesh.h_max:.3g} exceeds 1.5 * h_target")
@@ -354,37 +370,144 @@ def assemble_frozen(mesh, coef, state=None, load=None):
 class SparseSystem:
     """Assembled symmetric system with Dirichlet elimination.
 
-    The interior block is split off and factored on the first solve, with a
-    symmetric minimum-degree ordering; later solves reuse the factor.
+    The interior problem is factored on the first solve and later solves
+    reuse the factor. ring_factor is tried first; SuperLU with a symmetric
+    minimum-degree ordering factors the interior block when it does not
+    apply.
     """
 
     def __init__(self, matrix, load, mesh):
         self.matrix = matrix
         self.load = load
         self.mesh = mesh
-        self._kii = None
-        self._lu = None
+        self._solver = None
 
     def _factor(self):
-        if self._lu is None:
-            ii = self.mesh.interior
-            self._kii = self.matrix[ii][:, ii].tocsc()
-            self._lu = splu(self._kii, permc_spec="MMD_AT_PLUS_A")
-        return self._lu
+        if self._solver is None:
+            self._solver = ring_factor(self.matrix, self.mesh)
+            if self._solver is None:
+                ii = self.mesh.interior
+                self._solver = splu(self.matrix[ii][:, ii].tocsc(),
+                                     permc_spec="MMD_AT_PLUS_A")
+        return self._solver
 
     def solve_dirichlet(self, boundary_values):
         """Solve with the given boundary vertex values."""
         g = np.asarray(boundary_values, dtype=float)
         if g.shape != (len(self.mesh.boundary),):
             raise PreconditionError("boundary_values must be one per boundary vertex")
+        ii = self.mesh.interior
         full = np.zeros(self.mesh.n_vertices)
         full[self.mesh.boundary] = g
-        rhs = (self.load - self.matrix @ full)[self.mesh.interior]
-        x = self._factor().solve(rhs)
-        resid = np.linalg.norm(self._kii @ x - rhs)
+        rhs = (self.load - self.matrix @ full)[ii]
+        full[ii] = self._factor().solve(rhs)
+        resid = np.linalg.norm((self.matrix @ full - self.load)[ii])
         scale = np.linalg.norm(rhs)
         if scale > 0 and resid > 1e-8 * scale:
             raise NumericalError(
                 f"linear solve residual {resid / scale:.3e} above 1e-8")
-        full[self.mesh.interior] = x
         return full
+
+
+def ring_factor(matrix, mesh):
+    """RingFactor of the interior problem, or None where it does not apply.
+
+    It applies when the mesh records its ring layout (TriMesh.n_theta) and
+    the matrix is invariant under the rotation by one angular step.
+    """
+    n = mesh.n_theta
+    # a mesh whose one ring is the boundary has the center alone inside
+    if n is None or mesh.n_vertices <= 1 + n:
+        return None
+    return RingFactor(matrix, n) if _rotation_invariant(matrix, n) else None
+
+
+def _rotation_invariant(matrix, n):
+    """Whether the matrix of a ring mesh with n vertices per ring equals its
+    rotation by one angular step, to 1e-12 of its largest diagonal entry
+    (its largest entry, as the matrix is positive semi-definite).
+
+    The diagonal is tested first: a state or coefficient that is not radial
+    makes it vary along a ring, and that O(n) test spares the comparison
+    of the whole rotated matrix.
+    """
+    diag = matrix.diagonal()
+    tol = 1e-12 * np.abs(diag).max()
+    rings = diag[1:].reshape(-1, n)
+    if np.abs(rings - rings[:, :1]).max() > tol:
+        return False
+    step = np.arange(matrix.shape[0])
+    ring, j = divmod(step[1:] - 1, n)
+    step[1:] = 1 + ring * n + (j + 1) % n
+    coo = matrix.tocoo()
+    rotated = coo_matrix((coo.data, (step[coo.row], step[coo.col])),
+                         shape=matrix.shape).tocsr()
+    # the rotation maps the mesh's connectivity onto itself, so an
+    # assembled (canonical) matrix and its rotation store the same pattern
+    return bool(np.array_equal(rotated.indptr, matrix.indptr)
+                and np.array_equal(rotated.indices, matrix.indices)
+                and np.abs(rotated.data - matrix.data).max() <= tol)
+
+
+class RingFactor:
+    """Interior factor of a rotation-invariant system, by angular mode.
+
+    The matrix is block-circulant over the rings, so the angular Fourier
+    transform of each ring decouples the modes. Mode k is a Hermitian
+    tridiagonal system over the interior rings whose entries are the
+    transforms of the rows at angular index 0; the center vertex couples to
+    mode 0 alone and is unknown 0 of every mode (an identity row for k > 0).
+    All modes are factored as L D L^H in one sweep over the rings, and a
+    solve is a real FFT of each ring, two sweeps and the inverse FFT.
+    """
+
+    def __init__(self, matrix, n_theta):
+        n = n_theta
+        m = (matrix.shape[0] - 1) // n - 1            # interior rings
+        self.n_theta = n
+        first = matrix[1 + n * np.arange(m)].tocoo()
+        ring, j = divmod(first.col - 1, n)
+        offset = ring - first.row
+        keep = (first.col > 0) & (offset >= 0)
+        # bands[0, a]: row (a, 0) against ring a; bands[1, a]: against ring a + 1
+        bands = np.zeros((2, m, n))
+        bands[offset[keep], first.row[keep], j[keep]] = first.data[keep]
+        # row (a, j) holds c(j' - j) in column (b, j'), so mode k sees
+        # sum_l c(l) exp(+2 pi i l k / n): the conjugate of the FFT
+        symbol = np.fft.rfft(bands, axis=2).conj()
+        n_modes = symbol.shape[2]
+        diag = np.ones((m + 1, n_modes))
+        diag[1:] = symbol[0].real
+        diag[0, 0] = matrix[0, 0]
+        sup = np.zeros((m, n_modes), dtype=complex)
+        sup[1:] = symbol[1, :m - 1]
+        # the unitary transform carries the center's coupling to mode 0
+        sup[0, 0] = np.sqrt(n) * matrix[1, 0]
+        pivots = np.empty((m + 1, n_modes))
+        lower = np.empty((m, n_modes), dtype=complex)
+        pivots[0] = diag[0]
+        for a in range(m):
+            lower[a] = sup[a].conj() / pivots[a]
+            pivots[a + 1] = diag[a + 1] - (lower[a] * sup[a]).real
+        self.pivots = pivots
+        self.lower = lower                  # subdiagonal of L
+        self.lower_h = lower.conj()         # superdiagonal of L^H
+
+    def solve(self, rhs):
+        """Interior solution for the interior right-hand side rhs (center
+        first, then the interior rings)."""
+        n = self.n_theta
+        lower, lower_h = self.lower, self.lower_h
+        m = len(lower)
+        b = np.zeros(self.pivots.shape, dtype=complex)
+        b[1:] = np.fft.rfft(rhs[1:].reshape(m, n), axis=1, norm="ortho")
+        b[0, 0] = rhs[0]
+        for a in range(m):
+            b[a + 1] -= lower[a] * b[a]
+        b /= self.pivots
+        for a in range(m - 1, -1, -1):
+            b[a] -= lower_h[a] * b[a + 1]
+        x = np.empty(len(rhs))
+        x[0] = b[0, 0].real
+        x[1:] = np.fft.irfft(b[1:], n=n, axis=1, norm="ortho").ravel()
+        return x

@@ -1,4 +1,11 @@
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run, so the quick tier
+# stays deterministic and its time stays bounded
+settings.register_profile("cloaksim", derandomize=True, max_examples=15,
+                          deadline=None, database=None)
+settings.load_profile("cloaksim")
 
 verdict_lines = []
 
@@ -17,16 +24,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def factors(monkeypatch):
-    """Record (matrix, factor) for every splu call made by cloaksim.fem."""
+    """Record (kind, matrix, factor) for every factorization made by
+    cloaksim.fem: kind "splu" (SuperLU of the interior block) or "ring"
+    (the angular-mode factor of the assembled matrix)."""
     from cloaksim import fem
 
     calls = []
-    real = fem.splu
+    real_splu, real_ring = fem.splu, fem.ring_factor
 
-    def recording(matrix, **kwargs):
-        lu = real(matrix, **kwargs)
-        calls.append((matrix, lu))
+    def recording_splu(matrix, **kwargs):
+        lu = real_splu(matrix, **kwargs)
+        calls.append(("splu", matrix, lu))
         return lu
 
-    monkeypatch.setattr(fem, "splu", recording)
+    def recording_ring(matrix, mesh):
+        factor = real_ring(matrix, mesh)
+        if factor is not None:
+            calls.append(("ring", matrix, factor))
+        return factor
+
+    monkeypatch.setattr(fem, "splu", recording_splu)
+    monkeypatch.setattr(fem, "ring_factor", recording_ring)
     return calls

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from cloaksim import fem
 from cloaksim.coeff import (IsotropicField, ProductField, StructureConstants,
-                            annulus, constant_field, identity_field)
+                            annulus, constant_field, identity_field,
+                            piecewise_field)
 from cloaksim.dnmap import (DtNOperator, FourierBasis, dn_difference,
                             dn_operator, neumann_trace_error)
 from cloaksim.errors import PreconditionError
 from cloaksim.fem import FeFunction, assemble_frozen, build_disk_mesh
 from cloaksim.geometry import (pushforward, regular_blowup,
                                truncated_singular_cloak)
-from cloaksim.presets import preset_field
+from cloaksim.homog import build_isotropic_cloak_sequence
+from cloaksim.presets import inclusion_field, preset_field
 
 
 class TestBasis:
@@ -69,7 +73,11 @@ class TestOperator:
     def test_linear_operator_factors_once(self, factors):
         mesh = build_disk_mesh(2.0, h_target=0.2)
         dn_operator(identity_field(2), FourierBasis(max_mode=3), mesh)
-        assert len(factors) == 1
+        assert [kind for kind, _, _ in factors] == ["ring"]
+        factors.clear()
+        dn_operator(constant_field(np.diag([2.0, 3.0])),
+                    FourierBasis(max_mode=3), mesh)
+        assert [kind for kind, _, _ in factors] == ["splu"]
 
     def test_symmetry_for_state_independent(self):
         mesh = build_disk_mesh(2.0, h_target=0.15)
@@ -96,6 +104,91 @@ class TestOperator:
         assert op.nonlinear
         assert op.all_converged
         assert len(op.converged) == basis.size
+
+
+def _shell_case(rho):
+    # the truncated shell of shell-linear, on a coarse mesh
+    mesh = build_disk_mesh(2.0, aligned_radii=(1.0, rho), h_target=0.2,
+                           radial_bands=[(1.0, rho, (rho - 1.0) / 4.0)])
+    return truncated_singular_cloak(rho, interior=inclusion_field("5I")), mesh
+
+
+def _oscillating_case(target):
+    # criterion 7's first term (or its homogenized target) on the sweep's
+    # mesh layout, with fewer angles
+    spec = build_isotropic_cloak_sequence(n_terms=1)[0]
+    dr = spec.eps / 8.0
+    seam = spec.R - 2 * spec.eta - 2 * dr
+    mesh = build_disk_mesh(
+        3.0, aligned_radii=(1.0, spec.R - 2 * spec.eta, spec.R, 2.0),
+        h_target=0.25, n_theta=32, radial_bands=[(seam, 2.0, dr)])
+    return (spec.homogenized() if target else spec.field()), mesh
+
+
+RADIAL_CASES = {
+    "identity": lambda: (identity_field(2), build_disk_mesh(2.0, h_target=0.2)),
+    "5I": lambda: (inclusion_field("5I"),
+                   build_disk_mesh(2.0, h_target=0.2, n_theta=27)),
+    "shell-1.5": lambda: _shell_case(1.5),
+    "shell-1.1": lambda: _shell_case(1.1),
+    "homogenized-radial": lambda: (
+        preset_field("homogenized-radial(1.5,0.125)"),
+        build_disk_mesh(3.0, aligned_radii=(1.0, 1.25, 1.5, 2.0),
+                        h_target=0.2)),
+    "sigma-1": lambda: _oscillating_case(target=False),
+    "sigma-1-target": lambda: _oscillating_case(target=True),
+}
+
+
+def _pairing_and_lu_reference(field, mesh, basis):
+    """dn_operator as the program runs it, and again with the ring factor
+    switched off so that SuperLU factors every system."""
+    op = dn_operator(field, basis, mesh)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fem, "ring_factor", lambda matrix, mesh: None)
+        ref = dn_operator(field, basis, mesh)
+    return op, ref
+
+
+class TestRingFactor:
+    @pytest.mark.parametrize("case", sorted(RADIAL_CASES))
+    def test_ring_path_matches_lu(self, case, factors):
+        field, mesh = RADIAL_CASES[case]()
+        radius = np.linalg.norm(mesh.vertices[mesh.boundary[0]])
+        basis = FourierBasis(max_mode=6, radius=float(radius))
+        op, ref = _pairing_and_lu_reference(field, mesh, basis)
+        assert [kind for kind, _, _ in factors] == ["ring", "splu"]
+        M, R = op.pairing_matrix, ref.pairing_matrix
+        assert np.abs(M - R).max() <= 1e-10 * np.abs(R).max()
+        assert np.abs(op.solutions - ref.solutions).max() <= 1e-10
+
+    @given(n_theta=st.integers(8, 40),
+           layers=st.lists(st.tuples(st.floats(0.2, 1.8), st.floats(0.2, 8.0)),
+                           min_size=1, max_size=3,
+                           unique_by=lambda layer: round(layer[0], 2)))
+    def test_piecewise_radial_pairing(self, n_theta, layers):
+        # a radial piecewise-constant isotropic coefficient: value v_i on
+        # the annulus between consecutive radii, identity outside the last
+        layers = sorted((round(r, 2), v) for r, v in layers)
+        radii = [r for r, _ in layers]
+        pieces, inner = [], 0.0
+        for r, v in layers:
+            pieces.append((annulus(inner, r), constant_field(v * np.eye(2))))
+            inner = r
+        field = piecewise_field(pieces + [(None, identity_field(2))])
+        mesh = build_disk_mesh(2.0, aligned_radii=radii, h_target=0.25,
+                               n_theta=n_theta)
+        system = assemble_frozen(mesh, mesh.bind(field))
+        assert fem.ring_factor(system.matrix, mesh) is not None
+        basis = FourierBasis(max_mode=3, radius=2.0)
+        op, ref = _pairing_and_lu_reference(field, mesh, basis)
+        M, R = op.pairing_matrix, ref.pairing_matrix
+        scale = np.abs(R).max()
+        assert np.abs(M - R).max() <= 1e-10 * scale
+        assert np.abs(M - M.T).max() <= 1e-10 * scale
+        # rotation invariance makes cos k and sin k eigenvectors of the
+        # discrete DN map, so the pairing has no entry off the diagonal
+        assert np.abs(M - np.diag(np.diag(M))).max() <= 1e-10 * scale
 
 
 class TestJson:

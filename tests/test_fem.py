@@ -6,7 +6,9 @@ from scipy.sparse.linalg import splu
 from cloaksim.coeff import annulus, constant_field, identity_field
 from cloaksim.errors import NumericalError, PreconditionError
 from cloaksim.fem import (FeFunction, SparseSystem, TriMesh, assemble_frozen,
-                          build_disk_mesh, h1_norm, h1_seminorm, l2_norm)
+                          build_disk_mesh, h1_norm, h1_seminorm, l2_norm,
+                          ring_factor)
+from cloaksim.presets import preset_field
 
 
 def unit_triangle():
@@ -200,14 +202,85 @@ class TestSolve:
 class TestFactorization:
     def test_ordering_reduces_fill(self, factors):
         # symmetric minimum-degree ordering against SuperLU's default
-        # column ordering on the same interior block
+        # column ordering on the same interior block; diag(2, 3) is not
+        # rotation-equivariant, so the system is factored by SuperLU
         mesh = build_disk_mesh(2.0, h_target=0.1)
         assert len(mesh.interior) > 2000
-        system = assemble_frozen(mesh, mesh.bind(identity_field(2)))
+        system = assemble_frozen(mesh,
+                                 mesh.bind(constant_field(np.diag([2.0, 3.0]))))
         system.solve_dirichlet(np.zeros(len(mesh.boundary)))
-        (kii, lu), = factors
+        (kind, kii, lu), = factors
+        assert kind == "splu"
         default = splu(kii)
         assert lu.L.nnz + lu.U.nnz < 0.75 * (default.L.nnz + default.U.nnz)
+
+
+def lu_reference(system, g):
+    """The Dirichlet solve as SuperLU of the interior block computes it."""
+    mesh = system.mesh
+    ii = mesh.interior
+    full = np.zeros(mesh.n_vertices)
+    full[mesh.boundary] = g
+    rhs = (system.load - system.matrix @ full)[ii]
+    lu = splu(system.matrix[ii][:, ii].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    full[ii] = lu.solve(rhs)
+    return full
+
+
+class TestRingDetector:
+    """Systems that are not rotation-invariant, or whose mesh records no
+    rings, keep SuperLU and its results bit for bit."""
+
+    def assert_lu(self, system, factors):
+        factors.clear()
+        g = np.cos(3.0 * system.mesh.boundary_angles()) + 0.5
+        u = system.solve_dirichlet(g)
+        assert [kind for kind, _, _ in factors] == ["splu"]
+        assert np.array_equal(u, lu_reference(system, g))
+
+    def test_anisotropic_constant(self, factors):
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        field = constant_field(np.diag([2.0, 3.0]))
+        self.assert_lu(assemble_frozen(mesh, mesh.bind(field)), factors)
+
+    def test_second_picard_step(self, factors):
+        # the first step freezes the radial zero state; the second freezes
+        # the cos(theta) solution, which is not radial
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        coef = mesh.bind(preset_field("isotropic-sin"))
+        first = assemble_frozen(mesh, coef).solve_dirichlet(
+            np.cos(mesh.boundary_angles()))
+        assert [kind for kind, _, _ in factors] == ["ring"]
+        self.assert_lu(assemble_frozen(mesh, coef, state=first), factors)
+
+    def test_mesh_read_from_text(self, factors, tmp_path):
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        mesh.save_text(tmp_path / "disk.txt")
+        loaded = TriMesh.load_text(tmp_path / "disk.txt")
+        assert mesh.n_theta == 64 and loaded.n_theta is None
+        system = assemble_frozen(loaded, loaded.bind(identity_field(2)))
+        self.assert_lu(system, factors)
+
+    def test_center_alone_inside(self, factors):
+        mesh = build_disk_mesh(1.0, h_target=1.0)
+        assert len(mesh.interior) == 1
+        self.assert_lu(assemble_frozen(mesh, mesh.bind(identity_field(2))),
+                       factors)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_one_perturbed_entry(self, diagonal, factors):
+        # a diagonal entry fails the cheap test along the ring; an
+        # off-diagonal one only the comparison of the rotated matrix
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        matrix = assemble_frozen(mesh, mesh.bind(identity_field(2))).matrix
+        assert ring_factor(matrix, mesh) is not None
+        row = 1 + 3 * mesh.n_theta + 5
+        lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+        picked = (matrix.indices[lo:hi] == row) == diagonal
+        pos = lo + np.argmax(np.abs(matrix.data[lo:hi]) * picked)
+        matrix.data[pos] *= 1.0 + 1e-8
+        self.assert_lu(SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh),
+                       factors)
 
 
 class TestFeFunction:
