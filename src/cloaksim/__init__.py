@@ -28,7 +28,7 @@ from .geometry import (
     transformed_inner_tensor,
     truncated_singular_cloak,
 )
-from .fem import FeFunction, TriMesh, build_disk_mesh
+from .fem import TriMesh, build_disk_mesh
 from .qsolve import PicardConfig, QSolveResult, dn_pairing, solve_quasilinear
 from .dnmap import DtNOperator, FourierBasis, dn_difference, dn_operator, neumann_trace_error
 from .homog import (

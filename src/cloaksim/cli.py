@@ -19,7 +19,7 @@ from .errors import NumericalError, PreconditionError
 from .experiments import (ExperimentConfig, emit_report, run_diffeo_invariance,
                           run_homogenization_sweep, run_regular_cloak_sweep,
                           run_truncated_singular_sweep)
-from .fem import build_disk_mesh
+from .fem import build_disk_mesh, h1_norm, l2_norm
 from .geometry import fd_jacobian, regular_blowup, singular_map
 from .homog import CellProblem, RadialCloakSpec, solve_cell
 from .presets import parse_preset, preset_field
@@ -211,7 +211,7 @@ def _cmd_solve(args, g):
     datum = np.cos(args.mode * theta)
     res = solve_quasilinear(mesh, field, datum, PicardConfig(tol=g["tol"]))
     doc = {"coefficient": args.coeff, "mode": args.mode,
-           "l2": res.u.l2(), "h1": res.u.h1(),
+           "l2": l2_norm(mesh, res.u), "h1": h1_norm(mesh, res.u),
            "iterations": res.iterations, "converged": res.converged}
     text = json.dumps(doc, indent=1, sort_keys=True)
     if args.out:

@@ -123,20 +123,12 @@ class IsotropicField(CoefficientField):
     """Scalar coefficient sigma(x, t) * I."""
 
     def __init__(self, scalar_fn, constants, dim=2, name=""):
-        self._scalar_fn = scalar_fn
-
         def fn(pts, tt):
             s = np.asarray(scalar_fn(pts, tt), dtype=float)
             eye = np.eye(dim)
             return s[:, None, None] * eye[None, :, :]
 
         super().__init__(fn, constants, dim=dim, name=name)
-
-    def scalar(self, x, t=0.0):
-        pts, single = _as_points(x, self.dim)
-        tt = _as_states(t, len(pts))
-        s = np.asarray(self._scalar_fn(pts, tt), dtype=float)
-        return float(s[0]) if single else s
 
 
 class ProductField(CoefficientField):
@@ -307,23 +299,22 @@ def _directions(n, dim):
     return np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
 
 
-def validate_structure(field, region, n_grid=None, t_values=None, n_dirs=16,
-                       rel_tol=1e-12):
+def validate_structure(field, region, t_values=None):
     """Sampling check of symmetry, ellipticity, boundedness, t-Lipschitz.
 
-    Defects are reported relative to the declared constants; the check
-    passes when every defect is <= rel_tol. Sampling cannot certify the
-    constants, it can only refute them, which is what the report records.
+    The region is sampled on a lattice of 32 points per axis in 2D and 10
+    in 3D, the quadratic forms along 16 directions. Defects are reported
+    relative to the declared constants; the check passes when every defect
+    is <= 1e-12. Sampling cannot certify the constants, it can only refute
+    them, which is what the report records.
     """
-    if n_grid is None:
-        n_grid = 32 if field.dim == 2 else 10
     if t_values is None:
         t_values = np.arange(-5.0, 5.0 + 0.25, 0.5)
     t_values = np.asarray(t_values, dtype=float)
-    pts = region.sample_lattice(n_grid)
+    pts = region.sample_lattice(32 if field.dim == 2 else 10)
     if len(pts) == 0:
         raise PreconditionError("region sampling produced no points")
-    dirs = _directions(n_dirs, field.dim)
+    dirs = _directions(16, field.dim)
     c = field.constants
 
     sym = ell = bnd = lip = 0.0
@@ -350,5 +341,5 @@ def validate_structure(field, region, n_grid=None, t_values=None, n_dirs=16,
     ell = max(ell, 0.0)
     bnd = max(bnd, 0.0)
     lip = max(lip, 0.0)
-    ok = max(sym, ell, bnd, lip) <= rel_tol
+    ok = max(sym, ell, bnd, lip) <= 1e-12
     return StructureReport(ok, sym, ell, bnd, lip, len(pts), len(t_values))

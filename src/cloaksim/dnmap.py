@@ -3,7 +3,10 @@
 The DN map is observed through the pairing matrix M[i][j] = <flux of the
 solution with datum f_j, trace f_i> over the outer circle. Fluxes are
 always extracted variationally (pairing with lifted traces), never by
-differentiating the finite element solution at the boundary.
+differentiating the finite element solution at the boundary. Every
+boundary number is read from pairing matrices: dn_difference compares
+whole operators, neumann_trace_error one column of two operators on the
+same mesh.
 """
 
 import json
@@ -11,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import PreconditionError
-from .fem import assemble_frozen, p1_stiffness
+from .fem import assemble_frozen
 from .qsolve import PicardConfig, dn_pairing, solve_quasilinear
 
 __all__ = ["FourierBasis", "DtNOperator", "dn_operator", "dn_difference",
@@ -76,9 +79,11 @@ class FourierBasis:
 class DtNOperator:
     """DN pairing matrix of a coefficient over a FourierBasis.
 
-    Operators computed by dn_operator also keep the mesh, the nodal
-    solution of each column (row j solves datum j) and its Picard
-    iteration count; operators loaded by from_json have None there.
+    Column j of the pairing matrix is the boundary flux of the solution
+    with datum j, paired with every trace. Operators computed by
+    dn_operator also keep the mesh, the nodal solution of each column
+    (row j solves datum j) and its Picard iteration count; operators
+    loaded by from_json have None there, so only dn_difference takes them.
     """
 
     def __init__(self, basis, pairing_matrix, coefficient="", nonlinear=False,
@@ -101,7 +106,7 @@ class DtNOperator:
     def all_converged(self):
         return all(self.converged)
 
-    def to_json(self, path=None):
+    def to_json(self, path):
         doc = {
             "basis": self.basis.max_mode,
             "radius": self.basis.radius,
@@ -110,19 +115,13 @@ class DtNOperator:
             "coefficient": self.coefficient,
             "nonlinear": self.nonlinear,
         }
-        text = json.dumps(doc, indent=1)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc, indent=1) + "\n")
 
     @classmethod
-    def from_json(cls, source):
-        if isinstance(source, str) and source.lstrip().startswith("{"):
-            doc = json.loads(source)
-        else:
-            with open(source) as fh:
-                doc = json.load(fh)
+    def from_json(cls, path):
+        with open(path) as fh:
+            doc = json.load(fh)
         basis = FourierBasis(doc["basis"], doc.get("radius", 2.0))
         n = basis.size
         matrix = np.array(doc["matrix"], dtype=float).reshape(n, n)
@@ -157,7 +156,7 @@ def dn_operator(A, basis, mesh, cfg=None):
     else:
         results = [solve_quasilinear(mesh, A, traces[j], config=cfg)
                    for j in range(basis.size)]
-        solutions = np.stack([r.u.values for r in results])
+        solutions = np.stack([r.u for r in results])
         systems = [r.system for r in results]
         iterations = [r.iterations for r in results]
         converged = [r.converged for r in results]
@@ -182,46 +181,17 @@ def dn_difference(op1, op2):
     return float(np.linalg.svd(d, compute_uv=False)[0])
 
 
-def _band_identity_check(field, band, n=64):
-    pts = band.sample_lattice(n)
-    if len(pts) == 0:
-        return
-    mats = field.eval(pts, np.zeros(len(pts)))
-    eye = np.eye(field.dim)
-    defect = np.abs(mats - eye).max()
-    if defect > 1e-10:
-        raise PreconditionError(
-            f"coefficient is not the identity on the band (defect {defect:.2e})")
+def neumann_trace_error(op1, op2, column):
+    """H^{1/2}-weighted mode norm of the difference of one datum's fluxes.
 
-
-def neumann_trace_error(u1, u2, band, basis=None, field1=None, field2=None):
-    """H^{1/2}-weighted mode norm of the difference of boundary fluxes.
-
-    Both functions must be discrete solutions of source-free problems whose
-    coefficient equals the identity on the band touching the outer circle;
-    fluxes are then computable from the band alone, so the two functions
-    may live on different meshes. Pass the coefficients to have the
-    identity property checked.
+    Reads column `column` of both pairing matrices and divides each mode
+    of the difference by its trace's boundary mass. Both operators must
+    come from dn_operator on one mesh, over one basis.
     """
-    for fld in (field1, field2):
-        if fld is not None:
-            _band_identity_check(fld, band)
-    basis = basis or FourierBasis()
-
-    def mode_fluxes(u):
-        # the band's identity stiffness applied to u, paired with the traces
-        # on the boundary rows, as in dn_pairing
-        mesh = u.mesh
-        inside = band.contains(mesh.centroids)
-        eye = np.broadcast_to(np.eye(2), (int(inside.sum()), 2, 2))
-        band_matrix = p1_stiffness(mesh.areas[inside], mesh.grads[inside], eye,
-                                   mesh.triangles[inside], mesh.n_vertices)
-        flux = basis.trace_matrix(mesh) @ (band_matrix @ u.values)[mesh.boundary]
-        return flux, basis.masses(mesh)
-
-    f1, m1 = mode_fluxes(u1)
-    f2, m2 = mode_fluxes(u2)
-    w = basis.weights(0.5)
-    masses = 0.5 * (m1 + m2)
-    df = f1 - f2
-    return float(np.sqrt(np.sum(w * df ** 2 / masses)))
+    if op1.basis != op2.basis:
+        raise PreconditionError("operators use different bases")
+    if op1.mesh is None or op1.mesh is not op2.mesh:
+        raise PreconditionError("operators must be computed on one mesh")
+    w = op1.basis.weights(0.5)
+    df = op1.pairing_matrix[:, column] - op2.pairing_matrix[:, column]
+    return float(np.sqrt(np.sum(w * df ** 2 / op1.basis.masses(op1.mesh))))

@@ -24,7 +24,6 @@ from .errors import NumericalError, PreconditionError
 
 __all__ = [
     "TriMesh",
-    "FeFunction",
     "SparseSystem",
     "RingFactor",
     "ring_factor",
@@ -68,7 +67,6 @@ class TriMesh:
         self.h_max = float(np.linalg.norm(edges, axis=2).max())
         mask = np.zeros(len(self.vertices), dtype=bool)
         mask[self.boundary] = True
-        self.is_boundary = mask
         self.interior = np.nonzero(~mask)[0]
 
     @property
@@ -239,28 +237,6 @@ def build_disk_mesh(radius, aligned_radii=(), h_target=0.1, n_theta=None,
     return mesh
 
 
-class FeFunction:
-    """Nodal P1 function on a mesh."""
-
-    def __init__(self, mesh, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (mesh.n_vertices,):
-            raise PreconditionError("values must be one per vertex")
-        self.mesh = mesh
-        self.values = values
-
-    def l2(self, region=None):
-        return l2_norm(self.mesh, self.values, region)
-
-    def h1(self, region=None):
-        return h1_norm(self.mesh, self.values, region)
-
-    def __sub__(self, other):
-        if other.mesh is not self.mesh:
-            raise PreconditionError("functions live on different meshes")
-        return FeFunction(self.mesh, self.values - other.values)
-
-
 def _region_mask(mesh, region):
     if region is None:
         return slice(None)
@@ -269,11 +245,18 @@ def _region_mask(mesh, region):
     return np.asarray(region(mesh.centroids), dtype=bool)
 
 
+def _element_values(mesh, values, mask):
+    values = np.asarray(values, dtype=float)
+    if values.shape != (mesh.n_vertices,):
+        raise PreconditionError("values must be one per vertex")
+    return values[mesh.triangles[mask]]
+
+
 def l2_norm(mesh, values, region=None):
     """Exact integral of the squared P1 function, optionally over a region
     selected by triangle centroids."""
     mask = _region_mask(mesh, region)
-    u = values[mesh.triangles[mask]]
+    u = _element_values(mesh, values, mask)
     a = mesh.areas[mask]
     s = (u ** 2).sum(axis=1) + u[:, 0] * u[:, 1] + u[:, 1] * u[:, 2] + u[:, 2] * u[:, 0]
     return float(np.sqrt((a / 6.0 * s).sum()))
@@ -281,7 +264,7 @@ def l2_norm(mesh, values, region=None):
 
 def h1_seminorm(mesh, values, region=None):
     mask = _region_mask(mesh, region)
-    u = values[mesh.triangles[mask]]
+    u = _element_values(mesh, values, mask)
     g = np.einsum("tic,ti->tc", mesh.grads[mask], u)
     return float(np.sqrt((mesh.areas[mask] * (g ** 2).sum(axis=1)).sum()))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import PreconditionError
-from .fem import FeFunction, assemble_frozen, l2_norm
+from .fem import assemble_frozen, l2_norm
 
 __all__ = ["PicardConfig", "QSolveResult", "solve_quasilinear", "dn_pairing"]
 
@@ -30,17 +30,12 @@ class PicardConfig:
 
 @dataclass
 class QSolveResult:
-    u: FeFunction
+    u: np.ndarray
     converged: bool
     iterations: int
     updates: list = dc_field(default_factory=list)
-    damping: float = 1.0
     damping_activated: bool = False
     system: object = None
-
-    @property
-    def mesh(self):
-        return self.u.mesh
 
 
 def _boundary_array(mesh, boundary_values):
@@ -74,8 +69,8 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
     if field.is_linear and warm_start is None:
         system = assemble_frozen(mesh, coef, load=load)
         u = system.solve_dirichlet(g)
-        return QSolveResult(FeFunction(mesh, u), converged=True, iterations=1,
-                            updates=[], system=system)
+        return QSolveResult(u, converged=True, iterations=1, updates=[],
+                            system=system)
 
     u_prev = np.zeros(mesh.n_vertices) if warm_start is None \
         else np.asarray(warm_start, dtype=float).copy()
@@ -102,12 +97,12 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
         if upd <= cfg.tol:
             # final state must match the assembled operator
             system = assemble_frozen(mesh, coef, state=u_prev, load=load)
-            return QSolveResult(FeFunction(mesh, u_prev), converged=True,
-                                iterations=it, updates=updates, damping=omega,
-                                damping_activated=activated, system=system)
-    return QSolveResult(FeFunction(mesh, u_prev), converged=False,
-                        iterations=cfg.max_iter, updates=updates, damping=omega,
-                        damping_activated=activated, system=system)
+            return QSolveResult(u_prev, converged=True, iterations=it,
+                                updates=updates, damping_activated=activated,
+                                system=system)
+    return QSolveResult(u_prev, converged=False, iterations=cfg.max_iter,
+                        updates=updates, damping_activated=activated,
+                        system=system)
 
 
 def dn_pairing(solutions, systems, basis_matrix):

@@ -263,7 +263,7 @@ def _mms_h1_error(h):
                             lambda p: p[:, 0] * p[:, 1], source=source,
                             config=PicardConfig(tol=1e-12))
     assert res.converged
-    gu = np.einsum("tic,ti->tc", mesh.grads, res.u.values[mesh.triangles])
+    gu = np.einsum("tic,ti->tc", mesh.grads, res.u[mesh.triangles])
     c = mesh.centroids
     gex = np.stack([c[:, 1], c[:, 0]], axis=1)
     return float(np.sqrt(np.sum(mesh.areas * np.sum((gu - gex) ** 2,
@@ -283,7 +283,7 @@ def test_criterion_8_fixed_point_solver():
     cold = solve_quasilinear(mesh, field, bv, config=cfg)
     warm = solve_quasilinear(mesh, field, bv, config=cfg,
                              warm_start=np.full(mesh.n_vertices, 0.7))
-    gap = l2_norm(mesh, cold.u.values - warm.u.values)
+    gap = l2_norm(mesh, cold.u - warm.u)
     unique_ok = cold.converged and warm.converged and gap <= 10.0 * cfg.tol
 
     errs = [_mms_h1_error(h) for h in (0.2, 0.1, 0.05)]
@@ -291,8 +291,11 @@ def test_criterion_8_fixed_point_solver():
     rate_ok = all(1.7 <= r <= 2.3 for r in ratios)
     elapsed = time.monotonic() - t0
     ok = one_shot and unique_ok and rate_ok
+    # the gap is roundoff when the fixed point is unique; its digits move
+    # with any change to the arithmetic of a linear solve
+    gap_text = "< 1e-12" if gap < 1e-12 else f"{gap:.2e}"
     verdict(ok, 8, "fixed point solver",
-            f"linear iterations {lin.iterations}, start gap {gap:.2e} "
+            f"linear iterations {lin.iterations}, start gap {gap_text} "
             f"(tol {cfg.tol:g}), h1 ratios "
             f"{', '.join(f'{r:.3f}' for r in ratios)}", elapsed)
     assert one_shot

@@ -54,7 +54,6 @@ class TestFields:
         t = np.array([np.pi / 2.0])
         val = f.eval(pts, t)[0]
         assert np.abs(val - 3.0 * np.eye(2)).max() < 1e-14
-        assert abs(f.scalar(pts, t)[0] - 3.0) < 1e-14
         assert not f.is_linear
 
     def test_state_dependence_actually_enters(self):

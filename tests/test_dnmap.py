@@ -9,8 +9,9 @@ from cloaksim.coeff import (IsotropicField, ProductField, StructureConstants,
 from cloaksim.dnmap import (DtNOperator, FourierBasis, dn_difference,
                             dn_operator, neumann_trace_error)
 from cloaksim.errors import PreconditionError
-from cloaksim.fem import FeFunction, assemble_frozen, build_disk_mesh
+from cloaksim.fem import assemble_frozen, build_disk_mesh, p1_stiffness
 from cloaksim.geometry import (pushforward, regular_blowup,
+                               transformed_inner_tensor,
                                truncated_singular_cloak)
 from cloaksim.homog import build_isotropic_cloak_sequence
 from cloaksim.presets import inclusion_field, preset_field
@@ -199,9 +200,11 @@ class TestJson:
         return DtNOperator(basis, M, coefficient="demo", nonlinear=True,
                            converged=[True, False, True, True, True])
 
-    def test_round_trip_text(self):
+    def test_round_trip_text(self, tmp_path):
         op = self.make_op()
-        back = DtNOperator.from_json(op.to_json())
+        path = tmp_path / "op.json"
+        op.to_json(path)
+        back = DtNOperator.from_json(path)
         assert back.basis == op.basis
         assert np.abs(back.pairing_matrix - op.pairing_matrix).max() == 0.0
         assert back.converged == op.converged
@@ -226,11 +229,13 @@ class TestJson:
         op = dn_operator(identity_field(2), FourierBasis(2, radius=3.0), mesh)
         assert op.solutions.shape == (5, mesh.n_vertices)
 
-    def test_loaded_operator_has_no_solutions(self):
+    def test_loaded_operator_has_no_solutions(self, tmp_path):
         mesh = build_disk_mesh(2.0, h_target=0.4)
         op = dn_operator(identity_field(2), FourierBasis(2), mesh)
         assert op.mesh is mesh and op.iterations == [1] * 5
-        back = DtNOperator.from_json(op.to_json())
+        path = tmp_path / "op.json"
+        op.to_json(path)
+        back = DtNOperator.from_json(path)
         assert back.solutions is None and back.iterations is None
         assert back.mesh is None
 
@@ -356,51 +361,63 @@ class TestDifference:
         assert dn_difference(op1, op2) == dn_difference(op2, op1)
 
 
-def solve_mode(mesh, field, k):
-    system = assemble_frozen(mesh, mesh.bind(field))
-    bv = np.cos(k * mesh.boundary_angles())
-    return FeFunction(mesh, system.solve_dirichlet(bv))
-
-
 class TestNeumannTrace:
     def test_self_is_zero(self):
         mesh = build_disk_mesh(2.0, h_target=0.2)
-        u = solve_mode(mesh, identity_field(2), 1)
-        band = annulus(1.5, 2.0)
-        assert neumann_trace_error(u, u, band) == 0.0
+        op = dn_operator(identity_field(2), FourierBasis(2), mesh)
+        assert neumann_trace_error(op, op, 1) == 0.0
 
     def test_closed_form_against_zero_flux(self):
-        # u = (r/2)^2 cos 2theta has flux 2 pi against cos 2theta and none
-        # against the other traces, each of mass 2 pi; the zero function
-        # has no flux, so the weighted norm is sqrt(sqrt(5) (2 pi)^2 / 2 pi)
-        band = annulus(1.5, 2.0)
+        # the cos 2theta datum (column 3) has the solution (r/2)^2 cos 2theta,
+        # with flux 2 pi against cos 2theta and none against the other
+        # traces, each of mass 2 pi; a zero pairing has no flux, so the
+        # weighted norm is sqrt(sqrt(5) (2 pi)^2 / 2 pi)
         basis = FourierBasis(2)
         want = np.sqrt(np.sqrt(5.0) * (2.0 * np.pi) ** 2 / (2.0 * np.pi))
         errs = []
         for h in (0.2, 0.1):
             mesh = build_disk_mesh(2.0, h_target=h)
-            u = solve_mode(mesh, identity_field(2), 2)
-            zero = FeFunction(mesh, np.zeros(mesh.n_vertices))
-            got = neumann_trace_error(u, zero, band, basis=basis)
+            op = dn_operator(identity_field(2), basis, mesh)
+            zero = DtNOperator(basis, np.zeros((basis.size, basis.size)),
+                               mesh=mesh)
+            got = neumann_trace_error(op, zero, 3)
             errs.append(abs(got - want) / want)
         assert errs[0] <= 4e-3
         assert errs[1] <= 1e-3
         assert errs[0] / errs[1] >= 3.5
 
-    def test_cross_mesh_small(self):
-        # the same continuum problem on two meshes must give nearby fluxes
-        band = annulus(1.5, 2.0)
-        m1 = build_disk_mesh(2.0, h_target=0.15)
-        m2 = build_disk_mesh(2.0, h_target=0.1)
-        u1 = solve_mode(m1, identity_field(2), 2)
-        u2 = solve_mode(m2, identity_field(2), 2)
-        err = neumann_trace_error(u1, u2, band, basis=FourierBasis(3))
-        assert err < 0.05
+    def test_pairing_column_is_the_band_flux(self):
+        # where the coefficient is the identity near the boundary, the
+        # boundary rows of the stiffness come from the identity alone, so
+        # the pairing column equals the flux of an identity stiffness
+        # assembled on that band only
+        mesh = build_disk_mesh(2.0, aligned_radii=(0.4,), h_target=0.2)
+        basis = FourierBasis(3)
+        op = dn_operator(transformed_inner_tensor(inclusion_field("5I"), 0.4),
+                         basis, mesh)
+        inside = annulus(1.5, 2.0).contains(mesh.centroids)
+        eye = np.broadcast_to(np.eye(2), (int(inside.sum()), 2, 2))
+        band = p1_stiffness(mesh.areas[inside], mesh.grads[inside], eye,
+                            mesh.triangles[inside], mesh.n_vertices)
+        traces = basis.trace_matrix(mesh)
+        for j in range(basis.size):
+            flux = traces @ (band @ op.solutions[j])[mesh.boundary]
+            assert np.abs(flux - op.pairing_matrix[:, j]).max() <= \
+                1e-12 * np.abs(op.pairing_matrix).max()
 
-    def test_non_identity_band_refused(self):
-        band = annulus(1.5, 2.0)
+    def test_operators_on_other_meshes_or_bases_refused(self, tmp_path):
         mesh = build_disk_mesh(2.0, h_target=0.3)
-        u = solve_mode(mesh, constant_field(2.0 * np.eye(2)), 1)
-        with pytest.raises(PreconditionError):
-            neumann_trace_error(u, u, band,
-                                field1=constant_field(2.0 * np.eye(2)))
+        op = dn_operator(identity_field(2), FourierBasis(2), mesh)
+        path = tmp_path / "op.json"
+        op.to_json(path)
+        others = [
+            dn_operator(identity_field(2), FourierBasis(2),
+                        build_disk_mesh(2.0, h_target=0.3)),
+            DtNOperator.from_json(path),
+            dn_operator(identity_field(2), FourierBasis(3), mesh),
+        ]
+        for other in others:
+            with pytest.raises(PreconditionError):
+                neumann_trace_error(op, other, 1)
+            with pytest.raises(PreconditionError):
+                neumann_trace_error(other, op, 1)

@@ -5,7 +5,7 @@ from scipy.sparse.linalg import splu
 
 from cloaksim.coeff import annulus, constant_field, identity_field
 from cloaksim.errors import NumericalError, PreconditionError
-from cloaksim.fem import (FeFunction, SparseSystem, TriMesh, assemble_frozen,
+from cloaksim.fem import (SparseSystem, TriMesh, assemble_frozen,
                           build_disk_mesh, h1_norm, h1_seminorm, l2_norm,
                           ring_factor)
 from cloaksim.presets import preset_field
@@ -86,6 +86,13 @@ class TestNorms:
         full = l2_norm(mesh, vals)
         assert inner < full
         assert abs(inner - np.sqrt(np.pi)) < 0.05
+
+    @pytest.mark.parametrize("norm", [l2_norm, h1_seminorm, h1_norm],
+                             ids=lambda f: f.__name__)
+    def test_values_length_checked(self, norm):
+        mesh = build_disk_mesh(1.0, h_target=0.3)
+        with pytest.raises(PreconditionError):
+            norm(mesh, np.ones(3))
 
 
 class TestDiskMesh:
@@ -282,29 +289,3 @@ class TestRingDetector:
         self.assert_lu(SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh),
                        factors)
 
-
-class TestFeFunction:
-    def test_norm_methods_match_module_functions(self):
-        mesh = build_disk_mesh(1.0, h_target=0.3)
-        vals = mesh.vertices[:, 0] ** 2
-        f = FeFunction(mesh, vals)
-        assert abs(f.l2() - l2_norm(mesh, vals)) < 1e-15
-        assert abs(f.h1() - h1_norm(mesh, vals)) < 1e-15
-
-    def test_subtract_same_mesh(self):
-        mesh = build_disk_mesh(1.0, h_target=0.3)
-        a = FeFunction(mesh, np.ones(mesh.n_vertices))
-        b = FeFunction(mesh, np.zeros(mesh.n_vertices))
-        assert abs((a - b).l2() - a.l2()) < 1e-15
-
-    def test_subtract_foreign_mesh_rejected(self):
-        m1 = build_disk_mesh(1.0, h_target=0.3)
-        m2 = build_disk_mesh(1.0, h_target=0.25)
-        with pytest.raises(PreconditionError):
-            FeFunction(m1, np.ones(m1.n_vertices)) - \
-                FeFunction(m2, np.ones(m2.n_vertices))
-
-    def test_values_length_checked(self):
-        mesh = build_disk_mesh(1.0, h_target=0.3)
-        with pytest.raises(PreconditionError):
-            FeFunction(mesh, np.ones(3))
