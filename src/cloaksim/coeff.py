@@ -147,6 +147,7 @@ class ProductField(CoefficientField):
                 f"ProductField needs a state-free field, '{field.name}' "
                 f"has L = {field.constants.lipschitz_l:g}")
         self.scalar = scalar
+        self.scalar_constants = tuple(scalar_constants)
         self.field = field
         a, b = StructureConstants(*scalar_constants), field.constants
         constants = StructureConstants(a.alpha * b.alpha, a.beta * b.beta,

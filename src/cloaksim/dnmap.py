@@ -82,7 +82,7 @@ class DtNOperator:
     Column j of the pairing matrix is the boundary flux of the solution
     with datum j, paired with every trace. Operators computed by
     dn_operator also keep the mesh, the nodal solution of each column
-    (row j solves datum j) and its Picard iteration count; operators
+    (row j solves datum j) and its iteration count; operators
     loaded by from_json have None there, so only dn_difference takes them.
     """
 
@@ -134,9 +134,10 @@ def dn_operator(A, basis, mesh, cfg=None):
     """Solve one boundary value problem per basis function and pair fluxes.
 
     For a state-independent coefficient a single factorization serves all
-    columns. Otherwise each column is an independent Picard iteration at
-    amplitude one, and the operator records a nonlinearity flag: the matrix
-    is then a finite probe of a nonlinear map, not a linear restriction.
+    columns. Otherwise each column is an independent nonlinear solve at
+    amplitude one, all with the coefficient bound once, and the operator
+    records a nonlinearity flag: the matrix is then a finite probe of a
+    nonlinear map, not a linear restriction.
     """
     rb = np.linalg.norm(mesh.vertices[mesh.boundary], axis=1)
     if np.abs(rb - basis.radius).max() > 1e-9 * basis.radius:
@@ -154,7 +155,9 @@ def dn_operator(A, basis, mesh, cfg=None):
         iterations = [1] * basis.size
         converged = None
     else:
-        results = [solve_quasilinear(mesh, A, traces[j], config=cfg)
+        coef = mesh.bind(A)
+        results = [solve_quasilinear(mesh, A, traces[j], config=cfg,
+                                     coef=coef)
                    for j in range(basis.size)]
         solutions = np.stack([r.u for r in results])
         systems = [r.system for r in results]

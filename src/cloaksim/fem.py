@@ -6,17 +6,17 @@ exactly by a ring of vertices. Assembly is vectorized over triangles, with
 the coefficient sampled at the three edge midpoints of each element.
 
 A Dirichlet solve factors its system once, in one of two kinds. When the
-mesh records its ring layout and the matrix is invariant under a rotation
-by one angular step (the coefficient is rotation-equivariant), the angular
-Fourier transform splits the problem into one Hermitian tridiagonal system
-over the rings per mode (RingFactor). Otherwise SuperLU factors the
-interior block.
+mesh records its ring layout and the matrix is symmetric and invariant
+under a rotation by one angular step (a rotation-equivariant coefficient
+frozen at a radial state), the angular Fourier transform splits the
+problem into one Hermitian tridiagonal system over the rings per mode
+(RingFactor). Otherwise SuperLU factors the interior block.
 """
 
 import io
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 # cg is never called here; it stays bound because perfbench/tracing.py wraps it
 from scipy.sparse.linalg import cg, splu  # noqa: F401
 
@@ -29,6 +29,7 @@ __all__ = [
     "ring_factor",
     "build_disk_mesh",
     "assemble_frozen",
+    "newton_system",
     "p1_elements",
     "p1_stiffness",
     "l2_norm",
@@ -306,10 +307,25 @@ def p1_stiffness(areas, grads, amats, dofs, n_dofs):
     """
     local = grads @ amats @ grads.transpose(0, 2, 1)
     local *= areas[:, None, None]
+    return _scatter(local, dofs, n_dofs)
+
+
+def _scatter(local, dofs, n_dofs):
+    """CSR sum of the (nt, 3, 3) element matrices; local[t, i, j] couples
+    dofs[t, i] to dofs[t, j]. The pattern depends on dofs alone."""
     rows = np.repeat(dofs, 3, axis=1).ravel()     # dofs[t, i]
     cols = np.tile(dofs, (1, 3)).ravel()          # dofs[t, j]
     return coo_matrix((local.ravel(), (rows, cols)),
                       shape=(n_dofs, n_dofs)).tocsr()
+
+
+def _midpoint_states(mesh, state):
+    """The state at the assembly quadrature points, (3 * nt,): the mean of
+    the nodal values at the ends of each edge, in mesh.midpoints order."""
+    tv = np.asarray(state, dtype=float)[mesh.triangles]
+    return 0.5 * np.stack(
+        [tv[:, 0] + tv[:, 1], tv[:, 1] + tv[:, 2], tv[:, 2] + tv[:, 0]],
+        axis=1).reshape(-1)
 
 
 def assemble_frozen(mesh, coef, state=None, load=None):
@@ -332,14 +348,7 @@ def assemble_frozen(mesh, coef, state=None, load=None):
     SparseSystem
     """
     nt = mesh.n_triangles
-    if state is None:
-        t_mid = 0.0
-    else:
-        state = np.asarray(state, dtype=float)
-        tv = state[mesh.triangles]
-        t_mid = 0.5 * np.stack(
-            [tv[:, 0] + tv[:, 1], tv[:, 1] + tv[:, 2], tv[:, 2] + tv[:, 0]],
-            axis=1).reshape(-1)
+    t_mid = 0.0 if state is None else _midpoint_states(mesh, state)
     # 1/3 weight per midpoint; the per-midpoint matrices are not kept
     # through p1_stiffness, which lowers the resident peak of a solve
     amean = coef(t_mid).reshape(nt, 3, 2, 2).mean(axis=1)
@@ -350,13 +359,56 @@ def assemble_frozen(mesh, coef, state=None, load=None):
     return SparseSystem(matrix, load, mesh)
 
 
+# forward-difference step in the state for the derivative of A
+_FD_STEP = 1e-7
+
+
+def newton_system(frozen, coef, state):
+    """The Newton linearization at the state u of the residual K(u) u - load.
+
+    frozen : SparseSystem
+        What assemble_frozen returned for coef at this state: K(u) and load.
+    coef : callable
+        The same bound coefficient.
+    state : array (n_vertices,)
+
+    Returns the SparseSystem with matrix J = K(u) + C(u) and load
+    C(u) u + load, so that its Dirichlet solve is the Newton step from u.
+    C is the derivative of K(u) u through the state at the edge midpoints:
+    on a triangle, C[i, j] = (area / 6) sum over the edges q at corner j of
+    grad phi_i . d_t A(x_q, u_q) grad u, with d_t A a forward difference
+    of step 1e-7. C has the pattern of K; J is in general not symmetric.
+    """
+    mesh = frozen.mesh
+    nt = mesh.n_triangles
+    state = np.asarray(state, dtype=float)
+    t_mid = _midpoint_states(mesh, state)
+    dadt = (coef(t_mid + _FD_STEP) - coef(t_mid)) / _FD_STEP
+    grad_u = np.einsum("tic,ti->tc", mesh.grads, state[mesh.triangles])
+    # d_t A grad u at midpoints m01, m12, m20, then summed over the two
+    # edges at each corner: 0 on m01 and m20, 1 on m01 and m12, 2 on m12
+    # and m20
+    flux = np.einsum("tqcd,td->tqc", dadt.reshape(nt, 3, 2, 2), grad_u)
+    at_corner = np.empty_like(flux)
+    np.add(flux[:, 0], flux[:, 2], out=at_corner[:, 0])
+    np.add(flux[:, 0], flux[:, 1], out=at_corner[:, 1])
+    np.add(flux[:, 1], flux[:, 2], out=at_corner[:, 2])
+    local = mesh.grads @ at_corner.transpose(0, 2, 1)
+    local *= (mesh.areas / 6.0)[:, None, None]
+    cmat = _scatter(local, mesh.triangles, mesh.n_vertices)
+    k = frozen.matrix
+    jac = csr_matrix((k.data + cmat.data, k.indices, k.indptr),
+                     shape=k.shape)
+    return SparseSystem(jac, cmat @ state + frozen.load, mesh)
+
+
 class SparseSystem:
-    """Assembled symmetric system with Dirichlet elimination.
+    """Assembled system with Dirichlet elimination.
 
     The interior problem is factored on the first solve and later solves
-    reuse the factor. ring_factor is tried first; SuperLU with a symmetric
-    minimum-degree ordering factors the interior block when it does not
-    apply.
+    reuse the factor. ring_factor is tried first; SuperLU factors the
+    interior block when it does not apply. The matrix need not be
+    symmetric: a Newton system (newton_system) is not.
     """
 
     def __init__(self, matrix, load, mesh):
@@ -370,6 +422,8 @@ class SparseSystem:
             self._solver = ring_factor(self.matrix, self.mesh)
             if self._solver is None:
                 ii = self.mesh.interior
+                # minimum degree on A^T + A; the Newton systems have a
+                # symmetric pattern, and their fill is 40 % below COLAMD's
                 self._solver = splu(self.matrix[ii][:, ii].tocsc(),
                                      permc_spec="MMD_AT_PLUS_A")
         return self._solver
@@ -396,29 +450,60 @@ def ring_factor(matrix, mesh):
     """RingFactor of the interior problem, or None where it does not apply.
 
     It applies when the mesh records its ring layout (TriMesh.n_theta) and
-    the matrix is invariant under the rotation by one angular step.
+    the matrix is symmetric and invariant under the rotation by one angular
+    step, each to 1e-12 of its largest diagonal entry (its largest entry,
+    for a positive semi-definite matrix).
+
+    The cheap tests come first. A state or coefficient that is not radial
+    makes the diagonal vary along a ring, at O(n) cost to see. Symmetry is
+    read from the rows at angular index 0 that RingFactor reads anyway; it
+    turns away the Newton system of a radial state, which is rotation
+    invariant but not symmetric. Only then is the whole matrix rotated.
     """
     n = mesh.n_theta
     # a mesh whose one ring is the boundary has the center alone inside
     if n is None or mesh.n_vertices <= 1 + n:
         return None
-    return RingFactor(matrix, n) if _rotation_invariant(matrix, n) else None
-
-
-def _rotation_invariant(matrix, n):
-    """Whether the matrix of a ring mesh with n vertices per ring equals its
-    rotation by one angular step, to 1e-12 of its largest diagonal entry
-    (its largest entry, as the matrix is positive semi-definite).
-
-    The diagonal is tested first: a state or coefficient that is not radial
-    makes it vary along a ring, and that O(n) test spares the comparison
-    of the whole rotated matrix.
-    """
     diag = matrix.diagonal()
     tol = 1e-12 * np.abs(diag).max()
     rings = diag[1:].reshape(-1, n)
     if np.abs(rings - rings[:, :1]).max() > tol:
-        return False
+        return None
+    bands = _ring_bands(matrix, n)
+    if not (_bands_symmetric(matrix, bands, tol)
+            and _rotation_invariant(matrix, n, tol)):
+        return None
+    return RingFactor(matrix, bands)
+
+
+def _ring_bands(matrix, n):
+    """Rows at angular index 0 of the interior rings of a ring-mesh matrix
+    with n vertices per ring: bands[1 + d, a, j] is the entry of row (a, 0)
+    in column (a + d, j), for d = -1, 0, 1. The center column is left out."""
+    m = (matrix.shape[0] - 1) // n - 1            # interior rings
+    first = matrix[1 + n * np.arange(m)].tocoo()
+    keep = first.col > 0
+    ring, j = divmod(first.col[keep] - 1, n)
+    row = first.row[keep]
+    bands = np.zeros((3, m, n))
+    bands[1 + ring - row, row, j] = first.data[keep]
+    return bands
+
+
+def _bands_symmetric(matrix, bands, tol):
+    """Whether a rotation-invariant matrix with these ring bands is
+    symmetric: c(j) = c(-j) within a ring, the band to the next ring
+    mirrors the band back from it, and so does the center's coupling."""
+    neg = -np.arange(bands.shape[2]) % bands.shape[2]
+    return bool(np.abs(bands[1] - bands[1][:, neg]).max() <= tol
+                and np.abs(bands[2, :-1] - bands[0, 1:][:, neg]).max(
+                    initial=0.0) <= tol
+                and abs(matrix[0, 1] - matrix[1, 0]) <= tol)
+
+
+def _rotation_invariant(matrix, n, tol):
+    """Whether the matrix of a ring mesh with n vertices per ring equals its
+    rotation by one angular step, to tol."""
     step = np.arange(matrix.shape[0])
     ring, j = divmod(step[1:] - 1, n)
     step[1:] = 1 + ring * n + (j + 1) % n
@@ -433,31 +518,24 @@ def _rotation_invariant(matrix, n):
 
 
 class RingFactor:
-    """Interior factor of a rotation-invariant system, by angular mode.
+    """Interior factor of a symmetric rotation-invariant system, by mode.
 
     The matrix is block-circulant over the rings, so the angular Fourier
     transform of each ring decouples the modes. Mode k is a Hermitian
     tridiagonal system over the interior rings whose entries are the
-    transforms of the rows at angular index 0; the center vertex couples to
-    mode 0 alone and is unknown 0 of every mode (an identity row for k > 0).
-    All modes are factored as L D L^H in one sweep over the rings, and a
-    solve is a real FFT of each ring, two sweeps and the inverse FFT.
+    transforms of the rows at angular index 0 (the bands of _ring_bands);
+    the center vertex couples to mode 0 alone and is unknown 0 of every
+    mode (an identity row for k > 0). All modes are factored as L D L^H in
+    one sweep over the rings, and a solve is a real FFT of each ring, two
+    sweeps and the inverse FFT.
     """
 
-    def __init__(self, matrix, n_theta):
-        n = n_theta
-        m = (matrix.shape[0] - 1) // n - 1            # interior rings
+    def __init__(self, matrix, bands):
+        _, m, n = bands.shape
         self.n_theta = n
-        first = matrix[1 + n * np.arange(m)].tocoo()
-        ring, j = divmod(first.col - 1, n)
-        offset = ring - first.row
-        keep = (first.col > 0) & (offset >= 0)
-        # bands[0, a]: row (a, 0) against ring a; bands[1, a]: against ring a + 1
-        bands = np.zeros((2, m, n))
-        bands[offset[keep], first.row[keep], j[keep]] = first.data[keep]
         # row (a, j) holds c(j' - j) in column (b, j'), so mode k sees
         # sum_l c(l) exp(+2 pi i l k / n): the conjugate of the FFT
-        symbol = np.fft.rfft(bands, axis=2).conj()
+        symbol = np.fft.rfft(bands[1:], axis=2).conj()
         n_modes = symbol.shape[2]
         diag = np.ones((m + 1, n_modes))
         diag[1:] = symbol[0].real

@@ -14,8 +14,8 @@ boundary pointwise. The state variable t rides along untouched.
 
 import numpy as np
 
-from .coeff import (CoefficientField, StructureConstants, _as_points, annulus,
-                    ball, identity_field, piecewise_field)
+from .coeff import (CoefficientField, ProductField, StructureConstants,
+                    _as_points, annulus, ball, identity_field, piecewise_field)
 from .errors import PreconditionError
 
 __all__ = [
@@ -211,34 +211,35 @@ class PushforwardField(CoefficientField):
         return lambda t: js @ inner(t) @ jst
 
 
-def pushforward(field, dmap, constants=None, name=""):
+def pushforward(field, dmap, name=""):
     """Transport a coefficient through a boundary-fixing diffeomorphism.
 
     The returned field evaluates at image points y via x = dmap.inverse(y).
     Structure constants are estimated by sampling the jacobian over the map
-    domain unless explicit constants are supplied; for maps with blowing-up
-    distortion the estimate reflects only the sampled region.
+    domain; for maps with blowing-up distortion the estimate reflects only
+    the sampled region. The state rides along, so a product a(t) B pushes
+    forward to the product a(t) F_*B, whose binding costs one scalar
+    product per state.
     """
     if field.dim != dmap.dim:
         raise PreconditionError("field and map dimensions differ")
-    dim = field.dim
-
-    if constants is None:
-        dom = dmap.domain or ball(2.0, dim=dim)
-        pts = dom.sample_lattice(24)
-        if len(pts) == 0:
-            raise PreconditionError("cannot sample map domain for constants")
-        jac = dmap._jacobian(pts)
-        det = np.abs(np.linalg.det(jac))
-        sv = np.linalg.svd(jac, compute_uv=False)
-        lo = float((sv[:, -1] ** 2 / det).min())
-        hi = float((sv[:, 0] ** 2 / det).max())
-        c = field.constants
-        constants = StructureConstants(c.alpha * lo, c.beta * hi,
-                                       c.lipschitz_l * hi)
-
-    return PushforwardField(field, dmap, constants,
-                            name or f"{dmap.name}_*{field.name}")
+    name = name or f"{dmap.name}_*{field.name}"
+    if isinstance(field, ProductField):
+        return ProductField(field.scalar, field.scalar_constants,
+                            pushforward(field.field, dmap), name=name)
+    dom = dmap.domain or ball(2.0, dim=field.dim)
+    pts = dom.sample_lattice(24)
+    if len(pts) == 0:
+        raise PreconditionError("cannot sample map domain for constants")
+    jac = dmap._jacobian(pts)
+    det = np.abs(np.linalg.det(jac))
+    sv = np.linalg.svd(jac, compute_uv=False)
+    lo = float((sv[:, -1] ** 2 / det).min())
+    hi = float((sv[:, 0] ** 2 / det).max())
+    c = field.constants
+    constants = StructureConstants(c.alpha * lo, c.beta * hi,
+                                   c.lipschitz_l * hi)
+    return PushforwardField(field, dmap, constants, name)
 
 
 def transformed_inner_tensor(field, r):

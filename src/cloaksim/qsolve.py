@@ -1,9 +1,14 @@
-"""Picard iteration for -div(A(x, u) grad u) = g with Dirichlet data.
+"""Newton iteration for -div(A(x, u) grad u) = g with Dirichlet data.
 
-Each step freezes the state dependence at the previous iterate and solves
-the resulting linear problem. A field that does not depend on the state is
-solved in a single step. After three growing updates in a row the step is
-halved, once; the result records that it was.
+The discrete problem is K(u) u = load, with K(u) the stiffness matrix of
+the coefficient frozen at the state u. The first step freezes the starting
+state (zero, unless a warm start is given) and solves the linear problem:
+a Picard step, which the angular-mode factor serves at the zero state.
+Every later step is a Newton step on the residual K(u) u - load
+(fem.newton_system). A Newton update that is not smaller than the update
+before it is replaced by the Picard step from the same state, and the
+result records that it was. A field that does not depend on the state is
+solved in a single step.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -11,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import PreconditionError
-from .fem import assemble_frozen, l2_norm
+from .fem import assemble_frozen, l2_norm, newton_system
 
 __all__ = ["PicardConfig", "QSolveResult", "solve_quasilinear", "dn_pairing"]
 
@@ -30,6 +35,14 @@ class PicardConfig:
 
 @dataclass
 class QSolveResult:
+    """Solution and iteration record of solve_quasilinear.
+
+    updates holds the relative L2 update of each step. damping_activated is
+    True when the safeguard replaced at least one Newton step by a Picard
+    step. system is the system assembled at the returned state, whose
+    residual dn_pairing reads as the boundary flux.
+    """
+
     u: np.ndarray
     converged: bool
     iterations: int
@@ -49,8 +62,8 @@ def _boundary_array(mesh, boundary_values):
 
 
 def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
-                      warm_start=None):
-    """Solve the frozen-coefficient fixed point problem on a mesh.
+                      warm_start=None, coef=None):
+    """Solve K(u) u = load on a mesh with the given Dirichlet data.
 
     Parameters
     ----------
@@ -60,10 +73,13 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
     config : PicardConfig
     source : callable g(points) -> values, optional
     warm_start : nodal array to start the iteration from, optional
+    coef : mesh.bind(field), optional; a caller that solves with the same
+        field on the same mesh many times binds it once and passes it
     """
     cfg = config or PicardConfig()
     g = _boundary_array(mesh, boundary_values)
-    coef = mesh.bind(field)
+    if coef is None:
+        coef = mesh.bind(field)
     load = None if source is None else mesh.load(source)
 
     if field.is_linear and warm_start is None:
@@ -72,37 +88,39 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
         return QSolveResult(u, converged=True, iterations=1, updates=[],
                             system=system)
 
-    u_prev = np.zeros(mesh.n_vertices) if warm_start is None \
+    u = np.zeros(mesh.n_vertices) if warm_start is None \
         else np.asarray(warm_start, dtype=float).copy()
-    omega = 1.0
     activated = False
     updates = []
-    grow = 0
     system = None
     for it in range(1, cfg.max_iter + 1):
-        system = assemble_frozen(mesh, coef, state=u_prev, load=load)
-        u_hat = system.solve_dirichlet(g)
-        u_new = omega * u_hat + (1.0 - omega) * u_prev
-        scale = max(l2_norm(mesh, u_new), 1e-30)
-        upd = l2_norm(mesh, u_new - u_prev) / scale
-        updates.append(upd)
-        if len(updates) >= 2 and upd > updates[-2]:
-            grow += 1
-            if grow >= 3 and not activated:
-                omega = 0.5 * omega
-                activated = True
+        system = assemble_frozen(mesh, coef, state=u, load=load)
+        if it == 1:
+            u_new = system.solve_dirichlet(g)
         else:
-            grow = 0
-        u_prev = u_new
+            u_new = newton_system(system, coef, u).solve_dirichlet(g)
+        upd = _update(mesh, u_new, u)
+        if it > 1 and upd >= updates[-1]:
+            # the safeguard: the Picard step from the same state
+            u_new = system.solve_dirichlet(g)
+            upd = _update(mesh, u_new, u)
+            activated = True
+        updates.append(upd)
+        u = u_new
         if upd <= cfg.tol:
             # final state must match the assembled operator
-            system = assemble_frozen(mesh, coef, state=u_prev, load=load)
-            return QSolveResult(u_prev, converged=True, iterations=it,
+            system = assemble_frozen(mesh, coef, state=u, load=load)
+            return QSolveResult(u, converged=True, iterations=it,
                                 updates=updates, damping_activated=activated,
                                 system=system)
-    return QSolveResult(u_prev, converged=False, iterations=cfg.max_iter,
+    return QSolveResult(u, converged=False, iterations=cfg.max_iter,
                         updates=updates, damping_activated=activated,
                         system=system)
+
+
+def _update(mesh, new, old):
+    """L2 norm of the update relative to that of the new iterate."""
+    return l2_norm(mesh, new - old) / max(l2_norm(mesh, new), 1e-30)
 
 
 def dn_pairing(solutions, systems, basis_matrix):

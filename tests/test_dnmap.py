@@ -10,7 +10,7 @@ from cloaksim.dnmap import (DtNOperator, FourierBasis, dn_difference,
                             dn_operator, neumann_trace_error)
 from cloaksim.errors import PreconditionError
 from cloaksim.fem import assemble_frozen, build_disk_mesh, p1_stiffness
-from cloaksim.geometry import (pushforward, regular_blowup,
+from cloaksim.geometry import (DiffMap, pushforward, regular_blowup,
                                transformed_inner_tensor,
                                truncated_singular_cloak)
 from cloaksim.homog import build_isotropic_cloak_sequence
@@ -105,6 +105,31 @@ class TestOperator:
         assert op.nonlinear
         assert op.all_converged
         assert len(op.converged) == basis.size
+
+    @pytest.mark.parametrize("key", ["product", "isotropic"])
+    def test_nonlinear_operator_binds_once(self, key):
+        # every column solves with the same field on the same mesh, so the
+        # operator maps the quadrature points through F^{-1} and DF once
+        base = regular_blowup(0.5)
+        calls = {"inverse": 0, "jacobian": 0}
+
+        def counted(name, fn):
+            def wrapped(pts):
+                calls[name] += 1
+                return fn(pts)
+            return wrapped
+
+        dmap = DiffMap(base.forward, counted("inverse", base.inverse),
+                       counted("jacobian", base.jacobian), domain=base.domain)
+        inner = preset_field("isotropic-sin") if key == "product" else \
+            IsotropicField(lambda p, t: 2.0 + np.sin(t),
+                           StructureConstants(1.0, 3.0, 1.0))
+        field = pushforward(inner, dmap)
+        mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.3)
+        calls.update(inverse=0, jacobian=0)
+        op = dn_operator(field, FourierBasis(max_mode=2), mesh)
+        assert op.nonlinear and op.all_converged
+        assert calls == {"inverse": 1, "jacobian": 1}
 
 
 def _shell_case(rho):

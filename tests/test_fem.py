@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from cloaksim.coeff import annulus, constant_field, identity_field
 from cloaksim.errors import NumericalError, PreconditionError
 from cloaksim.fem import (SparseSystem, TriMesh, assemble_frozen,
                           build_disk_mesh, h1_norm, h1_seminorm, l2_norm,
-                          ring_factor)
+                          newton_system, ring_factor)
+from cloaksim.geometry import pushforward, regular_blowup
 from cloaksim.presets import preset_field
 
 
@@ -289,3 +291,65 @@ class TestRingDetector:
         self.assert_lu(SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh),
                        factors)
 
+
+    @pytest.mark.parametrize("where", ["ring", "next ring", "center"])
+    def test_rotation_invariant_but_not_symmetric(self, where, factors):
+        # add 1e-3 of the largest entry to the coupling of every ring
+        # vertex (a, j) to (a, j + 1) or to (a + 1, j), or of the center to
+        # the first ring, and not to its mirror: the matrix stays invariant
+        # under the rotation by one angular step and keeps its pattern,
+        # but is no longer symmetric
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        n = mesh.n_theta
+        matrix = assemble_frozen(mesh, mesh.bind(identity_field(2))).matrix
+        ring, j = np.divmod(np.arange(mesh.n_vertices - 1 - n), n)
+        rows = 1 + ring * n + j
+        if where == "ring":
+            cols = 1 + ring * n + (j + 1) % n
+        elif where == "next ring":
+            cols = 1 + (ring + 1) * n + j
+        else:
+            rows, cols = np.zeros(n, dtype=int), 1 + np.arange(n)
+        skew = coo_matrix((np.full(len(rows), 1e-3 * abs(matrix).max()),
+                           (rows, cols)), shape=matrix.shape)
+        matrix = (matrix + skew).tocsr()
+        assert matrix.nnz == assemble_frozen(
+            mesh, mesh.bind(identity_field(2))).matrix.nnz
+        assert ring_factor(matrix, mesh) is None
+        self.assert_lu(SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh),
+                       factors)
+
+
+class TestNewtonSystem:
+    """newton_system against central differences of the residual
+    K(u) u - load, which assemble_frozen alone computes."""
+
+    @staticmethod
+    def residual(mesh, coef, u, load):
+        system = assemble_frozen(mesh, coef, state=u, load=load)
+        return system.matrix @ u - system.load
+
+    def test_jacobian_is_the_derivative_of_the_residual(self):
+        mesh = build_disk_mesh(1.0, h_target=0.25)
+        field = pushforward(preset_field("isotropic-sin"), regular_blowup(0.5))
+        coef = mesh.bind(field)
+        x, y = mesh.vertices.T
+        u = np.sin(2.0 * x) + x * y
+        load = mesh.load(lambda p: 1.0 + p[:, 0])
+        frozen = assemble_frozen(mesh, coef, state=u, load=load)
+        newton = newton_system(frozen, coef, u)
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            v = rng.normal(size=mesh.n_vertices)
+            step = 1e-5
+            want = (self.residual(mesh, coef, u + step * v, load)
+                    - self.residual(mesh, coef, u - step * v, load)) \
+                / (2.0 * step)
+            got = newton.matrix @ v
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        # the Newton system's residual at u is the residual of the problem
+        np.testing.assert_allclose(newton.matrix @ u - newton.load,
+                                   frozen.matrix @ u - frozen.load,
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(newton.matrix.indptr, frozen.matrix.indptr)
+        assert np.array_equal(newton.matrix.indices, frozen.matrix.indices)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cloaksim.coeff import (IsotropicField, ProductField, StructureConstants,
-                            ball, constant_field, identity_field,
-                            piecewise_field)
+from cloaksim.coeff import (CoefficientField, IsotropicField, ProductField,
+                            StructureConstants, ball, constant_field,
+                            identity_field, piecewise_field)
 from cloaksim.errors import PreconditionError
 from cloaksim.geometry import (compose, fd_jacobian, pushforward,
                                regular_blowup, singular_cloak_tensor,
@@ -193,6 +193,47 @@ class TestPushforward:
         np.testing.assert_allclose(rad, sigma * dpsi * s / psi, rtol=1e-13)
         np.testing.assert_allclose(tan, sigma * psi / (s * dpsi), rtol=1e-13)
         assert np.abs(off).max() <= 1e-13 * np.abs(mats).max()
+
+
+class TestProductPushforward:
+    """F_*(a(t) B) = a(t) F_*B: the push-forward of a product field is the
+    product of the scalar with the pushed-forward state-free field."""
+
+    @staticmethod
+    def product():
+        base = constant_field(np.array([[2.0, 0.5], [0.5, 3.0]]))
+        return ProductField(lambda t: 2.0 + np.sin(t), (1.0, 3.0, 1.0), base,
+                            name="(2+sin t)B")
+
+    def test_values_from_the_map(self):
+        F = regular_blowup(0.5)
+        field = pushforward(self.product(), F)
+        assert isinstance(field, ProductField)
+        rng = np.random.default_rng(17)
+        rho = rng.uniform(0.05, 1.95, 300)
+        th = rng.uniform(0.0, 2.0 * np.pi, 300)
+        y = rho[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+        t = rng.uniform(-4.0, 4.0, 300)
+        # DF (a B) DF^T / |det DF| at x = F^{-1}(y), from the map alone
+        jac = F.jacobian(F.inverse(y))
+        a_b = (2.0 + np.sin(t))[:, None, None] * np.array([[2.0, 0.5],
+                                                             [0.5, 3.0]])
+        det = np.abs(jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0])
+        want = np.einsum("mij,mjk,mlk->mil", jac, a_b, jac) / det[:, None, None]
+        got = field.eval(y, t)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_constants_match_the_sampled_push_forward(self):
+        # the same product, hidden behind a plain field, takes the generic
+        # path, which samples the map for the constants
+        F = regular_blowup(0.5)
+        prod = self.product()
+        plain = CoefficientField(lambda p, t: prod.eval(p, t), prod.constants)
+        generic = pushforward(plain, F).constants
+        fast = pushforward(prod, F).constants
+        for name in ("alpha", "beta", "lipschitz_l"):
+            want = getattr(generic, name)
+            assert abs(getattr(fast, name) - want) <= 1e-14 * want
 
 
 def _sin_iso(dim):

@@ -5,6 +5,7 @@ from cloaksim.coeff import IsotropicField, StructureConstants, identity_field
 from cloaksim.errors import PreconditionError
 from cloaksim.fem import build_disk_mesh, l2_norm
 from cloaksim.geometry import DiffMap, pushforward, regular_blowup
+from cloaksim.presets import preset_field
 from cloaksim.qsolve import PicardConfig, solve_quasilinear
 
 
@@ -138,6 +139,52 @@ class TestPicard:
         res = solve_quasilinear(mesh, field, np.cos(mesh.boundary_angles()))
         assert res.converged and res.iterations > 2
         assert calls == {"inverse": 1, "jacobian": 1}
+
+
+class TestNewton:
+    def test_updates_shrink_quadratically(self):
+        # after the first Newton step each update is at most ten times the
+        # square of the one before, until the updates reach roundoff
+        field = pushforward(preset_field("isotropic-sin"), regular_blowup(0.5))
+        mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.2)
+        res = solve_quasilinear(mesh, field,
+                                np.cos(3.0 * mesh.boundary_angles()),
+                                config=PicardConfig(tol=1e-14))
+        assert res.converged and not res.damping_activated
+        upd = res.updates[1:]
+        checked = 0
+        for a, b in zip(upd, upd[1:]):
+            if b <= 1e-13:
+                break
+            assert b <= 10.0 * a ** 2, res.updates
+            checked += 1
+        assert checked >= 3, res.updates
+
+    def test_safeguard_takes_picard_steps(self):
+        # the datum 100 cos(theta) sweeps (2 + sin u) through many periods;
+        # a Newton update that does not shrink is replaced by the Picard
+        # step, and the iteration still reaches the fixed point
+        mesh = build_disk_mesh(1.0, h_target=0.2)
+        res = solve_quasilinear(mesh, sin_field(),
+                                100.0 * np.cos(mesh.boundary_angles()))
+        assert res.damping_activated
+        assert res.converged and res.updates[-1] <= 1e-8
+        ii = mesh.interior
+        resid = (res.system.matrix @ res.u - res.system.load)[ii]
+        scale = np.abs(res.system.matrix).max() * np.abs(res.u).max()
+        assert np.abs(resid).max() <= 1e-8 * scale
+
+    def test_radial_state_with_gradient(self, factors):
+        # zero datum and a constant source give radial states with a
+        # gradient: their Newton systems are rotation-invariant but not
+        # symmetric, so the angular-mode factor must decline them
+        mesh = build_disk_mesh(1.0, h_target=0.2)
+        res = solve_quasilinear(mesh, preset_field("isotropic-sin"),
+                                np.zeros(len(mesh.boundary)),
+                                source=lambda p: np.full(len(p), 4.0))
+        assert res.converged and res.iterations > 2
+        kinds = [kind for kind, _, _ in factors]
+        assert kinds == ["ring"] + ["splu"] * (res.iterations - 1)
 
 
 def theta(u):
