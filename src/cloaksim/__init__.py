@@ -1,7 +1,7 @@
 """Finite element experiments for cloaking in quasilinear conductivity.
 
 The package builds layered disk meshes, solves -div(A(x,u) grad u) = 0 by
-frozen-coefficient (Picard) iteration, evaluates Dirichlet-to-Neumann maps
+Newton's method with a Picard safeguard, evaluates Dirichlet-to-Neumann maps
 variationally, and runs the cloaking experiments: regular (approximate)
 cloaks by blow-up maps, truncated singular cloaks, and isotropic
 approximations obtained from periodic homogenization of radial laminates.

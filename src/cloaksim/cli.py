@@ -1,8 +1,8 @@
 """Command line driver.
 
-Subcommands cover mesh generation, map verification, single solves, DN
-operators and their comparison, cell problems, cloak construction, and the
-four sweep experiments. A JSON config file can hold any global flag;
+Subcommands cover map verification, single solves, DN operators and their
+comparison, cell problems, cloak construction, and the four sweep
+experiments. A JSON config file can hold any global flag;
 explicit flags win. Exit codes: 0 ok, 2 bad input, 3 numerical failure,
 4 I/O failure.
 """
@@ -39,11 +39,6 @@ def _parser():
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--out-dir", dest="out_dir", default=None)
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("mesh", help="build and save a layered disk mesh")
-    s.add_argument("--radius", type=float, default=2.0)
-    s.add_argument("--aligned", default="", help="comma-separated radii")
-    s.add_argument("--out", required=True)
 
     s = sub.add_parser("map-check", help="verify a radial map numerically")
     s.add_argument("--map", dest="map_key", default="regular(0.5)")
@@ -136,12 +131,13 @@ def _floats(text):
 
 
 def _cfg(args, g, schedule):
+    # only the settings this subcommand parses; ExperimentConfig holds the
+    # defaults of the others
+    own = {k: v for k, v in vars(args).items()
+           if k in ("inclusion", "profile", "psi")}
     return ExperimentConfig(
         schedule=tuple(schedule), h=g["h"], modes=g["modes"],
-        picard=PicardConfig(tol=g["tol"]),
-        inclusion=getattr(args, "inclusion", "5I"),
-        profile=getattr(args, "profile", "transformation"),
-        psi=getattr(args, "psi", 2.0))
+        picard=PicardConfig(tol=g["tol"]), **own)
 
 
 def _domain_radius(coeff_key):
@@ -159,15 +155,6 @@ def _aligned_for(coeff_key):
         R, eta = args
         return (R - 2 * eta, R, 2.0)
     return (1.0,)
-
-
-def _cmd_mesh(args, g):
-    aligned = tuple(_floats(args.aligned))
-    mesh = build_disk_mesh(args.radius, aligned_radii=aligned, h_target=g["h"])
-    mesh.save_text(_out_path(args.out, g["out_dir"]))
-    print(f"{mesh.n_vertices} vertices, {mesh.n_triangles} triangles, "
-          f"h_max {mesh.h_max:.4g} -> {args.out}")
-    return 0
 
 
 def _cmd_map_check(args, g):
@@ -369,7 +356,6 @@ def _cmd_diffeo_check(args, g):
 
 
 _COMMANDS = {
-    "mesh": _cmd_mesh,
     "map-check": _cmd_map_check,
     "solve": _cmd_solve,
     "dnmap": _cmd_dnmap,

@@ -25,8 +25,8 @@ class FourierBasis:
     """Traces {1, cos k0, sin k0 : k = 1..K} on a circle of given radius.
 
     Index 0 is the constant; indices 2k-1 and 2k are cos and sin of mode k.
-    Mode k carries the weight (1 + k^2)^(1/2) for the discrete H^{1/2}
-    norm and its reciprocal for H^{-1/2}.
+    Mode k carries the weight (1 + k^2)^(1/2) of the discrete H^{1/2}
+    norm.
     """
 
     def __init__(self, max_mode=8, radius=2.0):
@@ -48,8 +48,9 @@ class FourierBasis:
             k[2 * m] = m
         return k
 
-    def weights(self, exponent=0.5):
-        return (1.0 + self.modes().astype(float) ** 2) ** exponent
+    def weights(self):
+        """The H^{1/2} weight (1 + k^2)^(1/2) of each basis index."""
+        return (1.0 + self.modes().astype(float) ** 2) ** 0.5
 
     def trace_matrix(self, mesh):
         """(size, n_boundary) values of the basis at the boundary vertices."""
@@ -178,7 +179,7 @@ def dn_difference(op1, op2):
     """
     if op1.basis != op2.basis:
         raise PreconditionError("operators use different bases")
-    w = op1.basis.weights(0.5)
+    w = op1.basis.weights()
     scale = 1.0 / np.sqrt(w)
     d = (op1.pairing_matrix - op2.pairing_matrix) * np.outer(scale, scale)
     return float(np.linalg.svd(d, compute_uv=False)[0])
@@ -195,6 +196,6 @@ def neumann_trace_error(op1, op2, column):
         raise PreconditionError("operators use different bases")
     if op1.mesh is None or op1.mesh is not op2.mesh:
         raise PreconditionError("operators must be computed on one mesh")
-    w = op1.basis.weights(0.5)
+    w = op1.basis.weights()
     df = op1.pairing_matrix[:, column] - op2.pairing_matrix[:, column]
     return float(np.sqrt(np.sum(w * df ** 2 / op1.basis.masses(op1.mesh))))

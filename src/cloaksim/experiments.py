@@ -18,7 +18,7 @@ from .fem import build_disk_mesh, l2_norm, h1_norm
 from .geometry import (pushforward, regular_blowup, transformed_inner_tensor,
                        truncated_singular_cloak)
 from .homog import build_isotropic_cloak_sequence
-from .presets import inclusion_field
+from .presets import inclusion_field, preset_field
 from .qsolve import PicardConfig
 
 __all__ = ["ExperimentConfig", "DecayReport", "fit_loglog",
@@ -79,16 +79,17 @@ class DecayReport:
                 "rows": self.rows, "slopes": self.slopes, "meta": self.meta}
 
 
-def fit_loglog(pairs, min_points=4):
+def fit_loglog(pairs):
     """Least-squares slope of log(value) against log(parameter).
 
     Returns (slope, intercept, r2, n). Rows with nonpositive values are
-    dropped (they carry no decay information on a log scale).
+    dropped (they carry no decay information on a log scale); at least
+    four must remain.
     """
     pts = [(p, v) for p, v in pairs if v > 0 and p > 0]
-    if len(pts) < min_points:
+    if len(pts) < 4:
         raise PreconditionError(
-            f"slope fit needs at least {min_points} usable points, have {len(pts)}")
+            f"slope fit needs at least 4 usable points, have {len(pts)}")
     x = np.log([p for p, _ in pts])
     y = np.log([v for _, v in pts])
     A = np.stack([x, np.ones_like(x)], axis=1)
@@ -275,17 +276,15 @@ def run_diffeo_invariance(cfg, dmap=None):
         try:
             fields.append(inclusion_field(cfg.inclusion))
         except PreconditionError:
-            from .presets import preset_field
             fields.append(preset_field(cfg.inclusion))
     basis = FourierBasis(cfg.modes, radius=2.0)
-    aligned = tuple(sorted(set(
-        [1.0] + [float(r) for r in dmap.image_piece_radii])))
     rows = []
     for field in fields:
         pushed = pushforward(field, dmap)
         ident_ops = []
         for h in sched:
-            mesh = build_disk_mesh(2.0, aligned_radii=aligned, h_target=h)
+            # the pieces of a blow-up meet at image radius 1
+            mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=h)
             op_a = dn_operator(field, basis, mesh, cfg.picard)
             op_p = dn_operator(pushed, basis, mesh, cfg.picard)
             ident_ops.append(op_a)

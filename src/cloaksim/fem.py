@@ -13,8 +13,6 @@ problem into one Hermitian tridiagonal system over the rings per mode
 (RingFactor). Otherwise SuperLU factors the interior block.
 """
 
-import io
-
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 # cg is never called here; it stays bound because perfbench/tracing.py wraps it
@@ -58,11 +56,8 @@ class TriMesh:
         v = self.vertices[self.triangles]              # (nt, 3, 2)
         self.areas, self.grads = p1_elements(v)
         self.centroids = v.mean(axis=1)
-        # the assembly quadrature points: edge midpoints (m01, m12, m20) of
-        # each triangle in turn, shape (3 * nt, 2)
-        self.midpoints = 0.5 * np.stack(
-            [v[:, 0] + v[:, 1], v[:, 1] + v[:, 2], v[:, 2] + v[:, 0]],
-            axis=1).reshape(-1, 2)
+        # the assembly quadrature points, shape (3 * nt, 2)
+        self.midpoints = _edge_means(v).reshape(-1, 2)
         edges = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 1],
                           v[:, 0] - v[:, 2]], axis=1)
         self.h_max = float(np.linalg.norm(edges, axis=2).max())
@@ -88,11 +83,8 @@ class TriMesh:
         integrated by the assembly quadrature: what assemble_frozen takes."""
         nt = self.n_triangles
         gq = np.asarray(source(self.midpoints), dtype=float).reshape(nt, 3)
-        contrib = np.empty((nt, 3))
         # basis i is 1/2 on the two midpoints of its incident edges
-        contrib[:, 0] = gq[:, 0] + gq[:, 2]
-        contrib[:, 1] = gq[:, 0] + gq[:, 1]
-        contrib[:, 2] = gq[:, 1] + gq[:, 2]
+        contrib = _corner_sums(gq)
         contrib *= (self.areas / 6.0)[:, None]
         out = np.zeros(self.n_vertices)
         np.add.at(out, self.triangles.ravel(), contrib.ravel())
@@ -108,36 +100,6 @@ class TriMesh:
         nxt = np.roll(b, -1, axis=0)
         seg = np.linalg.norm(nxt - b, axis=1)
         return 0.5 * (seg + np.roll(seg, 1))
-
-    def save_text(self, path):
-        """Plain text: counts line, vertex lines, triangle lines, boundary lines."""
-        buf = io.StringIO()
-        buf.write(f"{self.n_vertices} {self.n_triangles} {len(self.boundary)}\n")
-        for x, y in self.vertices:
-            buf.write(f"{x:.17g} {y:.17g}\n")
-        for i, j, k in self.triangles:
-            buf.write(f"{i} {j} {k}\n")
-        for b in self.boundary:
-            buf.write(f"{b}\n")
-        with open(path, "w") as fh:
-            fh.write(buf.getvalue())
-
-    @classmethod
-    def load_text(cls, path):
-        with open(path) as fh:
-            tokens = fh.read().split()
-        if len(tokens) < 3:
-            raise PreconditionError(f"mesh file {path} is truncated")
-        nv, nt, nb = (int(t) for t in tokens[:3])
-        need = 3 + 2 * nv + 3 * nt + nb
-        if len(tokens) != need:
-            raise PreconditionError(
-                f"mesh file {path}: expected {need} tokens, found {len(tokens)}")
-        vals = tokens[3:]
-        verts = np.array(vals[:2 * nv], dtype=float).reshape(nv, 2)
-        tris = np.array(vals[2 * nv:2 * nv + 3 * nt], dtype=np.int64).reshape(nt, 3)
-        bnd = np.array(vals[2 * nv + 3 * nt:], dtype=np.int64)
-        return cls(verts, tris, bnd)
 
 
 def _ring_radii(radius, aligned_radii, h_target, radial_bands):
@@ -238,41 +200,28 @@ def build_disk_mesh(radius, aligned_radii=(), h_target=0.1, n_theta=None,
     return mesh
 
 
-def _region_mask(mesh, region):
-    if region is None:
-        return slice(None)
-    if hasattr(region, "contains"):
-        return region.contains(mesh.centroids)
-    return np.asarray(region(mesh.centroids), dtype=bool)
-
-
-def _element_values(mesh, values, mask):
+def _element_values(mesh, values):
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.n_vertices,):
         raise PreconditionError("values must be one per vertex")
-    return values[mesh.triangles[mask]]
+    return values[mesh.triangles]
 
 
-def l2_norm(mesh, values, region=None):
-    """Exact integral of the squared P1 function, optionally over a region
-    selected by triangle centroids."""
-    mask = _region_mask(mesh, region)
-    u = _element_values(mesh, values, mask)
-    a = mesh.areas[mask]
+def l2_norm(mesh, values):
+    """Exact integral of the squared P1 function."""
+    u = _element_values(mesh, values)
     s = (u ** 2).sum(axis=1) + u[:, 0] * u[:, 1] + u[:, 1] * u[:, 2] + u[:, 2] * u[:, 0]
-    return float(np.sqrt((a / 6.0 * s).sum()))
+    return float(np.sqrt((mesh.areas / 6.0 * s).sum()))
 
 
-def h1_seminorm(mesh, values, region=None):
-    mask = _region_mask(mesh, region)
-    u = _element_values(mesh, values, mask)
-    g = np.einsum("tic,ti->tc", mesh.grads[mask], u)
-    return float(np.sqrt((mesh.areas[mask] * (g ** 2).sum(axis=1)).sum()))
+def h1_seminorm(mesh, values):
+    u = _element_values(mesh, values)
+    g = np.einsum("tic,ti->tc", mesh.grads, u)
+    return float(np.sqrt((mesh.areas * (g ** 2).sum(axis=1)).sum()))
 
 
-def h1_norm(mesh, values, region=None):
-    return float(np.hypot(l2_norm(mesh, values, region),
-                          h1_seminorm(mesh, values, region)))
+def h1_norm(mesh, values):
+    return float(np.hypot(l2_norm(mesh, values), h1_seminorm(mesh, values)))
 
 
 def p1_elements(corners):
@@ -319,13 +268,24 @@ def _scatter(local, dofs, n_dofs):
                       shape=(n_dofs, n_dofs)).tocsr()
 
 
-def _midpoint_states(mesh, state):
-    """The state at the assembly quadrature points, (3 * nt,): the mean of
-    the nodal values at the ends of each edge, in mesh.midpoints order."""
-    tv = np.asarray(state, dtype=float)[mesh.triangles]
-    return 0.5 * np.stack(
-        [tv[:, 0] + tv[:, 1], tv[:, 1] + tv[:, 2], tv[:, 2] + tv[:, 0]],
-        axis=1).reshape(-1)
+def _edge_means(corners):
+    """Values at the edge midpoints m01, m12, m20 of each triangle, the
+    assembly quadrature points, from values at its corners: each the mean
+    of the two ends of its edge. (nt, 3, ...) in and out."""
+    return 0.5 * np.stack([corners[:, 0] + corners[:, 1],
+                           corners[:, 1] + corners[:, 2],
+                           corners[:, 2] + corners[:, 0]], axis=1)
+
+
+def _corner_sums(mids):
+    """The sum at each corner of the values at the midpoints of its two
+    edges: corner 0 meets m01 and m20, 1 meets m01 and m12, 2 meets m12
+    and m20. (nt, 3, ...) in and out, in the order of _edge_means."""
+    out = np.empty_like(mids)
+    np.add(mids[:, 0], mids[:, 2], out=out[:, 0])
+    np.add(mids[:, 0], mids[:, 1], out=out[:, 1])
+    np.add(mids[:, 1], mids[:, 2], out=out[:, 2])
+    return out
 
 
 def assemble_frozen(mesh, coef, state=None, load=None):
@@ -348,7 +308,8 @@ def assemble_frozen(mesh, coef, state=None, load=None):
     SparseSystem
     """
     nt = mesh.n_triangles
-    t_mid = 0.0 if state is None else _midpoint_states(mesh, state)
+    t_mid = 0.0 if state is None else \
+        _edge_means(np.asarray(state, dtype=float)[mesh.triangles]).ravel()
     # 1/3 weight per midpoint; the per-midpoint matrices are not kept
     # through p1_stiffness, which lowers the resident peak of a solve
     amean = coef(t_mid).reshape(nt, 3, 2, 2).mean(axis=1)
@@ -382,18 +343,12 @@ def newton_system(frozen, coef, state):
     mesh = frozen.mesh
     nt = mesh.n_triangles
     state = np.asarray(state, dtype=float)
-    t_mid = _midpoint_states(mesh, state)
+    t_mid = _edge_means(state[mesh.triangles]).ravel()
     dadt = (coef(t_mid + _FD_STEP) - coef(t_mid)) / _FD_STEP
     grad_u = np.einsum("tic,ti->tc", mesh.grads, state[mesh.triangles])
-    # d_t A grad u at midpoints m01, m12, m20, then summed over the two
-    # edges at each corner: 0 on m01 and m20, 1 on m01 and m12, 2 on m12
-    # and m20
+    # d_t A grad u at the midpoints, summed over the two edges at each corner
     flux = np.einsum("tqcd,td->tqc", dadt.reshape(nt, 3, 2, 2), grad_u)
-    at_corner = np.empty_like(flux)
-    np.add(flux[:, 0], flux[:, 2], out=at_corner[:, 0])
-    np.add(flux[:, 0], flux[:, 1], out=at_corner[:, 1])
-    np.add(flux[:, 1], flux[:, 2], out=at_corner[:, 2])
-    local = mesh.grads @ at_corner.transpose(0, 2, 1)
+    local = mesh.grads @ _corner_sums(flux).transpose(0, 2, 1)
     local *= (mesh.areas / 6.0)[:, None, None]
     cmat = _scatter(local, mesh.triangles, mesh.n_vertices)
     k = frozen.matrix

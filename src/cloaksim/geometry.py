@@ -35,37 +35,27 @@ class DiffMap:
     """Invertible map with an analytic jacobian, vectorized over points."""
 
     def __init__(self, forward, inverse, jacobian, dim=2, name="",
-                 domain=None, image_piece_radii=()):
+                 domain=None):
         self._forward = forward
         self._inverse = inverse
         self._jacobian = jacobian
         self.dim = dim
         self.name = name
         self.domain = domain
-        self.image_piece_radii = tuple(image_piece_radii)
-
-    def _pts(self, x):
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.shape[1] != self.dim:
-            raise PreconditionError(f"points must have dimension {self.dim}")
-        return pts, single
 
     def forward(self, x):
-        pts, single = self._pts(x)
+        pts, single = _as_points(x, self.dim)
         out = self._forward(pts)
         return out[0] if single else out
 
     def inverse(self, y):
-        pts, single = self._pts(y)
+        pts, single = _as_points(y, self.dim)
         out = self._inverse(pts)
         return out[0] if single else out
 
     def jacobian(self, x):
         """Jacobian of the forward map at source points x, shape (m, d, d)."""
-        pts, single = self._pts(x)
+        pts, single = _as_points(x, self.dim)
         out = self._jacobian(pts)
         return out[0] if single else out
 
@@ -80,8 +70,8 @@ def _radial_matrix(hat, rad, tan, dim):
     return tan[:, None, None] * (eye[None] - proj) + rad[:, None, None] * proj
 
 
-def _radial_map(psi, dpsi, psi_inv, dim, name, domain, image_piece_radii,
-                origin_ok, origin_slope=None):
+def _radial_map(psi, dpsi, psi_inv, dim, name, domain, origin_ok,
+                origin_slope=None):
     """Build a DiffMap for x -> psi(|x|) x/|x|."""
 
     def forward(pts):
@@ -110,7 +100,7 @@ def _radial_map(psi, dpsi, psi_inv, dim, name, domain, image_piece_radii,
         return out
 
     return DiffMap(forward, inverse, jacobian, dim=dim, name=name,
-                   domain=domain, image_piece_radii=image_piece_radii)
+                   domain=domain)
 
 
 def regular_blowup(r, dim=2):
@@ -135,7 +125,7 @@ def regular_blowup(r, dim=2):
         return np.where(rho <= 1.0, rho * r, (rho - a) / b)
 
     return _radial_map(psi, dpsi, psi_inv, dim, f"regular_blowup({r:g})",
-                       ball(2.0, dim=dim), (1.0,), origin_ok=True,
+                       ball(2.0, dim=dim), origin_ok=True,
                        origin_slope=1.0 / r)
 
 
@@ -154,11 +144,13 @@ def singular_map(dim=2):
         return 2.0 * (rho - 1.0)
 
     return _radial_map(psi, dpsi, psi_inv, dim, "singular_map",
-                       annulus(0.0, 2.0, dim=dim), (1.0,), origin_ok=False)
+                       annulus(0.0, 2.0, dim=dim), origin_ok=False)
 
 
-def fd_jacobian(dmap, x, step=1e-6):
-    """Central-difference jacobian of the forward map, one point at a time."""
+def fd_jacobian(dmap, x):
+    """Central-difference jacobian of the forward map at one point, with
+    step 1e-6."""
+    step = 1e-6
     x = np.asarray(x, dtype=float)
     out = np.empty((dmap.dim, dmap.dim))
     for j in range(dmap.dim):
@@ -211,7 +203,7 @@ class PushforwardField(CoefficientField):
         return lambda t: js @ inner(t) @ jst
 
 
-def pushforward(field, dmap, name=""):
+def pushforward(field, dmap):
     """Transport a coefficient through a boundary-fixing diffeomorphism.
 
     The returned field evaluates at image points y via x = dmap.inverse(y).
@@ -223,7 +215,7 @@ def pushforward(field, dmap, name=""):
     """
     if field.dim != dmap.dim:
         raise PreconditionError("field and map dimensions differ")
-    name = name or f"{dmap.name}_*{field.name}"
+    name = f"{dmap.name}_*{field.name}"
     if isinstance(field, ProductField):
         return ProductField(field.scalar, field.scalar_constants,
                             pushforward(field.field, dmap), name=name)

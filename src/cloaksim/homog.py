@@ -549,7 +549,7 @@ class RadialCloakSpec:
             out[ins] = vals
         return out if np.ndim(r) else float(out[0])
 
-    def field(self, name=None):
+    def field(self):
         """IsotropicField on the disk of radius 3."""
         def scalar_fn(pts, t):
             return self.sigma(np.linalg.norm(np.atleast_2d(pts), axis=1))
@@ -557,9 +557,8 @@ class RadialCloakSpec:
         vals = self.sigma(np.arange(self.eps / 64.0, 3.0, self.eps / 64.0))
         constants = StructureConstants(float(vals.min()) * 0.999,
                                        float(vals.max()) * 1.001, 0.0)
-        label = name if name is not None else \
-            f"cloak-sigma(R={self.R:g},eps={self.eps:g})"
-        return IsotropicField(scalar_fn, constants, dim=2, name=label)
+        return IsotropicField(scalar_fn, constants, dim=2,
+                              name=f"cloak-sigma(R={self.R:g},eps={self.eps:g})")
 
     def homogenized(self):
         """Reference anisotropic shell: the target means as a radial tensor."""

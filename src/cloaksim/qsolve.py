@@ -92,7 +92,6 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
         else np.asarray(warm_start, dtype=float).copy()
     activated = False
     updates = []
-    system = None
     for it in range(1, cfg.max_iter + 1):
         system = assemble_frozen(mesh, coef, state=u, load=load)
         if it == 1:
@@ -108,12 +107,11 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
         updates.append(upd)
         u = u_new
         if upd <= cfg.tol:
-            # final state must match the assembled operator
-            system = assemble_frozen(mesh, coef, state=u, load=load)
-            return QSolveResult(u, converged=True, iterations=it,
-                                updates=updates, damping_activated=activated,
-                                system=system)
-    return QSolveResult(u, converged=False, iterations=cfg.max_iter,
+            break
+    # assembled at the returned state, converged or not, so that dn_pairing
+    # reads the flux of u itself
+    system = assemble_frozen(mesh, coef, state=u, load=load)
+    return QSolveResult(u, converged=updates[-1] <= cfg.tol, iterations=it,
                         updates=updates, damping_activated=activated,
                         system=system)
 

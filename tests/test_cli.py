@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 import cloaksim.cli as cli
 from cloaksim.experiments import DecayReport
-from cloaksim.fem import TriMesh
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -33,21 +34,6 @@ class TestMapCheck:
         assert run(["map-check", "--map", "regular:0.5"]) == 3
 
 
-class TestMesh:
-    def test_writes_loadable_mesh(self, tmp_path):
-        out = tmp_path / "m.txt"
-        code = run(["--h", "0.3", "mesh", "--radius", "2.0",
-                    "--aligned", "1.0,1.5", "--out", str(out)])
-        assert code == 0
-        mesh = TriMesh.load_text(out)
-        r = np.linalg.norm(mesh.vertices, axis=1)
-        assert np.abs(r - 1.5).min() < 1e-12
-
-    def test_unwritable_path_is_io_failure(self):
-        assert run(["--h", "0.4", "mesh", "--out",
-                    "/nonexistent-dir/m.txt"]) == 4
-
-
 class TestSolve:
     def test_identity_solve(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -67,6 +53,11 @@ class TestSolve:
 
     def test_bad_coefficient(self):
         assert run(["solve", "--coeff", "not-a-thing"]) == 2
+
+    def test_unwritable_path_is_io_failure(self, tmp_path):
+        out = tmp_path / "missing-dir" / "s.json"
+        assert run(["--h", "0.4", "solve", "--coeff", "identity",
+                    "--out", str(out)]) == 4
 
 
 class TestDnPipeline:
@@ -190,30 +181,47 @@ class TestSweeps:
 
 
 class TestConfigMerge:
-    def test_config_file_applies_and_flags_win(self, tmp_path, capsys):
+    def test_config_file_applies_and_flags_win(self, tmp_path, monkeypatch):
+        meshed = []
+        real = cli.build_disk_mesh
+
+        def recording(*args, **kwargs):
+            meshed.append(kwargs["h_target"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_disk_mesh", recording)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"h": 0.4, "modes": 2,
                                        "out_dir": str(tmp_path)}))
-        # config h applies
-        code = run(["--config", str(cfgfile), "mesh", "--out", "m1.txt"])
-        assert code == 0
-        m1 = TriMesh.load_text(tmp_path / "m1.txt")
+        # config h and out_dir apply
+        assert run(["--config", str(cfgfile), "solve", "--coeff", "identity",
+                    "--out", "s1.json"]) == 0
         # explicit flag overrides the config value
-        code = run(["--config", str(cfgfile), "--h", "0.2", "mesh",
-                    "--out", "m2.txt"])
-        assert code == 0
-        m2 = TriMesh.load_text(tmp_path / "m2.txt")
-        assert m2.n_vertices > m1.n_vertices
+        assert run(["--config", str(cfgfile), "--h", "0.2", "solve",
+                    "--coeff", "identity", "--out", "s2.json"]) == 0
+        assert meshed == [0.4, 0.2]
+        assert (tmp_path / "s1.json").exists()
+        assert (tmp_path / "s2.json").exists()
 
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert run(["--config", str(bad), "mesh", "--out",
-                    str(tmp_path / "m.txt")]) == 2
+        assert run(["--config", str(bad), "solve", "--coeff", "identity",
+                    "--out", str(tmp_path / "s.json")]) == 2
 
     def test_out_dir_prefixes_relative_paths(self, tmp_path):
         sub = tmp_path / "results"
-        code = run(["--h", "0.4", "--out-dir", str(sub), "mesh",
-                    "--out", "m.txt"])
+        code = run(["--h", "0.4", "--out-dir", str(sub), "solve",
+                    "--coeff", "identity", "--out", "s.json"])
         assert code == 0
-        assert (sub / "m.txt").exists()
+        assert (sub / "s.json").exists()
+
+
+def test_readme_lists_every_subcommand():
+    # the commands of the README's command block, one `cloaksim <cmd>`
+    # line each
+    text = README.read_text().split("## Command line", 1)[1]
+    block = text.split("```sh", 1)[1].split("```", 1)[0]
+    listed = {line.split()[1] for line in block.splitlines()
+              if line.startswith("cloaksim ")}
+    assert listed == set(cli._COMMANDS)

@@ -47,8 +47,8 @@ class TestFitLoglog:
         pairs = [(0.4, 1.0), (0.2, 0.5), (0.1, 0.0), (0.05, 0.125)]
         with pytest.raises(PreconditionError):
             fit_loglog(pairs)      # only 3 usable points remain
-        slope, _, _, n = fit_loglog(pairs, min_points=3)
-        assert n == 3
+        slope, _, _, n = fit_loglog(pairs + [(0.025, 0.0625)])
+        assert n == 4
         assert abs(slope - 1.0) < 1e-12
 
 

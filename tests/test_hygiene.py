@@ -11,10 +11,23 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # public functions the program itself never calls, kept on purpose
 NOT_CALLED_BY_THE_PROGRAM = (
-    # the only reader of the mesh file that `cloaksim mesh` writes
-    "TriMesh.load_text",
     # the composition law of push-forwards, which the tests check
     "compose",
+)
+
+# defaulted parameters no call in the program passes, kept on purpose
+DEFAULTS_THE_PROGRAM_LEAVES = (
+    # criterion 8 solves with a source term and from a warm start
+    "solve_quasilinear(source)",
+    "solve_quasilinear(warm_start)",
+    # criterion 1 checks the closed forms in three dimensions too
+    "regular_blowup(dim)",
+    "singular_map(dim)",
+    "truncated_singular_cloak(dim)",
+    # the tests sample the structure at states of their own
+    "validate_structure(t_values)",
+    # the composition law itself is called by the tests only
+    "compose(name)",
 )
 
 
@@ -57,16 +70,32 @@ def test_every_exported_name_exists():
 
 
 def public_functions(path):
-    """(qualified name, name) of each public module function and method."""
+    """(qualified name, definition) of each public module function and
+    method."""
     tree = ast.parse(path.read_text())
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name, node.name
+            yield node.name, node
         elif isinstance(node, ast.ClassDef):
-            yield from ((f"{node.name}.{item.name}", item.name)
+            yield from ((f"{node.name}.{item.name}", item)
                         for item in node.body
                         if isinstance(item, ast.FunctionDef)
                         and not item.name.startswith("_"))
+
+
+def public_constructors(path):
+    """(class name, __init__ definition) of each public class."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from ((node.name, item) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and item.name == "__init__")
+
+
+def program_sources():
+    """The sources of the package, the demos and the benchmark."""
+    return [path for part in ("src", "demos", "perfbench")
+            for path in sorted((ROOT / part).rglob("*.py"))]
 
 
 def referenced_names(paths):
@@ -88,12 +117,77 @@ def test_every_public_function_is_called_by_the_program():
     # matched by name: a function counts as called when its name appears
     # anywhere in the package, the demos or the benchmark, or when the
     # package imports it
-    used = referenced_names(path for part in ("src", "demos", "perfbench")
-                            for path in sorted((ROOT / part).rglob("*.py")))
+    used = referenced_names(program_sources())
     unused = [f"{path.name}: {qualified}"
               for path in sorted(PACKAGE.glob("*.py"))
-              for qualified, name in public_functions(path)
-              if name not in used
+              for qualified, node in public_functions(path)
+              if node.name not in used
               and qualified not in NOT_CALLED_BY_THE_PROGRAM]
     assert not unused, ("public functions only the tests call:\n"
                         + "\n".join(unused))
+
+
+def defaulted_parameters(node):
+    """(name, position) of each parameter of a definition that has a
+    default; position counts the arguments a call writes, so it skips the
+    self or cls of a method, and is None for a keyword-only parameter."""
+    params = node.args.posonlyargs + node.args.args
+    n_defaults = len(node.args.defaults)
+    skip = 1 if params and params[0].arg in ("self", "cls") else 0
+    for i, arg in enumerate(params[len(params) - n_defaults:],
+                            len(params) - n_defaults):
+        yield arg.arg, i - skip
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def passed_arguments(paths):
+    """For each called name, the most positional arguments one call
+    passes and the keywords any call passes; a call that unpacks *args or
+    **kwargs counts as passing every positional or keyword argument."""
+    positional, keywords = {}, {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            count = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                count = float("inf")
+            positional[name] = max(positional.get(name, 0), count)
+            kws = keywords.setdefault(name, set())
+            for kw in node.keywords:
+                kws.add(kw.arg if kw.arg is not None else "**")
+    return positional, keywords
+
+
+def test_every_default_is_passed_by_the_program():
+    # matched by name, like the check above: a parameter counts as passed
+    # when some call of a function of that name (of the class, for a
+    # constructor) in the package, the demos or the benchmark reaches it
+    # by position or by keyword
+    positional, keywords = passed_arguments(program_sources())
+    unpassed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        defs = [(qualified, node.name, node)
+                for qualified, node in public_functions(path)]
+        defs += [(cls, cls, node) for cls, node in public_constructors(path)]
+        for qualified, called, node in defs:
+            kws = keywords.get(called, set())
+            for param, pos in defaulted_parameters(node):
+                if not (param in kws or "**" in kws
+                        or (pos is not None
+                            and positional.get(called, 0) > pos)):
+                    unpassed.add(f"{qualified}({param})")
+    listed = set(DEFAULTS_THE_PROGRAM_LEAVES)
+    assert unpassed <= listed, ("defaulted parameters no caller in the "
+                                "program passes:\n"
+                                + "\n".join(sorted(unpassed - listed)))
+    assert listed <= unpassed, ("listed, but not a default the program "
+                                "leaves:\n"
+                                + "\n".join(sorted(listed - unpassed)))

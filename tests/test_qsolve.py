@@ -3,7 +3,7 @@ import pytest
 
 from cloaksim.coeff import IsotropicField, StructureConstants, identity_field
 from cloaksim.errors import PreconditionError
-from cloaksim.fem import build_disk_mesh, l2_norm
+from cloaksim.fem import assemble_frozen, build_disk_mesh, l2_norm
 from cloaksim.geometry import DiffMap, pushforward, regular_blowup
 from cloaksim.presets import preset_field
 from cloaksim.qsolve import PicardConfig, solve_quasilinear
@@ -77,6 +77,19 @@ class TestPicard:
                                 config=cfg)
         assert not res.converged
         assert res.iterations == 2
+
+    def test_unconverged_system_is_assembled_at_u(self):
+        # a solve stopped by its budget still returns the system of the
+        # state it returns, so dn_pairing reads the flux of that state
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        field = preset_field("isotropic-sin")
+        res = solve_quasilinear(mesh, field, np.cos(mesh.boundary_angles()),
+                                config=PicardConfig(max_iter=2))
+        assert not res.converged
+        at_u = assemble_frozen(mesh, mesh.bind(field), state=res.u).matrix
+        rows = mesh.boundary
+        gap = abs(res.system.matrix[rows] - at_u[rows]).max()
+        assert gap <= 1e-12 * abs(at_u[rows]).max()
 
     def test_warm_start_near_solution_is_fast(self):
         mesh = build_disk_mesh(1.0, h_target=0.25)
