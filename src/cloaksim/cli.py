@@ -2,9 +2,9 @@
 
 Subcommands cover map verification, single solves, DN operators and their
 comparison, cell problems, cloak construction, and the four sweep
-experiments. A JSON config file can hold any global flag;
-explicit flags win. Exit codes: 0 ok, 2 bad input, 3 numerical failure,
-4 I/O failure.
+experiments. A JSON config file can hold any global flag; its entries
+are parsed as flags ahead of the command line, so explicit flags win.
+Exit codes: 0 ok, 2 bad input, 3 numerical failure, 4 I/O failure.
 """
 
 import argparse
@@ -25,19 +25,17 @@ from .homog import CellProblem, RadialCloakSpec, solve_cell
 from .presets import parse_preset, preset_field
 from .qsolve import PicardConfig, solve_quasilinear
 
-GLOBAL_DEFAULTS = {"h": 0.05, "modes": 8, "tol": 1e-8, "seed": 0,
-                   "out_dir": "."}
-
-
 def _parser():
-    p = argparse.ArgumentParser(prog="cloaksim")
+    # no abbreviations: a config key must name a global flag in full
+    p = argparse.ArgumentParser(prog="cloaksim", allow_abbrev=False)
     p.add_argument("--config", help="JSON file of global flag values")
     g = p.add_argument_group("global")
-    g.add_argument("--h", type=float, default=None, help="target mesh size")
-    g.add_argument("--modes", type=int, default=None, help="Fourier mode count")
-    g.add_argument("--tol", type=float, default=None, help="iteration tolerance")
-    g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--out-dir", dest="out_dir", default=None)
+    g.add_argument("--h", type=float, default=0.05, help="target mesh size")
+    g.add_argument("--modes", type=int, default=8, help="Fourier mode count")
+    g.add_argument("--tol", type=float, default=1e-8,
+                   help="iteration tolerance")
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--out-dir", dest="out_dir", default=".")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("map-check", help="verify a radial map numerically")
@@ -96,22 +94,18 @@ def _parser():
     return p
 
 
-def _merge_globals(args):
-    merged = dict(GLOBAL_DEFAULTS)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PreconditionError(f"config file: {exc}")
-        for k in merged:
-            if k in doc:
-                merged[k] = doc[k]
-    for k in merged:
-        v = getattr(args, k, None)
-        if v is not None:
-            merged[k] = v
-    return merged
+def _config_flags(path):
+    """The entries of a JSON config file as global flags, so that the
+    parser checks them like any other flag."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(f"config file: {exc}")
+    if not isinstance(doc, dict):
+        raise PreconditionError("config file must hold a JSON object")
+    return [f"--{key.replace('_', '-')}={value}"
+            for key, value in doc.items()]
 
 
 def _out_path(path, out_dir):
@@ -130,14 +124,12 @@ def _floats(text):
         raise PreconditionError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _cfg(args, g, schedule):
-    # only the settings this subcommand parses; ExperimentConfig holds the
-    # defaults of the others
-    own = {k: v for k, v in vars(args).items()
-           if k in ("inclusion", "profile", "psi")}
+def _cfg(args, schedule, **own):
+    # own: only the settings this subcommand parses; ExperimentConfig
+    # holds the defaults of the others
     return ExperimentConfig(
-        schedule=tuple(schedule), h=g["h"], modes=g["modes"],
-        picard=PicardConfig(tol=g["tol"]), **own)
+        schedule=tuple(schedule), h=args.h, modes=args.modes,
+        picard=PicardConfig(tol=args.tol), **own)
 
 
 def _domain_radius(coeff_key):
@@ -157,7 +149,7 @@ def _aligned_for(coeff_key):
     return (1.0,)
 
 
-def _cmd_map_check(args, g):
+def _cmd_map_check(args):
     name, params = parse_preset(args.map_key.replace(":", "(") + ")"
                                 if ":" in args.map_key else args.map_key)
     if name == "regular":
@@ -168,7 +160,7 @@ def _cmd_map_check(args, g):
         lo, hi = 0.05, 1.99
     else:
         raise PreconditionError(f"unknown map {args.map_key!r}")
-    rng = np.random.default_rng(g["seed"])
+    rng = np.random.default_rng(args.seed)
     rr = rng.uniform(lo, hi, args.points)
     th = rng.uniform(0.0, 2 * np.pi, args.points)
     x = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
@@ -189,33 +181,33 @@ def _cmd_map_check(args, g):
     return 0
 
 
-def _cmd_solve(args, g):
+def _cmd_solve(args):
     field = preset_field(args.coeff)
     radius = _domain_radius(args.coeff)
     mesh = build_disk_mesh(radius, aligned_radii=_aligned_for(args.coeff),
-                           h_target=g["h"])
+                           h_target=args.h)
     theta = mesh.boundary_angles()
     datum = np.cos(args.mode * theta)
-    res = solve_quasilinear(mesh, field, datum, PicardConfig(tol=g["tol"]))
+    res = solve_quasilinear(mesh, field, datum, PicardConfig(tol=args.tol))
     doc = {"coefficient": args.coeff, "mode": args.mode,
            "l2": l2_norm(mesh, res.u), "h1": h1_norm(mesh, res.u),
            "iterations": res.iterations, "converged": res.converged}
     text = json.dumps(doc, indent=1, sort_keys=True)
     if args.out:
-        with open(_out_path(args.out, g["out_dir"]), "w") as fh:
+        with open(_out_path(args.out, args.out_dir), "w") as fh:
             fh.write(text + "\n")
     print(text)
     return 0 if res.converged else 3
 
 
-def _cmd_dnmap(args, g):
+def _cmd_dnmap(args):
     field = preset_field(args.coeff)
     radius = _domain_radius(args.coeff)
     mesh = build_disk_mesh(radius, aligned_radii=_aligned_for(args.coeff),
-                           h_target=g["h"])
-    basis = FourierBasis(g["modes"], radius=radius)
-    op = dn_operator(field, basis, mesh, PicardConfig(tol=g["tol"]))
-    op.to_json(_out_path(args.out, g["out_dir"]))
+                           h_target=args.h)
+    basis = FourierBasis(args.modes, radius=radius)
+    op = dn_operator(field, basis, mesh, PicardConfig(tol=args.tol))
+    op.to_json(_out_path(args.out, args.out_dir))
     print(f"{basis.size}x{basis.size} pairing matrix -> {args.out}")
     if not op.all_converged:
         bad = sum(1 for c in op.converged if not c)
@@ -225,7 +217,7 @@ def _cmd_dnmap(args, g):
     return 0
 
 
-def _cmd_dndiff(args, g):
+def _cmd_dndiff(args):
     op1 = DtNOperator.from_json(args.op1)
     op2 = DtNOperator.from_json(args.op2)
     print(f"{dn_difference(op1, op2):.12g}")
@@ -263,7 +255,7 @@ def _cell_profile(text):
     return lambda p: 2.0 + np.cos(2 * np.pi * p[:, 0])
 
 
-def _cmd_cell(args, g):
+def _cmd_cell(args):
     a_cell = _cell_profile(args.profile)
     sol = solve_cell(CellProblem(a_cell, (args.resolution, args.resolution)))
     ev = np.linalg.eigvalsh(sol.tensor)
@@ -275,13 +267,13 @@ def _cmd_cell(args, g):
         doc["bounds"] = {"harmonic": sol.bounds[0], "arithmetic": sol.bounds[1]}
     text = json.dumps(doc, indent=1, sort_keys=True)
     if args.out:
-        with open(_out_path(args.out, g["out_dir"]), "w") as fh:
+        with open(_out_path(args.out, args.out_dir), "w") as fh:
             fh.write(text + "\n")
     print(text)
     return 0
 
 
-def _cmd_cloak_build(args, g):
+def _cmd_cloak_build(args):
     spec = RadialCloakSpec(args.R, args.eta, args.eps, psi=args.psi,
                            M=args.M, profile=args.profile)
     points = []
@@ -302,17 +294,17 @@ def _cmd_cloak_build(args, g):
            "max_fit_residual": spec.max_residual,
            "fallback_points": spec.n_fallback,
            "points": points}
-    with open(_out_path(args.out, g["out_dir"]), "w") as fh:
+    with open(_out_path(args.out, args.out_dir), "w") as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"{len(points)} lattice points, {spec.n_fallback} fallback, "
           f"max residual {spec.max_residual:.3e} -> {args.out}")
     return 0
 
 
-def _emit_and_report(report, args, g):
+def _emit_and_report(report, args):
     ext = {"csv": "csv", "json": "json", "gnuplot-dat": "dat"}[args.fmt]
     out = args.out or f"{report.kind}.{ext}"
-    emit_report(report, args.fmt, _out_path(out, g["out_dir"]))
+    emit_report(report, args.fmt, _out_path(out, args.out_dir))
     for row in report.rows:
         keys = [k for k in row if k not in ("converged",)]
         line = "  ".join(f"{k}={row[k]:.6g}" if isinstance(row[k], float)
@@ -329,27 +321,28 @@ def _emit_and_report(report, args, g):
     return 0
 
 
-def _cmd_sweep_regular(args, g):
-    cfg = _cfg(args, g, _floats(args.schedule))
-    return _emit_and_report(run_regular_cloak_sweep(cfg), args, g)
+def _cmd_sweep_regular(args):
+    cfg = _cfg(args, _floats(args.schedule), inclusion=args.inclusion)
+    return _emit_and_report(run_regular_cloak_sweep(cfg), args)
 
 
-def _cmd_sweep_singular(args, g):
-    cfg = _cfg(args, g, _floats(args.schedule))
-    return _emit_and_report(run_truncated_singular_sweep(cfg), args, g)
+def _cmd_sweep_singular(args):
+    cfg = _cfg(args, _floats(args.schedule), inclusion=args.inclusion)
+    return _emit_and_report(run_truncated_singular_sweep(cfg), args)
 
 
-def _cmd_sweep_homog(args, g):
-    cfg = _cfg(args, g, [int(v) for v in _floats(args.schedule)])
-    return _emit_and_report(run_homogenization_sweep(cfg), args, g)
+def _cmd_sweep_homog(args):
+    cfg = _cfg(args, _floats(args.schedule), profile=args.profile,
+               psi=args.psi)
+    return _emit_and_report(run_homogenization_sweep(cfg), args)
 
 
-def _cmd_diffeo_check(args, g):
-    cfg = _cfg(args, g, _floats(args.h_schedule))
-    cfg.inclusion = args.coeff if args.coeff != "identity" else ""
+def _cmd_diffeo_check(args):
+    cfg = _cfg(args, _floats(args.h_schedule),
+               inclusion=args.coeff if args.coeff != "identity" else "")
     report = run_diffeo_invariance(cfg, dmap=regular_blowup(args.blowup))
     if args.out:
-        emit_report(report, args.fmt, _out_path(args.out, g["out_dir"]))
+        emit_report(report, args.fmt, _out_path(args.out, args.out_dir))
     for row in report.rows:
         print(f"{row['coefficient']}  h={row['h']}  dn={row['dn']:.6e}")
     return 0
@@ -370,11 +363,16 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     try:
-        g = _merge_globals(args)
-        os.makedirs(g["out_dir"], exist_ok=True)
-        return _COMMANDS[args.command](args, g)
+        if args.config:
+            # the file's entries go ahead of the command line, so explicit
+            # flags, parsed after them, win
+            args = parser.parse_args(_config_flags(args.config) + argv)
+        os.makedirs(args.out_dir, exist_ok=True)
+        return _COMMANDS[args.command](args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -206,9 +206,10 @@ def run_homogenization_sweep(cfg):
     reference and the identity problem on the same mesh. Terms whose period
     cannot get 8 elements are refused.
     """
-    sched = list(cfg.schedule) or [1, 2, 3, 4]
-    if any(int(n) != n or n < 1 for n in sched):
-        raise PreconditionError("homogenization schedule must be positive integers")
+    sched = list(cfg.schedule)
+    if not sched or any(n < 1 or not float(n).is_integer() for n in sched):
+        raise PreconditionError(
+            "homogenization schedule must be one or more positive integers")
     sched = [int(n) for n in sched]
     specs = build_isotropic_cloak_sequence(n_terms=max(sched), psi=cfg.psi,
                                            profile=cfg.profile)
@@ -269,7 +270,9 @@ def run_homogenization_sweep(cfg):
 
 def run_diffeo_invariance(cfg, dmap=None):
     """DN agreement of a coefficient and its push-forward under refinement."""
-    sched = sorted(cfg.schedule, reverse=True) or [0.1, 0.05, 0.025]
+    sched = sorted(cfg.schedule, reverse=True)
+    if not sched:
+        raise PreconditionError("diffeo check needs at least one mesh size")
     dmap = dmap or regular_blowup(0.5)
     fields = [identity_field(2)]
     if cfg.inclusion:
@@ -281,20 +284,20 @@ def run_diffeo_invariance(cfg, dmap=None):
     rows = []
     for field in fields:
         pushed = pushforward(field, dmap)
-        ident_ops = []
+        # this field's rows and unmapped operators, one per mesh size
+        these, field_ops = [], []
         for h in sched:
             # the pieces of a blow-up meet at image radius 1
             mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=h)
             op_a = dn_operator(field, basis, mesh, cfg.picard)
             op_p = dn_operator(pushed, basis, mesh, cfg.picard)
-            ident_ops.append(op_a)
-            rows.append({
+            field_ops.append(op_a)
+            these.append({
                 "coefficient": field.name,
                 "h": h,
                 "dn": dn_difference(op_a, op_p),
                 "converged": bool(op_a.all_converged and op_p.all_converged),
             })
-        these = [row for row in rows if row["coefficient"] == field.name]
         dns = [row["dn"] for row in these]
         factors = [a / b if b > 0 else np.inf
                    for a, b in zip(dns[:-1], dns[1:])]
@@ -303,13 +306,14 @@ def run_diffeo_invariance(cfg, dmap=None):
             q = dns[-2] / dns[-1]
             extrap = dns[-1] / (q - 1.0)
         else:
-            extrap = dns[-1] if dns else 0.0
-        self_err = dn_difference(ident_ops[-1], ident_ops[-2]) \
-            if len(ident_ops) >= 2 else 0.0
+            extrap = dns[-1]
+        self_err = dn_difference(field_ops[-1], field_ops[-2]) \
+            if len(field_ops) >= 2 else 0.0
         for row in these:
-            row.setdefault("factors", factors)
+            row["factors"] = factors
         these[-1]["extrapolated"] = extrap
         these[-1]["self_convergence"] = self_err
+        rows += these
     return DecayReport(kind="diffeo-invariance", parameter="h", rows=rows,
                        meta={"modes": cfg.modes, "map": dmap.name})
 

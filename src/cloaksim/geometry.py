@@ -65,9 +65,14 @@ class DiffMap:
 
 def _radial_matrix(hat, rad, tan, dim):
     """rad * hat hat^T + tan * (I - hat hat^T), batched."""
-    eye = np.eye(dim)
+    # in place: a shell evaluates this at all its quadrature points at
+    # once, and each spare (m, dim, dim) temporary adds to peak memory
     proj = hat[:, :, None] * hat[:, None, :]
-    return tan[:, None, None] * (eye[None] - proj) + rad[:, None, None] * proj
+    out = np.subtract(np.eye(dim), proj)
+    out *= tan[:, None, None]
+    proj *= rad[:, None, None]
+    out += proj
+    return out
 
 
 def _radial_map(psi, dpsi, psi_inv, dim, name, domain, origin_ok,
@@ -267,27 +272,28 @@ def _singular_eigs(s, dim):
 
 
 def singular_cloak_tensor(dim=2, r_min=1.0 + 1e-9):
-    """Push-forward of the identity through the singular map, on 1 < |y| <= 2.
+    """Push-forward of the identity through the singular map, on 1 <= |y| <= 2,
+    with the radius frozen at r_min below it.
 
-    Closed form at image radius rho with s = 2(rho - 1):
+    Closed form at image radius rho with s = 2(max(rho, r_min) - 1):
     radial eigenvalue s^{N-1}/4, tangential s^{N-1}/4 + s^{N-2} + s^{N-3},
     both scaled by 2^N / (2+s)^{N-1}. The radial eigenvalue vanishes as
-    rho -> 1, so the declared constants refer to the annulus [r_min, 2].
+    rho -> 1; clamping the radius at r_min carries the r_min values inward
+    along rays, so the tensor stays continuous and the declared constants
+    (the eigenvalues at r_min and at 2) hold on the whole domain.
     """
     if not (1.0 < r_min < 2.0):
         raise PreconditionError("r_min must lie in (1, 2)")
 
     def fn(pts, tt):
         rho = np.linalg.norm(pts, axis=1)
-        if np.any(rho <= 1.0) or np.any(rho > 2.0 + 1e-12):
-            raise PreconditionError("singular cloak tensor lives on 1 < |y| <= 2")
-        s = 2.0 * (rho - 1.0)
-        rad, tan = _singular_eigs(s, dim)
-        hat = pts / rho[:, None]
-        return _radial_matrix(hat, rad, tan, dim)
+        if np.any(rho < 1.0) or np.any(rho > 2.0 + 1e-12):
+            raise PreconditionError(
+                "singular cloak tensor lives on 1 <= |y| <= 2")
+        rad, tan = _singular_eigs(2.0 * (np.maximum(rho, r_min) - 1.0), dim)
+        return _radial_matrix(pts / rho[:, None], rad, tan, dim)
 
-    s0 = 2.0 * (r_min - 1.0)
-    rad0, tan0 = _singular_eigs(s0, dim)
+    rad0, tan0 = _singular_eigs(2.0 * (r_min - 1.0), dim)
     rad1, tan1 = _singular_eigs(2.0, dim)
     constants = StructureConstants(min(rad0, rad1, tan0, tan1),
                                    max(rad0, rad1, tan0, tan1), 0.0)
@@ -295,33 +301,17 @@ def singular_cloak_tensor(dim=2, r_min=1.0 + 1e-9):
 
 
 def truncated_singular_cloak(rho, dim=2, interior=None):
-    """Singular cloak truncated at |y| = rho by frozen-radius continuation.
+    """Singular cloak truncated at |y| = rho by freezing the radius there.
 
-    Exact push-forward tensor for |y| >= rho; for 1 <= |y| < rho the
-    eigenvalues are frozen at their rho values and carried inward along
-    rays, which keeps the tensor continuous at rho and uniformly elliptic.
+    On 1 <= |y| <= 2 this is singular_cloak_tensor with r_min = rho: exact
+    for |y| >= rho, uniformly elliptic with the rho eigenvalues below it.
     Inside B_1 the coefficient defaults to the identity placeholder; pass
     `interior` to put an inclusion there.
     """
     if not (1.0 < rho < 2.0):
         raise PreconditionError(f"need 1 < rho < 2, got {rho}")
-    s0 = 2.0 * (rho - 1.0)
-    rad0, tan0 = _singular_eigs(s0, dim)
-
-    def frozen_fn(pts, tt):
-        r = np.linalg.norm(pts, axis=1)
-        hat = pts / np.maximum(r, 1e-300)[:, None]
-        rad = np.full(len(pts), rad0)
-        tan = np.full(len(pts), tan0)
-        return _radial_matrix(hat, rad, tan, dim)
-
-    frozen = CoefficientField(
-        frozen_fn, StructureConstants(min(rad0, tan0), max(rad0, tan0), 0.0),
-        dim=dim, name=f"frozen[{rho:g}]")
-    exact = singular_cloak_tensor(dim=dim, r_min=rho)
     inner = interior if interior is not None else identity_field(dim)
+    shell = singular_cloak_tensor(dim=dim, r_min=rho)
     return piecewise_field(
-        [(annulus(rho, 2.0, dim=dim), exact),
-         (annulus(1.0, rho, dim=dim), frozen),
-         (ball(1.0, dim=dim), inner)],
+        [(annulus(1.0, 2.0, dim=dim), shell), (ball(1.0, dim=dim), inner)],
         dim=dim, name=f"truncated_cloak[{rho:g}]")

@@ -197,45 +197,24 @@ def cloak_targets(r, R, eta, psi=2.0, profile="transformation"):
     radial map's push-forward eigenvalues ((r-1)/r, r/(r-1)), so the
     homogenized shell is the anisotropic cloak itself; "flattened" keeps a
     conformal multiple of it (2(r-1)^2/r^2, 2), which is cheaper but keeps
-    an order-one boundary mismatch. Inside r < R both blend smoothly to the
-    floor value psi, a number; outside r >= 2 both are (1, 1).
+    an order-one boundary mismatch. Both are evaluated at the radius
+    frozen at R, max(r, R), and blended to the floor value psi, a number,
+    with weight phi((R - r)/eta), which is 0 from R outward; outside r >= 2
+    both are (1, 1). A scalar r gives numpy scalars.
     """
     if not (1.0 < R < 2.0) or eta <= 0.0:
         raise PreconditionError("need 1 < R < 2 and eta > 0")
     if profile not in _PROFILES:
         raise PreconditionError(f"unknown profile {profile!r}")
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    h = np.ones_like(r)
-    m = np.ones_like(r)
-
+    s = np.maximum(r, R)
     if profile == "transformation":
-        def h_ann(s):
-            return (s - 1.0) / s
-
-        def m_ann(s):
-            return s / (s - 1.0)
+        h, m = (s - 1.0) / s, s / (s - 1.0)
     else:
-        def h_ann(s):
-            return 2.0 * (s - 1.0) ** 2 / s ** 2
-
-        def m_ann(s):
-            return 2.0 * np.ones_like(np.asarray(s, dtype=float))
-
-    ann = (r >= R) & (r < 2.0)
-    h[ann] = h_ann(r[ann])
-    m[ann] = m_ann(r[ann])
-
-    inner = r < R
-    if np.any(inner):
-        wgt = phi((R - r[inner]) / eta)
-        pv = float(psi)
-        h[inner] = float(h_ann(R)) * (1.0 - wgt) + pv * wgt
-        m[inner] = float(m_ann(np.array(R))) * (1.0 - wgt) + pv * wgt
-    if scalar:
-        return float(h[0]), float(m[0])
-    return h, m
+        h, m = 2.0 * (s - 1.0) ** 2 / s ** 2, np.full_like(s, 2.0)
+    w = phi((R - r) / eta)
+    h, m = (np.where(r < 2.0, v * (1.0 - w) + psi * w, 1.0) for v in (h, m))
+    return h[()], m[()]
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +540,12 @@ class RadialCloakSpec:
                               name=f"cloak-sigma(R={self.R:g},eps={self.eps:g})")
 
     def homogenized(self):
-        """Reference anisotropic shell: the target means as a radial tensor."""
-        # extend by identity out to radius 3
-        r_ext = np.concatenate([self.r_grid, [2.0 + 1e-9, 3.0]])
-        one = np.ones(2)
-        return HomogenizedTensor(r_ext, np.concatenate([self.h_t, one]),
-                                 np.concatenate([self.m_t, one]), dim=2,
+        """Reference anisotropic shell: the target means as a radial tensor.
+
+        r_grid ends at radius 2, where the targets are (1, 1), and the
+        tensor holds that end value beyond it.
+        """
+        return HomogenizedTensor(self.r_grid, self.h_t, self.m_t, dim=2,
                                  name=f"cloak-target(R={self.R:g})")
 
 

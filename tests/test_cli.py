@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import cloaksim.cli as cli
+import cloaksim.experiments as experiments
 from cloaksim.experiments import DecayReport
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -157,6 +158,25 @@ class TestSweeps:
         assert run(["sweep-homog", "--schedule", "7",
                     "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-homog", "--schedule", ""],
+        ["sweep-homog", "--schedule", "1.5,2"],
+        ["diffeo-check", "--h-schedule", ""]])
+    def test_schedule_refused_before_any_work(self, tmp_path, monkeypatch,
+                                              argv):
+        # recorders stand in for the first costly step of each sweep, so a
+        # schedule that gets through fails at once instead of running
+        ran = []
+
+        def recorder(*args, **kwargs):
+            ran.append(args)
+            raise RuntimeError("the sweep ran")
+
+        for name in ("build_isotropic_cloak_sequence", "build_disk_mesh"):
+            monkeypatch.setattr(experiments, name, recorder)
+        assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert not ran
+
     def test_dropped_rows_reported(self, tmp_path, capsys, monkeypatch):
         rows = [{"rho": rho, "dn": rho - 1.0, "converged": rho != 1.3}
                 for rho in (1.8, 1.6, 1.4, 1.3, 1.2)]
@@ -208,6 +228,21 @@ class TestConfigMerge:
         bad.write_text("{not json")
         assert run(["--config", str(bad), "solve", "--coeff", "identity",
                     "--out", str(tmp_path / "s.json")]) == 2
+
+    @pytest.mark.parametrize("doc", ['{"h": "abc"}', '{"hh": 0.3}', '[1, 2]'])
+    def test_config_values_are_parsed(self, tmp_path, capsys, doc):
+        # a config entry is a flag: a bad value or an unknown key is
+        # refused like one, and so is a document that holds no entries
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(doc)
+        argv = ["--config", str(cfgfile), "solve", "--coeff", "identity"]
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
 
     def test_out_dir_prefixes_relative_paths(self, tmp_path):
         sub = tmp_path / "results"

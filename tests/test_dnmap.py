@@ -352,6 +352,41 @@ class TestKirchhoffOracle:
         assert errs[0] / errs[1] >= 3.5
 
 
+def inclusion_pairing(sigma, r, radius, k):
+    """Exact pairing of cos k theta (and of sin k theta) for sigma I on
+    B_r inside the identity on B_radius.
+
+    Outside the inclusion u = A (rho^k + b rho^-k) cos k theta, inside
+    c rho^k cos k theta. Continuity of u and of the flux at r give
+    b = -mu r^2k with mu = (sigma - 1)/(sigma + 1); at the outer circle
+    the pairing is then pi k (1 + mu q^2k)/(1 - mu q^2k) with q = r/radius.
+    """
+    mu, q2k = (sigma - 1.0) / (sigma + 1.0), (r / radius) ** (2 * k)
+    return np.pi * k * (1.0 + mu * q2k) / (1.0 - mu * q2k)
+
+
+class TestNearCloakOracle:
+    def test_inclusion_pairing_matches_closed_form(self):
+        # 5I on B_0.5 is the near-cloak of scale 0.5; the rotation
+        # invariance of both pieces keeps every mode to itself
+        field = transformed_inner_tensor(constant_field(5.0 * np.eye(2)), 0.5)
+        basis = FourierBasis(max_mode=4, radius=2.0)
+        exact = inclusion_pairing(5.0, 0.5, 2.0, np.arange(1, 5))
+        errs = []
+        for h in (0.2, 0.1):
+            mesh = build_disk_mesh(2.0, aligned_radii=(0.5,), h_target=h)
+            pairing = dn_operator(field, basis, mesh).pairing_matrix
+            diag = np.diag(pairing)
+            errs.append(max(np.abs(diag[1::2] / exact - 1.0).max(),
+                            np.abs(diag[2::2] / exact - 1.0).max()))
+            off = np.abs(pairing - np.diag(diag)).max()
+            assert off <= 1e-12 * np.abs(pairing).max()
+        # first order only: the interface rows of triangles take the
+        # inclusion value at the chord midpoints inside B_r
+        assert errs[0] <= 3e-2
+        assert errs[0] / errs[1] >= 1.7
+
+
 class TestDifference:
     def test_zero_for_identical(self):
         mesh = build_disk_mesh(2.0, h_target=0.2)

@@ -187,3 +187,14 @@ class TestDrivers:
         last = rep.rows[-1]
         assert "extrapolated" in last and "self_convergence" in last
         assert last["factors"][0] == pytest.approx(dns[0] / dns[1])
+
+    def test_diffeo_factors_of_fields_that_share_a_name(self):
+        # the "identity" inclusion has the name of the base field; each
+        # field's rows still hold the one ratio of their own two dns
+        cfg = ExperimentConfig(schedule=(0.4, 0.2), modes=2,
+                               inclusion="identity")
+        rep = run_diffeo_invariance(cfg)
+        assert [row["coefficient"] for row in rep.rows] == ["identity"] * 4
+        for rows in (rep.rows[:2], rep.rows[2:]):
+            for row in rows:
+                assert row["factors"] == [rows[0]["dn"] / rows[1]["dn"]]

@@ -24,6 +24,9 @@ DEFAULTS_THE_PROGRAM_LEAVES = (
     "regular_blowup(dim)",
     "singular_map(dim)",
     "truncated_singular_cloak(dim)",
+    # reached only by forwards from the three-dimensional maps and cloak
+    "singular_cloak_tensor(dim)",
+    "annulus(dim)",
     # the tests sample the structure at states of their own
     "validate_structure(t_values)",
     # the composition law itself is called by the tests only
@@ -142,48 +145,93 @@ def defaulted_parameters(node):
             yield arg.arg, None
 
 
+def scoped_calls(tree):
+    """(call, enclosing scopes) of each call in a module. A scope is the
+    name a call of it is written with (the class, for a constructor) and
+    its definition; the innermost comes last."""
+    def visit(node, scopes, cls):
+        if isinstance(node, ast.Call):
+            yield node, scopes
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            scopes = scopes + [(cls if name == "__init__" else name, node)]
+        cls = node.name if isinstance(node, ast.ClassDef) else None
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scopes, cls)
+
+    yield from visit(tree, [], None)
+
+
+def forwarded_default(arg, scopes):
+    """(caller, parameter, position) when the argument is a bare forward
+    of a defaulted parameter of the scope it names, else None."""
+    if not isinstance(arg, ast.Name):
+        return None
+    for caller, node in reversed(scopes):
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            v for v in (a.vararg, a.kwarg) if v is not None]
+        if any(p.arg == arg.id for p in params):
+            pos = dict(defaulted_parameters(node))
+            return (caller, arg.id, pos[arg.id]) if arg.id in pos else None
+    return None
+
+
+def reaches(passed, called, param, pos):
+    """Whether the passed slots reach the parameter of that name and
+    position (None for keyword-only) of the called name."""
+    return bool({(called, param), (called, "**"), (called, "*"),
+                 (called, pos)} & passed)
+
+
 def passed_arguments(paths):
-    """For each called name, the most positional arguments one call
-    passes and the keywords any call passes; a call that unpacks *args or
-    **kwargs counts as passing every positional or keyword argument."""
-    positional, keywords = {}, {}
+    """The (called name, slot) pairs that some call in the sources
+    reaches. A slot is a keyword or a position; a call that unpacks
+    **kwargs or *args reaches "**" or "*", which stand for all of them.
+
+    A bare forward of the caller's own defaulted parameter hands on only
+    what the caller receives, so it counts only once some call passes
+    that parameter of the caller: a fixpoint over the calls.
+    """
+    calls = []
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
+        for node, scopes in scoped_calls(ast.parse(path.read_text())):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else \
                 func.attr if isinstance(func, ast.Attribute) else None
             if name is None:
                 continue
-            count = len(node.args)
-            if any(isinstance(a, ast.Starred) for a in node.args):
-                count = float("inf")
-            positional[name] = max(positional.get(name, 0), count)
-            kws = keywords.setdefault(name, set())
-            for kw in node.keywords:
-                kws.add(kw.arg if kw.arg is not None else "**")
-    return positional, keywords
+            calls += [((name, "*" if isinstance(arg, ast.Starred) else i),
+                       forwarded_default(arg, scopes))
+                      for i, arg in enumerate(node.args)]
+            calls += [((name, kw.arg or "**"),
+                       forwarded_default(kw.value, scopes))
+                      for kw in node.keywords]
+    passed = set()
+    while True:
+        grown = {slot for slot, needs in calls
+                 if needs is None or reaches(passed, *needs)}
+        if grown <= passed:
+            return passed
+        passed |= grown
 
 
 def test_every_default_is_passed_by_the_program():
     # matched by name, like the check above: a parameter counts as passed
     # when some call of a function of that name (of the class, for a
     # constructor) in the package, the demos or the benchmark reaches it
-    # by position or by keyword
-    positional, keywords = passed_arguments(program_sources())
+    # by position or by keyword, other than by a forward of a default
+    # that no call passes on its own
+    passed = passed_arguments(program_sources())
     unpassed = set()
     for path in sorted(PACKAGE.glob("*.py")):
         defs = [(qualified, node.name, node)
                 for qualified, node in public_functions(path)]
         defs += [(cls, cls, node) for cls, node in public_constructors(path)]
         for qualified, called, node in defs:
-            kws = keywords.get(called, set())
-            for param, pos in defaulted_parameters(node):
-                if not (param in kws or "**" in kws
-                        or (pos is not None
-                            and positional.get(called, 0) > pos)):
-                    unpassed.add(f"{qualified}({param})")
+            unpassed |= {f"{qualified}({param})"
+                         for param, pos in defaulted_parameters(node)
+                         if not reaches(passed, called, param, pos)}
     listed = set(DEFAULTS_THE_PROGRAM_LEAVES)
     assert unpassed <= listed, ("defaulted parameters no caller in the "
                                 "program passes:\n"
