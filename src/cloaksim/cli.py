@@ -20,9 +20,9 @@ from .experiments import (ExperimentConfig, emit_report, run_diffeo_invariance,
                           run_homogenization_sweep, run_regular_cloak_sweep,
                           run_truncated_singular_sweep)
 from .fem import build_disk_mesh, h1_norm, l2_norm
-from .geometry import fd_jacobian, regular_blowup, singular_map
+from .geometry import fd_jacobian, regular_blowup
 from .homog import CellProblem, RadialCloakSpec, solve_cell
-from .presets import parse_preset, preset_field
+from .presets import preset_cell, preset_map, preset_problem
 from .qsolve import PicardConfig, solve_quasilinear
 
 def _parser():
@@ -57,7 +57,7 @@ def _parser():
 
     s = sub.add_parser("cell", help="periodic cell problem")
     s.add_argument("--profile", required=True,
-                   help="laminate:a,b | checker:a,b | constant:c | smooth-cos")
+                   help="a cell profile key: name or name:a,b")
     s.add_argument("--resolution", type=int, default=64)
     s.add_argument("--out")
 
@@ -108,12 +108,6 @@ def _config_flags(path):
             for key, value in doc.items()]
 
 
-def _out_path(path, out_dir):
-    if path is None or os.path.isabs(path):
-        return path
-    return os.path.join(out_dir, path)
-
-
 def _floats(text):
     text = text.strip()
     if not text:
@@ -132,36 +126,10 @@ def _cfg(args, schedule, **own):
         picard=PicardConfig(tol=args.tol), **own)
 
 
-def _domain_radius(coeff_key):
-    name, _ = parse_preset(coeff_key)
-    return 3.0 if name == "homogenized-radial" else 2.0
-
-
-def _aligned_for(coeff_key):
-    name, args = parse_preset(coeff_key)
-    if name == "regular-cloak":
-        return (args[0], 1.0)
-    if name == "truncated-singular-cloak":
-        return (1.0, args[0])
-    if name == "homogenized-radial":
-        R, eta = args
-        return (R - 2 * eta, R, 2.0)
-    return (1.0,)
-
-
 def _cmd_map_check(args):
-    name, params = parse_preset(args.map_key.replace(":", "(") + ")"
-                                if ":" in args.map_key else args.map_key)
-    if name == "regular":
-        dmap = regular_blowup(params[0] if params else 0.5)
-        lo, hi = 0.05, 1.99
-    elif name == "singular":
-        dmap = singular_map()
-        lo, hi = 0.05, 1.99
-    else:
-        raise PreconditionError(f"unknown map {args.map_key!r}")
+    dmap = preset_map(args.map_key)
     rng = np.random.default_rng(args.seed)
-    rr = rng.uniform(lo, hi, args.points)
+    rr = rng.uniform(0.05, 1.99, args.points)
     th = rng.uniform(0.0, 2 * np.pi, args.points)
     x = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
     y = dmap.forward(x)
@@ -182,10 +150,8 @@ def _cmd_map_check(args):
 
 
 def _cmd_solve(args):
-    field = preset_field(args.coeff)
-    radius = _domain_radius(args.coeff)
-    mesh = build_disk_mesh(radius, aligned_radii=_aligned_for(args.coeff),
-                           h_target=args.h)
+    field, radius, interfaces = preset_problem(args.coeff)
+    mesh = build_disk_mesh(radius, aligned_radii=interfaces, h_target=args.h)
     theta = mesh.boundary_angles()
     datum = np.cos(args.mode * theta)
     res = solve_quasilinear(mesh, field, datum, PicardConfig(tol=args.tol))
@@ -194,20 +160,18 @@ def _cmd_solve(args):
            "iterations": res.iterations, "converged": res.converged}
     text = json.dumps(doc, indent=1, sort_keys=True)
     if args.out:
-        with open(_out_path(args.out, args.out_dir), "w") as fh:
+        with open(os.path.join(args.out_dir, args.out), "w") as fh:
             fh.write(text + "\n")
     print(text)
     return 0 if res.converged else 3
 
 
 def _cmd_dnmap(args):
-    field = preset_field(args.coeff)
-    radius = _domain_radius(args.coeff)
-    mesh = build_disk_mesh(radius, aligned_radii=_aligned_for(args.coeff),
-                           h_target=args.h)
+    field, radius, interfaces = preset_problem(args.coeff)
+    mesh = build_disk_mesh(radius, aligned_radii=interfaces, h_target=args.h)
     basis = FourierBasis(args.modes, radius=radius)
     op = dn_operator(field, basis, mesh, PicardConfig(tol=args.tol))
-    op.to_json(_out_path(args.out, args.out_dir))
+    op.to_json(os.path.join(args.out_dir, args.out))
     print(f"{basis.size}x{basis.size} pairing matrix -> {args.out}")
     if not op.all_converged:
         bad = sum(1 for c in op.converged if not c)
@@ -224,39 +188,8 @@ def _cmd_dndiff(args):
     return 0
 
 
-# cell profile name -> the numbers of values it accepts
-_CELL_PARAM_COUNTS = {"laminate": (0, 2), "checker": (0, 2),
-                      "constant": (0, 1), "smooth-cos": (0,)}
-
-
-def _cell_profile(text):
-    name, _, rest = text.partition(":")
-    params = _floats(rest) if rest else []
-    if name not in _CELL_PARAM_COUNTS:
-        raise PreconditionError(f"unknown cell profile {text!r}")
-    if len(params) not in _CELL_PARAM_COUNTS[name]:
-        counts = " or ".join(str(n) for n in _CELL_PARAM_COUNTS[name])
-        raise PreconditionError(
-            f"cell profile {name} takes {counts} values, got {len(params)}")
-
-    if name == "laminate":
-        a, b = params or (1.0, 4.0)
-        return lambda p: np.where(p[:, 0] % 1.0 < 0.5, a, b)
-    if name == "checker":
-        a, b = params or (1.0, 4.0)
-
-        def checker(p):
-            same = ((p[:, 0] % 1.0) < 0.5) == ((p[:, 1] % 1.0) < 0.5)
-            return np.where(same, a, b)
-        return checker
-    if name == "constant":
-        c = params[0] if params else 1.0
-        return lambda p: np.full(len(p), c)
-    return lambda p: 2.0 + np.cos(2 * np.pi * p[:, 0])
-
-
 def _cmd_cell(args):
-    a_cell = _cell_profile(args.profile)
+    a_cell = preset_cell(args.profile)
     sol = solve_cell(CellProblem(a_cell, (args.resolution, args.resolution)))
     ev = np.linalg.eigvalsh(sol.tensor)
     doc = {"profile": args.profile,
@@ -267,7 +200,7 @@ def _cmd_cell(args):
         doc["bounds"] = {"harmonic": sol.bounds[0], "arithmetic": sol.bounds[1]}
     text = json.dumps(doc, indent=1, sort_keys=True)
     if args.out:
-        with open(_out_path(args.out, args.out_dir), "w") as fh:
+        with open(os.path.join(args.out_dir, args.out), "w") as fh:
             fh.write(text + "\n")
     print(text)
     return 0
@@ -294,7 +227,7 @@ def _cmd_cloak_build(args):
            "max_fit_residual": spec.max_residual,
            "fallback_points": spec.n_fallback,
            "points": points}
-    with open(_out_path(args.out, args.out_dir), "w") as fh:
+    with open(os.path.join(args.out_dir, args.out), "w") as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"{len(points)} lattice points, {spec.n_fallback} fallback, "
           f"max residual {spec.max_residual:.3e} -> {args.out}")
@@ -302,9 +235,7 @@ def _cmd_cloak_build(args):
 
 
 def _emit_and_report(report, args):
-    ext = {"csv": "csv", "json": "json", "gnuplot-dat": "dat"}[args.fmt]
-    out = args.out or f"{report.kind}.{ext}"
-    emit_report(report, args.fmt, _out_path(out, args.out_dir))
+    emit_report(report, args.fmt, os.path.join(args.out_dir, args.out))
     for row in report.rows:
         keys = [k for k in row if k not in ("converged",)]
         line = "  ".join(f"{k}={row[k]:.6g}" if isinstance(row[k], float)
@@ -342,7 +273,7 @@ def _cmd_diffeo_check(args):
                inclusion=args.coeff if args.coeff != "identity" else "")
     report = run_diffeo_invariance(cfg, dmap=regular_blowup(args.blowup))
     if args.out:
-        emit_report(report, args.fmt, _out_path(args.out, args.out_dir))
+        emit_report(report, args.fmt, os.path.join(args.out_dir, args.out))
     for row in report.rows:
         print(f"{row['coefficient']}  h={row['h']}  dn={row['dn']:.6e}")
     return 0

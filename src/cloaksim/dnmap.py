@@ -121,11 +121,17 @@ class DtNOperator:
 
     @classmethod
     def from_json(cls, path):
+        """Read an operator that to_json wrote; any other document raises
+        PreconditionError."""
         with open(path) as fh:
-            doc = json.load(fh)
-        basis = FourierBasis(doc["basis"], doc.get("radius", 2.0))
-        n = basis.size
-        matrix = np.array(doc["matrix"], dtype=float).reshape(n, n)
+            try:
+                doc = json.load(fh)
+                basis = FourierBasis(doc["basis"], doc.get("radius", 2.0))
+                n = basis.size
+                matrix = np.array(doc["matrix"], dtype=float).reshape(n, n)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise PreconditionError(
+                    f"{path} is not an operator file: {exc!r}") from None
         return cls(basis, matrix, coefficient=doc.get("coefficient", ""),
                    nonlinear=doc.get("nonlinear", False),
                    converged=doc.get("converged"))

@@ -276,10 +276,7 @@ def run_diffeo_invariance(cfg, dmap=None):
     dmap = dmap or regular_blowup(0.5)
     fields = [identity_field(2)]
     if cfg.inclusion:
-        try:
-            fields.append(inclusion_field(cfg.inclusion))
-        except PreconditionError:
-            fields.append(preset_field(cfg.inclusion))
+        fields.append(preset_field(cfg.inclusion))
     basis = FourierBasis(cfg.modes, radius=2.0)
     rows = []
     for field in fields:

@@ -371,6 +371,10 @@ def solve_cell(problem):
     sym_defect = np.abs(amat - amat.transpose(0, 2, 1)).max()
     if sym_defect > 1e-12 * max(np.abs(amat).max(), 1.0):
         raise PreconditionError("cell coefficient must be symmetric")
+    # Sylvester's criterion, before the stiffness, with no temporary kept
+    if not (np.all(amat[:, 0, 0] > 0.0) and np.all(
+            amat[:, 0, 0] * amat[:, 1, 1] > amat[:, 0, 1] * amat[:, 1, 0])):
+        raise PreconditionError("cell coefficient must be positive definite")
 
     K = p1_stiffness(areas, grads, amat, dofs, ndof)
 

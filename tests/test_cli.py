@@ -1,10 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import cloaksim.cli as cli
 import cloaksim.experiments as experiments
+import cloaksim.presets as presets
 from cloaksim.experiments import DecayReport
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -25,6 +27,16 @@ class TestMapCheck:
 
     def test_unknown_map_is_bad_input(self):
         assert run(["map-check", "--map", "mystery"]) == 2
+
+    @pytest.mark.parametrize("key, code", [
+        ("regular:0.5", 0), ("regular(0.5)", 0), ("regular", 0),
+        ("singular", 0), ("singular(0.3)", 2), ("regular(0.1,0.2)", 2)])
+    def test_map_value_counts(self, capsys, key, code):
+        # a map takes only the values it reads: none or r for regular,
+        # none for singular; extra values are refused, not dropped
+        assert run(["map-check", "--map", key, "--points", "20"]) == code
+        if code:
+            assert "takes" in capsys.readouterr().err
 
     def test_corrupted_jacobian_detected(self, monkeypatch):
         # if the analytic jacobian stops matching finite differences the
@@ -55,6 +67,12 @@ class TestSolve:
     def test_bad_coefficient(self):
         assert run(["solve", "--coeff", "not-a-thing"]) == 2
 
+    @pytest.mark.parametrize("key, linear", [("5I", True), ("sin-5I", False)])
+    def test_inclusions_are_coefficients(self, capsys, key, linear):
+        assert run(["--h", "0.4", "solve", "--coeff", key]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["iterations"] == 1) == linear
+
     def test_unwritable_path_is_io_failure(self, tmp_path):
         out = tmp_path / "missing-dir" / "s.json"
         assert run(["--h", "0.4", "solve", "--coeff", "identity",
@@ -82,6 +100,18 @@ class TestDnPipeline:
         assert run(["dndiff", str(a), str(a)]) == 0
         assert float(capsys.readouterr().out.strip()) == 0.0
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"matrix": [0.0]}',
+        '{"basis": 1, "matrix": [1.0, 2.0]}',     # 2 entries for a 3x3
+        "[1, 2]"], ids=["not-json", "no-basis", "wrong-length", "not-object"])
+    def test_malformed_operator_file(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(["dndiff", str(bad), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestCell:
     def test_laminate(self, tmp_path):
@@ -97,6 +127,14 @@ class TestCell:
 
     def test_unknown_profile(self):
         assert run(["cell", "--profile", "wavelet:1"]) == 2
+
+    def test_indefinite_profile(self, capsys):
+        # negative on half the cell: there is no effective tensor to print
+        assert run(["cell", "--profile", "checker:1,-4",
+                    "--resolution", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "positive definite" in captured.err
 
     @pytest.mark.parametrize("profile", ["laminate:2", "checker:1,4,9",
                                          "constant:2,9,9", "smooth-cos:1"])
@@ -260,3 +298,22 @@ def test_readme_lists_every_subcommand():
     listed = {line.split()[1] for line in block.splitlines()
               if line.startswith("cloaksim ")}
     assert listed == set(cli._COMMANDS)
+
+
+def test_readme_lists_every_named_input():
+    # the names of each row of the README's table of named inputs, the
+    # first word of each key in its last column, are the keys of that
+    # kind's table in presets.py
+    text = README.read_text().split("## Command line", 1)[1]
+    text = text.split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in text.splitlines()
+            if line.startswith("| ")][2:]    # after the header and rule
+    listed = {cells[0].strip(): set(re.findall(r"`([A-Za-z0-9-]+)[^`]*`",
+                                               cells[-1]))
+              for cells in rows}
+    assert listed == {
+        "coefficient": set(presets.COEFFICIENTS),
+        "inclusion": set(presets.INCLUSION_NAMES),
+        "map": set(presets.MAPS),
+        "cell profile": set(presets.CELL_PROFILES),
+    }

@@ -297,6 +297,19 @@ class TestCellProblems:
         with pytest.raises(PreconditionError):
             solve_cell(CellProblem(a, resolution=(8, 8)))
 
+    @pytest.mark.parametrize("matrix", [
+        # negative on half the cell: the checkerboard of 1 and -4
+        lambda p: np.where((p[:, 0] % 1.0 < 0.5) == (p[:, 1] % 1.0 < 0.5),
+                           1.0, -4.0),
+        # positive diagonal, negative determinant
+        lambda p: np.tile([[1.0, 2.0], [2.0, 1.0]], (len(p), 1, 1)),
+        # positive determinant, negative diagonal
+        lambda p: np.tile(-np.eye(2), (len(p), 1, 1))],
+        ids=["checker", "negative-determinant", "negative-diagonal"])
+    def test_indefinite_cell_refused(self, matrix):
+        with pytest.raises(PreconditionError, match="positive definite"):
+            solve_cell(CellProblem(matrix, resolution=(8, 8)))
+
     def test_cell_lipschitz_reports(self):
         def factory(t):
             def a(p, t=t):

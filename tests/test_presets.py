@@ -3,7 +3,9 @@ import pytest
 
 from cloaksim.errors import PreconditionError
 from cloaksim.homog import cloak_targets
-from cloaksim.presets import inclusion_field, parse_preset, preset_field
+from cloaksim.presets import (COEFFICIENTS, INCLUSION_NAMES, PRESET_NAMES,
+                              inclusion_field, parse_preset, preset_cell,
+                              preset_field, preset_map, preset_problem)
 
 
 class TestParse:
@@ -17,6 +19,14 @@ class TestParse:
 
     def test_whitespace_tolerated(self):
         assert parse_preset("  identity ") == ("identity", [])
+
+    @pytest.mark.parametrize("colon, paren", [
+        ("laminate:1,4,0.05", "laminate(1,4,0.05)"),
+        ("regular:0.5", "regular(0.5)"),
+        ("singular:", "singular()"),
+        ("smooth-cos", "smooth-cos")])
+    def test_both_written_forms(self, colon, paren):
+        assert parse_preset(colon) == parse_preset(paren)
 
     @pytest.mark.parametrize("key", ["regular-cloak(", "a b", "f(x)",
                                      "laminate(1,,2)"])
@@ -48,6 +58,21 @@ class TestInclusions:
     def test_unknown_rejected(self):
         with pytest.raises(PreconditionError):
             inclusion_field("7I")
+
+    def test_other_coefficients_are_not_inclusions(self):
+        with pytest.raises(PreconditionError, match="unknown inclusion"):
+            inclusion_field("isotropic-sin")
+
+    def test_inclusions_are_coefficients(self):
+        assert INCLUSION_NAMES == ("identity", "5I", "sin-5I")
+        assert PRESET_NAMES == tuple(COEFFICIENTS)
+        pts = np.array([[0.3, 0.1]])
+        t = np.array([0.7])
+        for name in INCLUSION_NAMES:
+            got = inclusion_field(name)
+            want = preset_field(name)
+            assert got.name == want.name
+            assert np.array_equal(got.eval(pts, t), want.eval(pts, t))
 
 
 class TestPresets:
@@ -116,3 +141,42 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(PreconditionError):
             preset_field("cloakinator")
+
+    def test_unnamed_fields_take_their_key(self):
+        assert preset_field("laminate(1,4,0.2)").name == "laminate(1,4,0.2)"
+        assert preset_field("laminate:1,4,0.2").name == "laminate:1,4,0.2"
+        assert preset_field("regular-cloak:0.3").name == "regular-cloak(0.3)"
+
+    @pytest.mark.parametrize("key, disk", [
+        ("identity", (2.0, (1.0,))),
+        ("sin-5I", (2.0, (1.0,))),
+        ("regular-cloak(0.3)", (2.0, (0.3, 1.0))),
+        ("truncated-singular-cloak:1.25", (2.0, (1.0, 1.25))),
+        ("homogenized-radial(1.5,0.125)", (3.0, (1.25, 1.5, 2.0))),
+        ("laminate(1,4,0.25)", (2.0, (1.0,)))])
+    def test_disk_and_interfaces(self, key, disk):
+        field, *got = preset_problem(key)
+        assert tuple(got) == disk
+        assert field.name == preset_field(key).name
+
+    @pytest.mark.parametrize("key", ["identity(1)", "5I:2", "regular-cloak",
+                                     "homogenized-radial(1.5)"])
+    def test_value_count_checked(self, key):
+        with pytest.raises(PreconditionError, match="takes"):
+            preset_field(key)
+
+
+class TestMaps:
+    def test_regular_defaults_to_half(self):
+        x = np.array([[0.2, 0.1]])
+        assert np.array_equal(preset_map("regular").forward(x),
+                              preset_map("regular:0.5").forward(x))
+
+
+class TestCellProfiles:
+    def test_defaults_and_values(self):
+        p = np.array([[0.25, 0.25], [0.75, 0.25]])
+        assert preset_cell("laminate")(p).tolist() == [1.0, 4.0]
+        assert preset_cell("checker(2,3)")(p).tolist() == [2.0, 3.0]
+        assert preset_cell("constant:3")(p).tolist() == [3.0, 3.0]
+        assert preset_cell("smooth-cos")(p) == pytest.approx([2.0, 2.0])
