@@ -10,6 +10,7 @@ same mesh.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 
@@ -83,12 +84,15 @@ class DtNOperator:
     Column j of the pairing matrix is the boundary flux of the solution
     with datum j, paired with every trace. Operators computed by
     dn_operator also keep the mesh, the nodal solution of each column
-    (row j solves datum j) and its iteration count; operators
-    loaded by from_json have None there, so only dn_difference takes them.
+    (row j solves datum j), its iteration count and factor_kinds, the
+    count of the systems it factored by SparseSystem.factor_kind;
+    operators loaded by from_json have None there, so only dn_difference
+    takes them.
     """
 
     def __init__(self, basis, pairing_matrix, coefficient="", nonlinear=False,
-                 converged=None, solutions=None, iterations=None, mesh=None):
+                 converged=None, solutions=None, iterations=None, mesh=None,
+                 factor_kinds=None):
         pairing_matrix = np.asarray(pairing_matrix, dtype=float)
         if pairing_matrix.shape != (basis.size, basis.size):
             raise PreconditionError("pairing matrix does not match basis size")
@@ -102,6 +106,7 @@ class DtNOperator:
         self.solutions = solutions
         self.iterations = iterations
         self.mesh = mesh
+        self.factor_kinds = factor_kinds
 
     @property
     def all_converged(self):
@@ -161,6 +166,7 @@ def dn_operator(A, basis, mesh, cfg=None):
         systems = [system] * basis.size
         iterations = [1] * basis.size
         converged = None
+        kinds = Counter([system.factor_kind])
     else:
         coef = mesh.bind(A)
         results = [solve_quasilinear(mesh, A, traces[j], config=cfg,
@@ -170,10 +176,12 @@ def dn_operator(A, basis, mesh, cfg=None):
         systems = [r.system for r in results]
         iterations = [r.iterations for r in results]
         converged = [r.converged for r in results]
+        kinds = sum((r.factor_kinds for r in results), Counter())
     matrix = dn_pairing(solutions, systems, traces)
     return DtNOperator(basis, matrix, coefficient=A.name,
                        nonlinear=not A.is_linear, converged=converged,
-                       solutions=solutions, iterations=iterations, mesh=mesh)
+                       solutions=solutions, iterations=iterations, mesh=mesh,
+                       factor_kinds=kinds)
 
 
 def dn_difference(op1, op2):

@@ -18,7 +18,7 @@ from .fem import build_disk_mesh, l2_norm, h1_norm
 from .geometry import (pushforward, regular_blowup, transformed_inner_tensor,
                        truncated_singular_cloak)
 from .homog import build_isotropic_cloak_sequence
-from .presets import inclusion_field, preset_field
+from .presets import inclusion_field, preset_problem
 from .qsolve import PicardConfig
 
 __all__ = ["ExperimentConfig", "DecayReport", "fit_loglog",
@@ -276,7 +276,13 @@ def run_diffeo_invariance(cfg, dmap=None):
     dmap = dmap or regular_blowup(0.5)
     fields = [identity_field(2)]
     if cfg.inclusion:
-        fields.append(preset_field(cfg.inclusion))
+        field, radius, _ = preset_problem(cfg.inclusion)
+        # every mesh here is the radius-2 disk, which the blow-up fixes
+        if radius != 2.0:
+            raise PreconditionError(
+                f"diffeo check runs on the radius-2 disk; {cfg.inclusion!r} "
+                f"is posed on radius {radius:g}")
+        fields.append(field)
     basis = FourierBasis(cfg.modes, radius=2.0)
     rows = []
     for field in fields:

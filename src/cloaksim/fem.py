@@ -3,18 +3,25 @@
 Meshes are structured: concentric vertex rings with a common angular count,
 so requested radii (interfaces of piecewise coefficients) can be matched
 exactly by a ring of vertices. Assembly is vectorized over triangles, with
-the coefficient sampled at the three edge midpoints of each element.
+the coefficient sampled at the three edge midpoints of each element. Every
+matrix assembled on one mesh shares one CSR pattern (P1Pattern), built once
+per mesh: an assembly sums the element matrices into its data array, and
+J = K + C is the sum of two data arrays.
 
 A Dirichlet solve factors its system once, in one of two kinds. When the
 mesh records its ring layout and the matrix is symmetric and invariant
 under a rotation by one angular step (a rotation-equivariant coefficient
 frozen at a radial state), the angular Fourier transform splits the
 problem into one Hermitian tridiagonal system over the rings per mode
-(RingFactor). Otherwise SuperLU factors the interior block.
+(RingFactor). Otherwise SuperLU factors the interior block. The first
+SuperLU factor on a mesh computes a fill-reducing ordering; every later one
+on that mesh reuses it.
 """
 
+from functools import cached_property
+
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 # cg is never called here; it stays bound because perfbench/tracing.py wraps it
 from scipy.sparse.linalg import cg, splu  # noqa: F401
 
@@ -25,6 +32,7 @@ __all__ = [
     "SparseSystem",
     "RingFactor",
     "ring_factor",
+    "P1Pattern",
     "build_disk_mesh",
     "assemble_frozen",
     "newton_system",
@@ -72,6 +80,12 @@ class TriMesh:
     @property
     def n_triangles(self):
         return len(self.triangles)
+
+    @cached_property
+    def pattern(self):
+        """The P1Pattern of every matrix assembled on this mesh, built on
+        first use and kept with the ordering of the mesh's first LU."""
+        return P1Pattern(self.triangles, self.n_vertices)
 
     def bind(self, field):
         """The field at the assembly quadrature points as a function of the
@@ -248,24 +262,61 @@ def p1_elements(corners):
     return areas, grads
 
 
-def p1_stiffness(areas, grads, amats, dofs, n_dofs):
+def p1_stiffness(areas, grads, amats, pattern):
     """Global P1 stiffness matrix (CSR) of elementwise constant tensors.
 
     amats : (nt, 2, 2) coefficient per triangle
-    dofs : (nt, 3) global degree of freedom of each corner
+    pattern : P1Pattern of the triangles' degrees of freedom
     """
     local = grads @ amats @ grads.transpose(0, 2, 1)
     local *= areas[:, None, None]
-    return _scatter(local, dofs, n_dofs)
+    return pattern.scatter(local)
 
 
-def _scatter(local, dofs, n_dofs):
-    """CSR sum of the (nt, 3, 3) element matrices; local[t, i, j] couples
-    dofs[t, i] to dofs[t, j]. The pattern depends on dofs alone."""
-    rows = np.repeat(dofs, 3, axis=1).ravel()     # dofs[t, i]
-    cols = np.tile(dofs, (1, 3)).ravel()          # dofs[t, j]
-    return coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(n_dofs, n_dofs)).tocsr()
+class P1Pattern:
+    """The CSR pattern of the P1 matrices on one set of triangles.
+
+    dofs : (nt, 3) global degree of freedom of each corner. indptr and
+    indices are canonical (rows in order, sorted columns, no duplicates);
+    slot[9 t + 3 i + j] is the position in data of the entry that couples
+    dofs[t, i] to dofs[t, j]. ordering is the interior ordering of the
+    first LU on the pattern (_InteriorOrdering), None before it.
+    """
+
+    def __init__(self, dofs, n_dofs):
+        # row-major key of each entry: dofs[t, i] * n_dofs + dofs[t, j]
+        keys = np.repeat(np.asarray(dofs, dtype=np.int64) * n_dofs, 3,
+                         axis=1).ravel()
+        keys += np.tile(dofs, (1, 3)).ravel()
+        # sorted and deduplicated; np.unique takes about four times as long
+        entries = np.sort(keys)
+        entries = entries[np.diff(entries, prepend=-1) != 0]
+        self.slot = np.searchsorted(entries, keys).astype(np.int32)
+        self.n = int(n_dofs)
+        self.indices = (entries % n_dofs).astype(np.int32)
+        self.indptr = np.searchsorted(
+            entries, np.arange(n_dofs + 1) * n_dofs).astype(np.int32)
+        self.ordering = None
+
+    @property
+    def nnz(self):
+        return len(self.indices)
+
+    def matrix(self, data):
+        """The CSR matrix with this pattern and these entries."""
+        return csr_matrix((data, self.indices, self.indptr),
+                          shape=(self.n, self.n))
+
+    def scatter(self, local):
+        """CSR sum of the (nt, 3, 3) element matrices local[t, i, j]."""
+        return self.matrix(np.bincount(self.slot, weights=local.ravel(),
+                                       minlength=self.nnz))
+
+    def holds(self, matrix):
+        """Whether a CSR matrix stores exactly this pattern."""
+        return (matrix.nnz == self.nnz
+                and np.array_equal(matrix.indptr, self.indptr)
+                and np.array_equal(matrix.indices, self.indices))
 
 
 def _edge_means(corners):
@@ -313,8 +364,7 @@ def assemble_frozen(mesh, coef, state=None, load=None):
     # 1/3 weight per midpoint; the per-midpoint matrices are not kept
     # through p1_stiffness, which lowers the resident peak of a solve
     amean = coef(t_mid).reshape(nt, 3, 2, 2).mean(axis=1)
-    matrix = p1_stiffness(mesh.areas, mesh.grads, amean, mesh.triangles,
-                          mesh.n_vertices)
+    matrix = p1_stiffness(mesh.areas, mesh.grads, amean, mesh.pattern)
     if load is None:
         load = np.zeros(mesh.n_vertices)
     return SparseSystem(matrix, load, mesh)
@@ -350,10 +400,8 @@ def newton_system(frozen, coef, state):
     flux = np.einsum("tqcd,td->tqc", dadt.reshape(nt, 3, 2, 2), grad_u)
     local = mesh.grads @ _corner_sums(flux).transpose(0, 2, 1)
     local *= (mesh.areas / 6.0)[:, None, None]
-    cmat = _scatter(local, mesh.triangles, mesh.n_vertices)
-    k = frozen.matrix
-    jac = csr_matrix((k.data + cmat.data, k.indices, k.indptr),
-                     shape=k.shape)
+    cmat = mesh.pattern.scatter(local)
+    jac = mesh.pattern.matrix(frozen.matrix.data + cmat.data)
     return SparseSystem(jac, cmat @ state + frozen.load, mesh)
 
 
@@ -362,8 +410,14 @@ class SparseSystem:
 
     The interior problem is factored on the first solve and later solves
     reuse the factor. ring_factor is tried first; SuperLU factors the
-    interior block when it does not apply. The matrix need not be
-    symmetric: a Newton system (newton_system) is not.
+    interior block when it does not apply. The first SuperLU factor of a
+    matrix in the mesh's pattern orders the block by minimum degree, and
+    the pattern keeps that ordering; every later one in the pattern
+    gathers the block, in that order, straight from the matrix data.
+    factor_kind names the factor that served the system: "ring", "lu"
+    (ordering computed) or "lu-reordered" (ordering reused); None before
+    the first solve. The matrix need not be symmetric: a Newton system
+    (newton_system) is not.
     """
 
     def __init__(self, matrix, load, mesh):
@@ -371,16 +425,15 @@ class SparseSystem:
         self.load = load
         self.mesh = mesh
         self._solver = None
+        self.factor_kind = None
 
     def _factor(self):
         if self._solver is None:
             self._solver = ring_factor(self.matrix, self.mesh)
+            self.factor_kind = "ring"
             if self._solver is None:
-                ii = self.mesh.interior
-                # minimum degree on A^T + A; the Newton systems have a
-                # symmetric pattern, and their fill is 40 % below COLAMD's
-                self._solver = splu(self.matrix[ii][:, ii].tocsc(),
-                                     permc_spec="MMD_AT_PLUS_A")
+                self._solver, self.factor_kind = _interior_lu(self.matrix,
+                                                              self.mesh)
         return self._solver
 
     def solve_dirichlet(self, boundary_values):
@@ -399,6 +452,69 @@ class SparseSystem:
             raise NumericalError(
                 f"linear solve residual {resid / scale:.3e} above 1e-8")
         return full
+
+
+def _interior_lu(matrix, mesh):
+    """SuperLU factor of the interior block of the matrix, and its kind."""
+    pattern = mesh.pattern
+    ours = pattern.holds(matrix)
+    if ours and pattern.ordering is not None:
+        return pattern.ordering.factor(matrix.data), "lu-reordered"
+    ii = mesh.interior
+    # minimum degree on A^T + A; the Newton systems have a symmetric
+    # pattern, and their fill is 40 % below COLAMD's
+    lu = splu(matrix[ii][:, ii].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    if ours:
+        pattern.ordering = _InteriorOrdering(pattern, ii, lu.perm_c)
+    return lu, "lu"
+
+
+class _InteriorOrdering:
+    """The column ordering of the first LU of a pattern's interior block,
+    kept for every later LU of a matrix in that pattern.
+
+    With inv = argsort(perm_c), SuperLU factored A P for the permutation
+    P that perm_c stands for. A later LU factors B = P^T A P, whose entry
+    B[i, j] is A[inv[i], inv[j]], in its natural order, and solves
+    x[inv] = B^-1 rhs[inv]. gather, indices and indptr store B in CSC
+    form: gather[k] is the position in the pattern's data of B's k-th
+    stored entry.
+    """
+
+    def __init__(self, pattern, rows, perm_c):
+        m = len(rows)
+        self.inv = np.argsort(perm_c)
+        new = np.full(pattern.n, -1)
+        new[rows] = perm_c
+        r = new[np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))]
+        c = new[pattern.indices]
+        (kept,) = np.nonzero((r >= 0) & (c >= 0))
+        r, c = r[kept], c[kept]
+        order = np.lexsort((r, c))          # by column, then by row
+        self.gather = kept[order]
+        self.indices = r[order].astype(np.int32)
+        self.indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(c, minlength=m), out=self.indptr[1:])
+
+    def factor(self, data):
+        """Interior solver of the matrix with these pattern entries."""
+        m = len(self.inv)
+        block = csc_matrix((data[self.gather], self.indices, self.indptr),
+                           shape=(m, m))
+        return _Reordered(splu(block, permc_spec="NATURAL"), self.inv)
+
+
+class _Reordered:
+    """An LU of the reordered interior block, solving in the mesh order."""
+
+    def __init__(self, lu, inv):
+        self.lu = lu
+        self.inv = inv
+
+    def solve(self, rhs):
+        x = np.empty_like(rhs)
+        x[self.inv] = self.lu.solve(rhs[self.inv])
+        return x
 
 
 def ring_factor(matrix, mesh):

@@ -14,6 +14,7 @@ Three layers:
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -21,7 +22,7 @@ from scipy.sparse.linalg import splu
 
 from .coeff import CoefficientField, IsotropicField, StructureConstants
 from .errors import NumericalError, PreconditionError
-from .fem import p1_elements, p1_stiffness
+from .fem import P1Pattern, p1_elements, p1_stiffness
 from .geometry import _radial_matrix
 
 __all__ = [
@@ -315,7 +316,10 @@ class CellSolution:
         return np.sqrt((self.areas * (g ** 2).sum(axis=2)).sum(axis=1))
 
 
+@lru_cache(maxsize=1)
 def _cell_grid(n1, n2):
+    """Corner dofs, corner points and P1Pattern of the crossed n1 x n2
+    grid; the last grid is kept, since a cell sweep reuses one resolution."""
     dx, dy = 1.0 / n1, 1.0 / n2
     i, j = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
     i = i.ravel()
@@ -349,7 +353,10 @@ def _cell_grid(n1, n2):
         np.stack([p11, p01, pc], axis=1),
         np.stack([p01, p00, pc], axis=1),
     ])
-    return tris_dof, tris_xy, 2 * n1 * n2
+    # every call of this resolution shares them
+    tris_dof.setflags(write=False)
+    tris_xy.setflags(write=False)
+    return tris_dof, tris_xy, P1Pattern(tris_dof, 2 * n1 * n2)
 
 
 def solve_cell(problem):
@@ -363,7 +370,8 @@ def solve_cell(problem):
     n1, n2 = problem.resolution
     if n1 < 2 or n2 < 2:
         raise PreconditionError("cell resolution must be at least 2 per axis")
-    dofs, xy, ndof = _cell_grid(n1, n2)
+    dofs, xy, pattern = _cell_grid(n1, n2)
+    ndof = pattern.n
     areas, grads = p1_elements(xy)
 
     cent = xy.mean(axis=1)
@@ -376,7 +384,7 @@ def solve_cell(problem):
             amat[:, 0, 0] * amat[:, 1, 1] > amat[:, 0, 1] * amat[:, 1, 0])):
         raise PreconditionError("cell coefficient must be positive definite")
 
-    K = p1_stiffness(areas, grads, amat, dofs, ndof)
+    K = p1_stiffness(areas, grads, amat, pattern)
 
     rhs = np.zeros((2, ndof))
     for k in range(2):
@@ -411,7 +419,9 @@ def solve_cell(problem):
     grad_chi = np.einsum("tic,kti->ktc", grads, chi[:, dofs])
     eye = np.eye(2)
     total = grad_chi + eye[:, None, :]
-    astar = np.einsum("kta,tab,ltb,t->kl", total, amat, total, areas)
+    flux = np.matmul(total[:, :, None, :], amat).squeeze(2)
+    flux *= areas[:, None]
+    astar = np.einsum("ktb,ltb->kl", flux, total)
     astar = 0.5 * (astar + astar.T)
     ev = np.linalg.eigvalsh(astar)
     if ev.min() <= 0.0:

@@ -11,6 +11,7 @@ result records that it was. A field that does not depend on the state is
 solved in a single step.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -40,7 +41,8 @@ class QSolveResult:
     updates holds the relative L2 update of each step. damping_activated is
     True when the safeguard replaced at least one Newton step by a Picard
     step. system is the system assembled at the returned state, whose
-    residual dn_pairing reads as the boundary flux.
+    residual dn_pairing reads as the boundary flux. factor_kinds counts the
+    systems the solve factored by SparseSystem.factor_kind.
     """
 
     u: np.ndarray
@@ -49,6 +51,7 @@ class QSolveResult:
     updates: list = dc_field(default_factory=list)
     damping_activated: bool = False
     system: object = None
+    factor_kinds: Counter = dc_field(default_factory=Counter)
 
 
 def _boundary_array(mesh, boundary_values):
@@ -82,11 +85,17 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
         coef = mesh.bind(field)
     load = None if source is None else mesh.load(source)
 
+    kinds = Counter()
+
+    def solve(system):
+        u = system.solve_dirichlet(g)
+        kinds[system.factor_kind] += 1
+        return u
+
     if field.is_linear and warm_start is None:
         system = assemble_frozen(mesh, coef, load=load)
-        u = system.solve_dirichlet(g)
-        return QSolveResult(u, converged=True, iterations=1, updates=[],
-                            system=system)
+        return QSolveResult(solve(system), converged=True, iterations=1,
+                            updates=[], system=system, factor_kinds=kinds)
 
     u = np.zeros(mesh.n_vertices) if warm_start is None \
         else np.asarray(warm_start, dtype=float).copy()
@@ -95,13 +104,13 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
     for it in range(1, cfg.max_iter + 1):
         system = assemble_frozen(mesh, coef, state=u, load=load)
         if it == 1:
-            u_new = system.solve_dirichlet(g)
+            u_new = solve(system)
         else:
-            u_new = newton_system(system, coef, u).solve_dirichlet(g)
+            u_new = solve(newton_system(system, coef, u))
         upd = _update(mesh, u_new, u)
         if it > 1 and upd >= updates[-1]:
             # the safeguard: the Picard step from the same state
-            u_new = system.solve_dirichlet(g)
+            u_new = solve(system)
             upd = _update(mesh, u_new, u)
             activated = True
         updates.append(upd)
@@ -113,7 +122,7 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
     system = assemble_frozen(mesh, coef, state=u, load=load)
     return QSolveResult(u, converged=updates[-1] <= cfg.tol, iterations=it,
                         updates=updates, damping_activated=activated,
-                        system=system)
+                        system=system, factor_kinds=kinds)
 
 
 def _update(mesh, new, old):

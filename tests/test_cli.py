@@ -199,7 +199,9 @@ class TestSweeps:
     @pytest.mark.parametrize("argv", [
         ["sweep-homog", "--schedule", ""],
         ["sweep-homog", "--schedule", "1.5,2"],
-        ["diffeo-check", "--h-schedule", ""]])
+        ["diffeo-check", "--h-schedule", ""],
+        # a radius-3 field, off the radius-2 disk the blow-up fixes
+        ["diffeo-check", "--coeff", "homogenized-radial(1.5,0.125)"]])
     def test_schedule_refused_before_any_work(self, tmp_path, monkeypatch,
                                               argv):
         # recorders stand in for the first costly step of each sweep, so a

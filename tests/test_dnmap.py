@@ -9,7 +9,8 @@ from cloaksim.coeff import (IsotropicField, ProductField, StructureConstants,
 from cloaksim.dnmap import (DtNOperator, FourierBasis, dn_difference,
                             dn_operator, neumann_trace_error)
 from cloaksim.errors import PreconditionError
-from cloaksim.fem import assemble_frozen, build_disk_mesh, p1_stiffness
+from cloaksim.fem import (P1Pattern, assemble_frozen, build_disk_mesh,
+                          p1_stiffness)
 from cloaksim.geometry import (DiffMap, pushforward, regular_blowup,
                                transformed_inner_tensor,
                                truncated_singular_cloak)
@@ -78,6 +79,27 @@ class TestOperator:
         dn_operator(constant_field(np.diag([2.0, 3.0])),
                     FourierBasis(max_mode=3), mesh)
         assert [kind for kind, _, _ in factors] == ["splu"]
+
+    def test_factor_kinds_counted(self, factors):
+        # every column starts from the radial zero state (a ring factor);
+        # the first Newton system on the fresh mesh computes the LU
+        # ordering and every later one reuses it, except the constant
+        # datum's, whose Newton system at its constant state is radial
+        # and symmetric again
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        basis = FourierBasis(max_mode=2)
+        op = dn_operator(preset_field("isotropic-sin"), basis, mesh)
+        assert op.iterations[0] == 2
+        assert op.factor_kinds == {
+            "ring": basis.size + 1, "lu": 1,
+            "lu-reordered": sum(op.iterations) - basis.size - 2}
+        recorded = [kind for kind, _, _ in factors]
+        assert recorded.count("ring") == basis.size + 1
+        assert recorded.count("splu") == sum(op.iterations) - basis.size - 1
+        linear = dn_operator(constant_field(np.diag([2.0, 3.0])), basis, mesh)
+        assert linear.factor_kinds == {"lu-reordered": 1}
+        assert dn_operator(identity_field(2), basis,
+                           mesh).factor_kinds == {"ring": 1}
 
     def test_symmetry_for_state_independent(self):
         mesh = build_disk_mesh(2.0, h_target=0.15)
@@ -457,7 +479,7 @@ class TestNeumannTrace:
         inside = annulus(1.5, 2.0).contains(mesh.centroids)
         eye = np.broadcast_to(np.eye(2), (int(inside.sum()), 2, 2))
         band = p1_stiffness(mesh.areas[inside], mesh.grads[inside], eye,
-                            mesh.triangles[inside], mesh.n_vertices)
+                            P1Pattern(mesh.triangles[inside], mesh.n_vertices))
         traces = basis.trace_matrix(mesh)
         for j in range(basis.size):
             flux = traces @ (band @ op.solutions[j])[mesh.boundary]

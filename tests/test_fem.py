@@ -4,12 +4,14 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from cloaksim.coeff import constant_field, identity_field
+from cloaksim.coeff import ProductField, constant_field, identity_field
 from cloaksim.errors import NumericalError, PreconditionError
 from cloaksim.fem import (SparseSystem, TriMesh, assemble_frozen,
                           build_disk_mesh, h1_norm, h1_seminorm, l2_norm,
-                          newton_system, ring_factor)
+                          newton_system, p1_elements, p1_stiffness,
+                          ring_factor)
 from cloaksim.geometry import pushforward, regular_blowup
+from cloaksim.homog import _cell_grid
 from cloaksim.presets import preset_field
 
 
@@ -328,3 +330,175 @@ class TestNewtonSystem:
                                    rtol=0, atol=1e-12)
         assert np.array_equal(newton.matrix.indptr, frozen.matrix.indptr)
         assert np.array_equal(newton.matrix.indices, frozen.matrix.indices)
+
+
+def dense_oracle(corners, dofs, n, amats, dadt=None, grad_u=None):
+    """Dense sums of P1 element matrices with np.add.at, by other formulas.
+
+    corners : (nt, 3, 2); dofs : (nt, 3); amats : (nt, 3, 2, 2) the
+    coefficient at the edge midpoints m01, m12, m20. Returns the stiffness
+    and, given d_t A at the midpoints and the gradient of the state on each
+    triangle, the derivative of K(u) u through the midpoint states, whose
+    midpoint q = (a, b) carries 1/2 of u_a and of u_b.
+    """
+    # barycentric coordinates: the columns of the inverse of [1, x, y]
+    vand = np.concatenate([np.ones(corners.shape[:2] + (1,)), corners],
+                          axis=2)
+    grads = np.linalg.inv(vand)[:, 1:, :].transpose(0, 2, 1)   # (nt, 3, 2)
+    areas = 0.5 * np.abs(np.linalg.det(vand))
+    rows = np.repeat(dofs, 3, axis=1)
+    cols = np.tile(dofs, (1, 3))
+    local = np.einsum("t,tic,tcd,tjd->tij", areas, grads,
+                      amats.mean(axis=1), grads)
+    stiff = np.zeros((n, n))
+    np.add.at(stiff, (rows.ravel(), cols.ravel()), local.ravel())
+    if dadt is None:
+        return stiff
+    flux = np.einsum("tqcd,td->tqc", dadt, grad_u)      # at each midpoint
+    local = np.zeros_like(local)
+    for q, edge in enumerate([(0, 1), (1, 2), (2, 0)]):
+        for j in edge:
+            local[:, :, j] += np.einsum("t,tic,tc->ti", areas / 6.0, grads,
+                                        flux[:, q])
+    deriv = np.zeros((n, n))
+    np.add.at(deriv, (rows.ravel(), cols.ravel()), local.ravel())
+    return stiff, deriv
+
+
+def assert_canonical(matrix):
+    # rows in order, columns sorted within a row, no duplicates
+    row = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    key = row * matrix.shape[1] + matrix.indices
+    assert np.all(np.diff(key) > 0)
+
+
+def assert_close(matrix, dense):
+    assert np.abs(matrix.toarray() - dense).max() <= \
+        1e-13 * np.abs(dense).max()
+
+
+def jittered_square():
+    # a 7 x 7 grid of the unit square, interior vertices moved at random,
+    # with no ring layout
+    n = 7
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n),
+                       indexing="ij")
+    verts = np.stack([x.ravel(), y.ravel()], axis=1)
+    edge = (verts == 0.0) | (verts == 1.0)
+    inside = ~edge.any(axis=1)
+    verts[inside] += np.random.default_rng(3).uniform(
+        -0.04, 0.04, size=(int(inside.sum()), 2))
+    idx = np.arange(n * n).reshape(n, n)
+    a, b = idx[:-1, :-1].ravel(), idx[1:, :-1].ravel()
+    c, d = idx[:-1, 1:].ravel(), idx[1:, 1:].ravel()
+    tris = np.concatenate([np.stack([a, b, d], 1), np.stack([a, d, c], 1)])
+    return TriMesh(verts, tris, boundary=np.nonzero(~inside)[0])
+
+
+class TestFixedPattern:
+    """Assembly into the mesh's one CSR pattern against dense sums of the
+    element matrices (dense_oracle), which share no code with fem."""
+
+    @pytest.mark.parametrize("case", ["ring", "no ring layout"])
+    def test_frozen_and_newton_matrices(self, case):
+        if case == "ring":
+            mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.4)
+            field = pushforward(preset_field("isotropic-sin"),
+                                regular_blowup(0.5))
+        else:
+            mesh = jittered_square()
+            assert mesh.n_theta is None
+            field = ProductField(lambda t: 2.0 + np.sin(t), (1.0, 3.0, 1.0),
+                                 constant_field(np.array([[2.0, 0.5],
+                                                          [0.5, 1.0]])))
+        x, y = mesh.vertices.T
+        u = np.sin(2.0 * x) + x * y            # not radial
+        coef = mesh.bind(field)
+        frozen = assemble_frozen(mesh, coef, state=u)
+        newton = newton_system(frozen, coef, u)
+
+        corners = mesh.vertices[mesh.triangles]
+        ends = [(0, 1), (1, 2), (2, 0)]
+        mids = np.stack([0.5 * (corners[:, a] + corners[:, b])
+                         for a, b in ends], axis=1)
+        ue = u[mesh.triangles]
+        states = np.stack([0.5 * (ue[:, a] + ue[:, b]) for a, b in ends],
+                          axis=1).ravel()
+        bound = field.bind(mids.reshape(-1, 2))
+        nt = mesh.n_triangles
+        amats = bound(states).reshape(nt, 3, 2, 2)
+        dadt = ((bound(states + 1e-7) - bound(states)) / 1e-7).reshape(
+            nt, 3, 2, 2)
+        vand = np.concatenate([np.ones((nt, 3, 1)), corners], axis=2)
+        grad_u = np.einsum("tci,tc->ti", np.linalg.inv(vand)[:, 1:, :]
+                           .transpose(0, 2, 1), ue)
+        stiff, deriv = dense_oracle(corners, mesh.triangles, mesh.n_vertices,
+                                    amats, dadt, grad_u)
+        assert_close(frozen.matrix, stiff)
+        assert_close(newton.matrix, stiff + deriv)
+        np.testing.assert_allclose(newton.load, deriv @ u, rtol=0,
+                                   atol=1e-13 * np.abs(deriv @ u).max())
+        for matrix in (frozen.matrix, newton.matrix):
+            assert_canonical(matrix)
+
+    def test_periodic_cell(self):
+        dofs, xy, pattern = _cell_grid(6, 5)
+        cent = xy.mean(axis=1)
+        s = 2.0 + np.cos(2.0 * np.pi * cent[:, 0])
+        amat = np.stack([np.stack([s, 0.3 * s], -1),
+                         np.stack([0.3 * s, 1.5 + 0.0 * s], -1)], axis=1)
+        areas, grads = p1_elements(xy)
+        stiff = p1_stiffness(areas, grads, amat, pattern)
+        want = dense_oracle(xy, dofs, pattern.n,
+                            np.repeat(amat[:, None], 3, axis=1))
+        assert_close(stiff, want)
+        assert_canonical(stiff)
+
+
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+class TestOrderingReuse:
+    """The first SuperLU factor on a mesh computes its ordering; every
+    later one of a matrix in the mesh's pattern reuses it."""
+
+    def test_reordered_solves_match_fresh_factors(self, factors):
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        coef = mesh.bind(preset_field("isotropic-sin"))
+        x, y = mesh.vertices.T
+        g = np.cos(3.0 * mesh.boundary_angles()) + 0.5
+        ii = mesh.interior
+        kinds = []
+        for c in (0.5, 1.0, 1.5, 2.0):
+            u = c * (np.sin(x) + x * y)
+            system = newton_system(assemble_frozen(mesh, coef, state=u),
+                                   coef, u)
+            got = system.solve_dirichlet(g)
+            kinds.append(system.factor_kind)
+            want = lu_reference(system, g)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            fresh = splu(system.matrix[ii][:, ii].tocsc(),
+                         permc_spec="MMD_AT_PLUS_A")
+            assert abs(fill(factors[-1][2]) - fill(fresh)) <= \
+                0.01 * fill(fresh)
+        assert kinds == ["lu"] + ["lu-reordered"] * 3
+        assert [kind for kind, _, _ in factors] == ["splu"] * 4
+
+    def test_other_pattern_computes_its_own(self, factors):
+        # after the mesh's first LU, a matrix with one more entry per row
+        # than the mesh's pattern is ordered afresh, bit for bit SuperLU's
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        field = constant_field(np.diag([2.0, 3.0]))
+        system = assemble_frozen(mesh, mesh.bind(field))
+        g = np.cos(mesh.boundary_angles())
+        system.solve_dirichlet(g)
+        n = mesh.n_vertices
+        far = coo_matrix((np.full(n, 1e-3), (np.arange(n),
+                                             (np.arange(n) + n // 2) % n)),
+                         shape=(n, n))
+        other = SparseSystem((system.matrix + far).tocsr(), system.load, mesh)
+        assert not mesh.pattern.holds(other.matrix)
+        u = other.solve_dirichlet(g)
+        assert (system.factor_kind, other.factor_kind) == ("lu", "lu")
+        assert np.array_equal(u, lu_reference(other, g))
