@@ -15,13 +15,15 @@ frozen at a radial state), the angular Fourier transform splits the
 problem into one Hermitian tridiagonal system over the rings per mode
 (RingFactor). Otherwise SuperLU factors the interior block. The first
 SuperLU factor on a mesh computes a fill-reducing ordering; every later one
-on that mesh reuses it.
+on that mesh reuses it. Every SuperLU factor in the package, the periodic
+cell's included, is made with one setting of its supernode sizes,
+SUPERLU_SETTINGS.
 """
 
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 # cg is never called here; it stays bound because perfbench/tracing.py wraps it
 from scipy.sparse.linalg import cg, splu  # noqa: F401
 
@@ -41,7 +43,13 @@ __all__ = [
     "l2_norm",
     "h1_norm",
     "h1_seminorm",
+    "SUPERLU_SETTINGS",
 ]
+
+# SuperLU's relaxed-supernode and panel sizes, for every factor in the
+# package. One column each factors the package's matrices (577 to 46 k
+# unknowns) faster than SuperLU's defaults, with the same fill.
+SUPERLU_SETTINGS = {"relax": 1, "panel_size": 1}
 
 
 class TriMesh:
@@ -86,6 +94,18 @@ class TriMesh:
         """The P1Pattern of every matrix assembled on this mesh, built on
         first use and kept with the ordering of the mesh's first LU."""
         return P1Pattern(self.triangles, self.n_vertices)
+
+    @cached_property
+    def rotation(self):
+        """For a ring mesh, the position in the pattern's data of the image
+        of each stored entry under the rotation by one angular step; None
+        when the rotation does not map the pattern onto itself. Built on
+        the first ring check."""
+        n = self.n_theta
+        step = np.arange(self.n_vertices)
+        ring, j = divmod(step[1:] - 1, n)
+        step[1:] = 1 + ring * n + (j + 1) % n
+        return self.pattern.image(step)
 
     def bind(self, field):
         """The field at the assembly quadrature points as a function of the
@@ -312,6 +332,25 @@ class P1Pattern:
         return self.matrix(np.bincount(self.slot, weights=local.ravel(),
                                        minlength=self.nnz))
 
+    def image(self, perm):
+        """The position in data of the image (perm[i], perm[j]) of each
+        stored entry (i, j), or None when a vertex permutation does not
+        map the pattern onto itself."""
+        # in place: each temporary holds 8 bytes per entry, and one more of
+        # them raises the resident peak of a sweep of linear ring systems
+        entries = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        keys = perm[entries]
+        keys *= self.n
+        keys += perm[self.indices]
+        # the row-major keys of the entries, sorted: the pattern is canonical
+        entries *= self.n
+        entries += self.indices
+        pos = np.searchsorted(entries, keys)
+        np.minimum(pos, self.nnz - 1, out=pos)
+        if not np.array_equal(entries[pos], keys):
+            return None
+        return pos.astype(np.int32)
+
     def holds(self, matrix):
         """Whether a CSR matrix stores exactly this pattern."""
         return (matrix.nnz == self.nnz
@@ -414,6 +453,8 @@ class SparseSystem:
     matrix in the mesh's pattern orders the block by minimum degree, and
     the pattern keeps that ordering; every later one in the pattern
     gathers the block, in that order, straight from the matrix data.
+    Both are made with SUPERLU_SETTINGS, as is every SuperLU factor in the
+    package.
     factor_kind names the factor that served the system: "ring", "lu"
     (ordering computed) or "lu-reordered" (ordering reused); None before
     the first solve. The matrix need not be symmetric: a Newton system
@@ -463,7 +504,8 @@ def _interior_lu(matrix, mesh):
     ii = mesh.interior
     # minimum degree on A^T + A; the Newton systems have a symmetric
     # pattern, and their fill is 40 % below COLAMD's
-    lu = splu(matrix[ii][:, ii].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    lu = splu(matrix[ii][:, ii].tocsc(), permc_spec="MMD_AT_PLUS_A",
+              **SUPERLU_SETTINGS)
     if ours:
         pattern.ordering = _InteriorOrdering(pattern, ii, lu.perm_c)
     return lu, "lu"
@@ -501,7 +543,8 @@ class _InteriorOrdering:
         m = len(self.inv)
         block = csc_matrix((data[self.gather], self.indices, self.indptr),
                            shape=(m, m))
-        return _Reordered(splu(block, permc_spec="NATURAL"), self.inv)
+        return _Reordered(splu(block, permc_spec="NATURAL",
+                               **SUPERLU_SETTINGS), self.inv)
 
 
 class _Reordered:
@@ -520,20 +563,21 @@ class _Reordered:
 def ring_factor(matrix, mesh):
     """RingFactor of the interior problem, or None where it does not apply.
 
-    It applies when the mesh records its ring layout (TriMesh.n_theta) and
-    the matrix is symmetric and invariant under the rotation by one angular
-    step, each to 1e-12 of its largest diagonal entry (its largest entry,
-    for a positive semi-definite matrix).
+    It applies when the mesh records its ring layout (TriMesh.n_theta), the
+    matrix stores the mesh's pattern, and it is symmetric and invariant
+    under the rotation by one angular step, each to 1e-12 of its largest
+    diagonal entry (its largest entry, for a positive semi-definite matrix).
 
     The cheap tests come first. A state or coefficient that is not radial
     makes the diagonal vary along a ring, at O(n) cost to see. Symmetry is
     read from the rows at angular index 0 that RingFactor reads anyway; it
     turns away the Newton system of a radial state, which is rotation
-    invariant but not symmetric. Only then is the whole matrix rotated.
+    invariant but not symmetric. Only then is the whole matrix compared
+    with its rotation, a fixed permutation of the pattern's data.
     """
     n = mesh.n_theta
     # a mesh whose one ring is the boundary has the center alone inside
-    if n is None or mesh.n_vertices <= 1 + n:
+    if n is None or mesh.n_vertices <= 1 + n or not mesh.pattern.holds(matrix):
         return None
     diag = matrix.diagonal()
     tol = 1e-12 * np.abs(diag).max()
@@ -541,8 +585,11 @@ def ring_factor(matrix, mesh):
     if np.abs(rings - rings[:, :1]).max() > tol:
         return None
     bands = _ring_bands(matrix, n)
-    if not (_bands_symmetric(matrix, bands, tol)
-            and _rotation_invariant(matrix, n, tol)):
+    if not _bands_symmetric(matrix, bands, tol):
+        return None
+    rotation = mesh.rotation
+    if rotation is None or \
+            np.abs(matrix.data[rotation] - matrix.data).max() > tol:
         return None
     return RingFactor(matrix, bands)
 
@@ -570,22 +617,6 @@ def _bands_symmetric(matrix, bands, tol):
                 and np.abs(bands[2, :-1] - bands[0, 1:][:, neg]).max(
                     initial=0.0) <= tol
                 and abs(matrix[0, 1] - matrix[1, 0]) <= tol)
-
-
-def _rotation_invariant(matrix, n, tol):
-    """Whether the matrix of a ring mesh with n vertices per ring equals its
-    rotation by one angular step, to tol."""
-    step = np.arange(matrix.shape[0])
-    ring, j = divmod(step[1:] - 1, n)
-    step[1:] = 1 + ring * n + (j + 1) % n
-    coo = matrix.tocoo()
-    rotated = coo_matrix((coo.data, (step[coo.row], step[coo.col])),
-                         shape=matrix.shape).tocsr()
-    # the rotation maps the mesh's connectivity onto itself, so an
-    # assembled (canonical) matrix and its rotation store the same pattern
-    return bool(np.array_equal(rotated.indptr, matrix.indptr)
-                and np.array_equal(rotated.indices, matrix.indices)
-                and np.abs(rotated.data - matrix.data).max() <= tol)
 
 
 class RingFactor:

@@ -22,7 +22,7 @@ from scipy.sparse.linalg import splu
 
 from .coeff import CoefficientField, IsotropicField, StructureConstants
 from .errors import NumericalError, PreconditionError
-from .fem import P1Pattern, p1_elements, p1_stiffness
+from .fem import SUPERLU_SETTINGS, P1Pattern, p1_elements, p1_stiffness
 from .geometry import _radial_matrix
 
 __all__ = [
@@ -395,7 +395,7 @@ def solve_cell(problem):
     keep = np.arange(1, ndof)
     Kred = K[keep][:, keep].tocsc()
     try:
-        lu = splu(Kred, permc_spec="MMD_AT_PLUS_A")
+        lu = splu(Kred, permc_spec="MMD_AT_PLUS_A", **SUPERLU_SETTINGS)
     except RuntimeError as exc:
         raise NumericalError(f"degenerate cell coefficient: {exc}") from None
     chi = np.zeros((2, ndof))

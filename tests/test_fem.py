@@ -4,12 +4,13 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
+from cloaksim import homog
 from cloaksim.coeff import ProductField, constant_field, identity_field
 from cloaksim.errors import NumericalError, PreconditionError
-from cloaksim.fem import (SparseSystem, TriMesh, assemble_frozen,
-                          build_disk_mesh, h1_norm, h1_seminorm, l2_norm,
-                          newton_system, p1_elements, p1_stiffness,
-                          ring_factor)
+from cloaksim.fem import (SUPERLU_SETTINGS, SparseSystem, TriMesh,
+                          assemble_frozen, build_disk_mesh, h1_norm,
+                          h1_seminorm, l2_norm, newton_system, p1_elements,
+                          p1_stiffness, ring_factor)
 from cloaksim.geometry import pushforward, regular_blowup
 from cloaksim.homog import _cell_grid
 from cloaksim.presets import preset_field
@@ -208,7 +209,8 @@ def lu_reference(system, g):
     full = np.zeros(mesh.n_vertices)
     full[mesh.boundary] = g
     rhs = (system.load - system.matrix @ full)[ii]
-    lu = splu(system.matrix[ii][:, ii].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    lu = splu(system.matrix[ii][:, ii].tocsc(), permc_spec="MMD_AT_PLUS_A",
+              **SUPERLU_SETTINGS)
     full[ii] = lu.solve(rhs)
     return full
 
@@ -295,6 +297,51 @@ class TestRingDetector:
         assert ring_factor(matrix, mesh) is None
         self.assert_lu(SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh),
                        factors)
+
+    def test_other_pattern_declined(self, factors):
+        # the identity stiffness plus a symmetric coupling of each ring
+        # vertex (a, j) to (a, j + 2), invariant under the rotation but
+        # outside the mesh's pattern: SuperLU factors it
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        n = mesh.n_theta
+        matrix = assemble_frozen(mesh, mesh.bind(identity_field(2))).matrix
+        ring, j = np.divmod(np.arange(mesh.n_vertices - 1), n)
+        rows = 1 + ring * n + j
+        cols = 1 + ring * n + (j + 2) % n
+        far = coo_matrix((np.full(2 * len(rows), -1e-3),
+                          (np.r_[rows, cols], np.r_[cols, rows])),
+                         shape=matrix.shape)
+        matrix = (matrix + far).tocsr()
+        assert not mesh.pattern.holds(matrix)
+        assert ring_factor(matrix, mesh) is None
+        self.assert_lu(SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh),
+                       factors)
+
+
+class TestRotation:
+    """The rotation of a ring mesh as a permutation of its pattern's data,
+    against the rotation of the vertex coordinates."""
+
+    def test_image_of_each_entry(self):
+        mesh = build_disk_mesh(1.0, aligned_radii=(0.5,), h_target=0.3)
+        n = mesh.n_theta
+        c, s = np.cos(2.0 * np.pi / n), np.sin(2.0 * np.pi / n)
+        turned = mesh.vertices @ np.array([[c, s], [-s, c]])
+        dist = np.linalg.norm(turned[:, None] - mesh.vertices[None], axis=2)
+        step = dist.argmin(axis=1)
+        assert np.allclose(dist.min(axis=1), 0.0, atol=1e-12)
+        pattern = mesh.pattern
+        slots = np.full((mesh.n_vertices,) * 2, -1)
+        rows = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
+        slots[rows, pattern.indices] = np.arange(pattern.nnz)
+        assert np.array_equal(mesh.rotation,
+                              slots[step[rows], step[pattern.indices]])
+
+    def test_a_permutation_that_leaves_the_pattern(self):
+        mesh = build_disk_mesh(1.0, h_target=0.3)
+        swap = np.arange(mesh.n_vertices)
+        swap[[0, mesh.n_vertices - 1]] = swap[[mesh.n_vertices - 1, 0]]
+        assert mesh.pattern.image(swap) is None
 
 
 class TestNewtonSystem:
@@ -479,7 +526,7 @@ class TestOrderingReuse:
             want = lu_reference(system, g)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             fresh = splu(system.matrix[ii][:, ii].tocsc(),
-                         permc_spec="MMD_AT_PLUS_A")
+                         permc_spec="MMD_AT_PLUS_A", **SUPERLU_SETTINGS)
             assert abs(fill(factors[-1][2]) - fill(fresh)) <= \
                 0.01 * fill(fresh)
         assert kinds == ["lu"] + ["lu-reordered"] * 3
@@ -502,3 +549,53 @@ class TestOrderingReuse:
         u = other.solve_dirichlet(g)
         assert (system.factor_kind, other.factor_kind) == ("lu", "lu")
         assert np.array_equal(u, lu_reference(other, g))
+
+
+def assert_same_as_default(block, lu, permc_spec):
+    """A SuperLU factor made with SUPERLU_SETTINGS solves as one made
+    with SuperLU's default supernode settings, to 1e-12 relative, and
+    stores the same fill."""
+    default = splu(block, permc_spec=permc_spec)
+    rhs = np.random.default_rng(3).normal(size=block.shape[0])
+    want = default.solve(rhs)
+    assert np.abs(lu.solve(rhs) - want).max() <= 1e-12 * np.abs(want).max()
+    assert fill(lu) == fill(default)
+
+
+class TestSuperluSettings:
+    """Each SuperLU call site against a default-setting factor of the
+    same block."""
+
+    def test_first_and_reordered_newton_factors(self, factors):
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        coef = mesh.bind(preset_field("isotropic-sin"))
+        x, y = mesh.vertices.T
+        g = np.cos(3.0 * mesh.boundary_angles()) + 0.5
+        kinds = []
+        for c in (0.5, 1.0):
+            u = c * (np.sin(x) + x * y)
+            system = newton_system(assemble_frozen(mesh, coef, state=u),
+                                   coef, u)
+            system.solve_dirichlet(g)
+            kinds.append(system.factor_kind)
+        assert kinds == ["lu", "lu-reordered"]
+        (_, first, first_lu), (_, block, reordered_lu) = factors
+        assert_same_as_default(first, first_lu, "MMD_AT_PLUS_A")
+        assert_same_as_default(block, reordered_lu, "NATURAL")
+
+    def test_cell_factor(self, monkeypatch):
+        made = []
+        real_splu = homog.splu
+
+        def recording_splu(matrix, **kwargs):
+            lu = real_splu(matrix, **kwargs)
+            made.append((matrix, lu))
+            return lu
+
+        monkeypatch.setattr(homog, "splu", recording_splu)
+        homog.solve_cell(homog.CellProblem(
+            lambda p: 2.0 + np.sin(2.0 * np.pi * p[:, 0])
+            * np.cos(2.0 * np.pi * p[:, 1]), resolution=(16, 16)))
+        (block, lu), = made
+        assert block.shape == (2 * 16 * 16 - 1,) * 2
+        assert_same_as_default(block, lu, "MMD_AT_PLUS_A")

@@ -72,6 +72,23 @@ def test_every_exported_name_exists():
     assert not missing, "undefined names in __all__:\n" + "\n".join(missing)
 
 
+def test_every_superlu_factor_uses_the_shared_settings():
+    # a call of splu that leaves out **SUPERLU_SETTINGS factors with
+    # SuperLU's default supernode sizes
+    calls = [(path, node) for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and "splu" in (getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None))]
+    bare = [f"{path.name}:{node.lineno}" for path, node in calls
+            if not any(kw.arg is None and isinstance(kw.value, ast.Name)
+                       and kw.value.id == "SUPERLU_SETTINGS"
+                       for kw in node.keywords)]
+    assert calls
+    assert not bare, ("splu calls without **SUPERLU_SETTINGS:\n"
+                      + "\n".join(bare))
+
+
 def public_functions(path):
     """(qualified name, definition) of each public module function and
     method."""
