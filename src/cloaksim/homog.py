@@ -22,7 +22,8 @@ from scipy.sparse.linalg import splu
 
 from .coeff import CoefficientField, IsotropicField, StructureConstants
 from .errors import NumericalError, PreconditionError
-from .fem import SUPERLU_SETTINGS, P1Pattern, p1_elements, p1_stiffness
+from .fem import (SUPERLU_SETTINGS, P1Pattern, p1_elements, p1_gradient,
+                  p1_stiffness)
 from .geometry import _radial_matrix
 
 __all__ = [
@@ -386,11 +387,14 @@ def solve_cell(problem):
 
     K = p1_stiffness(areas, grads, amat, pattern)
 
-    rhs = np.zeros((2, ndof))
+    rhs = np.empty((2, ndof))
+    gx, gy = grads[:, :, 0], grads[:, :, 1]
     for k in range(2):
         # work of the constant gradient e_k against each basis gradient
-        contrib = -np.einsum("t,tc,tic->ti", areas, amat[:, :, k], grads)
-        np.add.at(rhs[k], dofs.ravel(), contrib.ravel())
+        contrib = gx * (-areas * amat[:, 0, k])[:, None]
+        contrib -= gy * (areas * amat[:, 1, k])[:, None]
+        rhs[k] = np.bincount(dofs.ravel(), weights=contrib.ravel(),
+                             minlength=ndof)
 
     keep = np.arange(1, ndof)
     Kred = K[keep][:, keep].tocsc()
@@ -411,17 +415,21 @@ def solve_cell(problem):
     # cell solves then peak about 10 % higher in resident memory
     del lu, Kred, K
 
-    mass = np.zeros(ndof)
-    np.add.at(mass, dofs.ravel(), np.repeat(areas / 3.0, 3))
+    mass = np.bincount(dofs.ravel(), weights=np.repeat(areas / 3.0, 3),
+                       minlength=ndof)
     chi -= (chi @ mass)[:, None]          # total cell measure is 1
     mean_residual = float(np.abs(chi @ mass).max())
 
-    grad_chi = np.einsum("tic,kti->ktc", grads, chi[:, dofs])
+    grad_chi = p1_gradient(grads, chi[:, dofs])
     eye = np.eye(2)
     total = grad_chi + eye[:, None, :]
-    flux = np.matmul(total[:, :, None, :], amat).squeeze(2)
-    flux *= areas[:, None]
-    astar = np.einsum("ktb,ltb->kl", flux, total)
+    # the flux area (e_k + grad chi_k) A, component by component
+    flux = np.empty_like(total)
+    for b in range(2):
+        comp = flux[..., b]
+        np.multiply(total[..., 0], areas * amat[:, 0, b], out=comp)
+        comp += total[..., 1] * (areas * amat[:, 1, b])
+    astar = np.tensordot(flux, total, axes=([1, 2], [1, 2]))
     astar = 0.5 * (astar + astar.T)
     ev = np.linalg.eigvalsh(astar)
     if ev.min() <= 0.0:

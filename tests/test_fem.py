@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -277,7 +279,8 @@ class TestRingDetector:
         # vertex (a, j) to (a, j + 1) or to (a + 1, j), or of the center to
         # the first ring, and not to its mirror: the matrix stays invariant
         # under the rotation by one angular step and keeps its pattern,
-        # but is no longer symmetric
+        # but is no longer symmetric. The skew goes into the stored entries:
+        # a sparse sum would drop the couplings it leaves at exactly 0.0
         mesh = build_disk_mesh(2.0, h_target=0.2)
         n = mesh.n_theta
         matrix = assemble_frozen(mesh, mesh.bind(identity_field(2))).matrix
@@ -289,9 +292,14 @@ class TestRingDetector:
             cols = 1 + (ring + 1) * n + j
         else:
             rows, cols = np.zeros(n, dtype=int), 1 + np.arange(n)
-        skew = coo_matrix((np.full(len(rows), 1e-3 * abs(matrix).max()),
-                           (rows, cols)), shape=matrix.shape)
-        matrix = (matrix + skew).tocsr()
+        pattern = mesh.pattern
+        stored = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
+        keys = stored * pattern.n + pattern.indices
+        slots = np.searchsorted(keys, rows * pattern.n + cols)
+        assert np.array_equal(keys[slots], rows * pattern.n + cols)
+        data = matrix.data.copy()
+        data[slots] += 1e-3 * abs(matrix).max()
+        matrix = pattern.matrix(data)
         assert matrix.nnz == assemble_frozen(
             mesh, mesh.bind(identity_field(2))).matrix.nnz
         assert ring_factor(matrix, mesh) is None
@@ -446,18 +454,36 @@ class TestFixedPattern:
     """Assembly into the mesh's one CSR pattern against dense sums of the
     element matrices (dense_oracle), which share no code with fem."""
 
-    @pytest.mark.parametrize("case", ["ring", "no ring layout"])
+    @staticmethod
+    def skew_tensor(points, t):
+        # a tensor whose two off-diagonal entries differ, as do their
+        # derivatives in the state, so that a transposed entry shows
+        x, y = points.T
+        t = np.broadcast_to(t, x.shape)
+        out = np.empty((len(x), 2, 2))
+        out[:, 0, 0] = 2.0 + 0.5 * np.sin(t) + 0.2 * x
+        out[:, 0, 1] = 0.7 + 0.3 * np.cos(t) + 0.1 * y
+        out[:, 1, 0] = -0.4 + 0.6 * x * np.sin(t)
+        out[:, 1, 1] = 1.5 + 0.4 * np.cos(2.0 * t)
+        return out
+
+    @pytest.mark.parametrize("case", ["ring", "no ring layout",
+                                      "not symmetric"])
     def test_frozen_and_newton_matrices(self, case):
         if case == "ring":
             mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.4)
             field = pushforward(preset_field("isotropic-sin"),
                                 regular_blowup(0.5))
-        else:
+        elif case == "no ring layout":
             mesh = jittered_square()
             assert mesh.n_theta is None
             field = ProductField(lambda t: 2.0 + np.sin(t), (1.0, 3.0, 1.0),
                                  constant_field(np.array([[2.0, 0.5],
                                                           [0.5, 1.0]])))
+        else:
+            mesh = jittered_square()
+            field = SimpleNamespace(
+                bind=lambda pts: lambda t: self.skew_tensor(pts, t))
         x, y = mesh.vertices.T
         u = np.sin(2.0 * x) + x * y            # not radial
         coef = mesh.bind(field)
@@ -492,14 +518,18 @@ class TestFixedPattern:
         dofs, xy, pattern = _cell_grid(6, 5)
         cent = xy.mean(axis=1)
         s = 2.0 + np.cos(2.0 * np.pi * cent[:, 0])
-        amat = np.stack([np.stack([s, 0.3 * s], -1),
-                         np.stack([0.3 * s, 1.5 + 0.0 * s], -1)], axis=1)
         areas, grads = p1_elements(xy)
-        stiff = p1_stiffness(areas, grads, amat, pattern)
-        want = dense_oracle(xy, dofs, pattern.n,
-                            np.repeat(amat[:, None], 3, axis=1))
-        assert_close(stiff, want)
-        assert_canonical(stiff)
+        # a symmetric tensor, and one whose lower off-diagonal entry is not
+        # the upper one
+        for lower in (0.3, -0.2):
+            amat = np.stack([np.stack([s, 0.3 * s], -1),
+                             np.stack([lower * s, 1.5 + 0.0 * s], -1)],
+                            axis=1)
+            stiff = p1_stiffness(areas, grads, amat, pattern)
+            want = dense_oracle(xy, dofs, pattern.n,
+                                np.repeat(amat[:, None], 3, axis=1))
+            assert_close(stiff, want)
+            assert_canonical(stiff)
 
 
 def fill(lu):

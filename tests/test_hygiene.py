@@ -89,6 +89,29 @@ def test_every_superlu_factor_uses_the_shared_settings():
                       + "\n".join(bare))
 
 
+def name_of(node):
+    """The name a Name or Attribute node ends in, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_one_scatter_idiom_and_no_einsum_in_the_p1_kernels():
+    # the package sums into vectors and CSR data with np.bincount;
+    # np.add.at is an unbuffered loop. fem and homog contract per-triangle
+    # arrays elementwise, where an einsum runs one tiny product at a time
+    add_at = [f"{path.name}:{node.lineno}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call)
+              and name_of(node.func) == "at"
+              and name_of(getattr(node.func, "value", None)) == "add"]
+    einsum = [f"{name}:{node.lineno}" for name in ("fem.py", "homog.py")
+              for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+              if isinstance(node, (ast.Name, ast.Attribute))
+              and name_of(node) == "einsum"]
+    assert not add_at, "add.at calls:\n" + "\n".join(add_at)
+    assert not einsum, "einsum in the P1 kernels:\n" + "\n".join(einsum)
+
+
 def public_functions(path):
     """(qualified name, definition) of each public module function and
     method."""
