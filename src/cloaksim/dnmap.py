@@ -149,7 +149,9 @@ def dn_operator(A, basis, mesh, cfg=None):
     columns. Otherwise each column is an independent nonlinear solve at
     amplitude one, all with the coefficient bound once, and the operator
     records a nonlinearity flag: the matrix is then a finite probe of a
-    nonlinear map, not a linear restriction.
+    nonlinear map, not a linear restriction. Each such column is paired
+    as soon as its solve returns, and its system is dropped before the
+    next column's solve.
     """
     rb = np.linalg.norm(mesh.vertices[mesh.boundary], axis=1)
     if np.abs(rb - basis.radius).max() > 1e-9 * basis.radius:
@@ -158,26 +160,30 @@ def dn_operator(A, basis, mesh, cfg=None):
             f"radius {rb.max():.12g}")
     cfg = cfg or PicardConfig()
     traces = basis.trace_matrix(mesh)
+    solutions = np.empty((basis.size, mesh.n_vertices))
     if A.is_linear:
         system = assemble_frozen(mesh, mesh.bind(A))
-        solutions = np.empty((basis.size, mesh.n_vertices))
         for j in range(basis.size):
             solutions[j] = system.solve_dirichlet(traces[j])
-        systems = [system] * basis.size
+        matrix = dn_pairing(solutions, [system] * basis.size, traces)
         iterations = [1] * basis.size
         converged = None
         kinds = Counter([system.factor_kind])
     else:
         coef = mesh.bind(A)
-        results = [solve_quasilinear(mesh, A, traces[j], config=cfg,
-                                     coef=coef)
-                   for j in range(basis.size)]
-        solutions = np.stack([r.u for r in results])
-        systems = [r.system for r in results]
-        iterations = [r.iterations for r in results]
-        converged = [r.converged for r in results]
-        kinds = sum((r.factor_kinds for r in results), Counter())
-    matrix = dn_pairing(solutions, systems, traces)
+        matrix = np.empty((basis.size, basis.size))
+        iterations, converged, kinds = [], [], Counter()
+        for j in range(basis.size):
+            res = solve_quasilinear(mesh, A, traces[j], config=cfg,
+                                    coef=coef)
+            # paired at once, and the system dropped before the next
+            # column's solve
+            matrix[:, j] = dn_pairing([res.u], [res.system], traces)[:, 0]
+            solutions[j] = res.u
+            iterations.append(res.iterations)
+            converged.append(res.converged)
+            kinds += res.factor_kinds
+            del res
     return DtNOperator(basis, matrix, coefficient=A.name,
                        nonlinear=not A.is_linear, converged=converged,
                        solutions=solutions, iterations=iterations, mesh=mesh,

@@ -237,22 +237,25 @@ def build_disk_mesh(radius, aligned_radii=(), h_target=0.1, n_theta=None,
     return mesh
 
 
-def _element_values(mesh, values):
+def _nodal(mesh, values):
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.n_vertices,):
         raise PreconditionError("values must be one per vertex")
-    return values[mesh.triangles]
+    return values
 
 
 def l2_norm(mesh, values):
-    """Exact integral of the squared P1 function."""
-    u = _element_values(mesh, values)
-    s = (u ** 2).sum(axis=1) + u[:, 0] * u[:, 1] + u[:, 1] * u[:, 2] + u[:, 2] * u[:, 0]
-    return float(np.sqrt((mesh.areas / 6.0 * s).sum()))
+    """L2 norm of the P1 function, integrated exactly: on a triangle with
+    corner values u0, u1, u2 the integral of u^2 is
+    area / 12 ((u0 + u1 + u2)^2 + u0^2 + u1^2 + u2^2)."""
+    values = _nodal(mesh, values)
+    u0, u1, u2 = (values[mesh.triangles[:, c]] for c in range(3))
+    s = (u0 + u1 + u2) ** 2 + u0 * u0 + u1 * u1 + u2 * u2
+    return float(np.sqrt(np.dot(mesh.areas, s) / 12.0))
 
 
 def h1_seminorm(mesh, values):
-    g = p1_gradient(mesh.grads, _element_values(mesh, values))
+    g = p1_gradient(mesh.grads, _nodal(mesh, values)[mesh.triangles])
     return float(np.sqrt((mesh.areas * (g ** 2).sum(axis=1)).sum()))
 
 
@@ -436,17 +439,20 @@ def assemble_frozen(mesh, coef, state=None, load=None):
     nt = mesh.n_triangles
     t_mid = 0.0 if state is None else \
         _edge_means(np.asarray(state, dtype=float)[mesh.triangles]).ravel()
-    # 1/3 weight per midpoint; the per-midpoint matrices are dropped before
-    # p1_stiffness, which lowers the resident peak of a solve
+    # 1/3 weight per midpoint
     amid = coef(t_mid).reshape(nt, 3, 2, 2)
     amean = amid[:, 0] + amid[:, 1]
     amean += amid[:, 2]
-    del amid
     amean /= 3.0
+    # a system frozen at a state keeps the midpoint states and tensors for
+    # newton_system; otherwise they are dropped before p1_stiffness, which
+    # lowers the resident peak of a solve
+    frozen_at = None if state is None else (t_mid, amid)
+    del amid
     matrix = p1_stiffness(mesh.areas, mesh.grads, amean, mesh.pattern)
     if load is None:
         load = np.zeros(mesh.n_vertices)
-    return SparseSystem(matrix, load, mesh)
+    return SparseSystem(matrix, load, mesh, frozen_at=frozen_at)
 
 
 # forward-difference step in the state for the derivative of A
@@ -457,7 +463,8 @@ def newton_system(frozen, coef, state):
     """The Newton linearization at the state u of the residual K(u) u - load.
 
     frozen : SparseSystem
-        What assemble_frozen returned for coef at this state: K(u) and load.
+        What assemble_frozen returned for coef at this state: K(u), load,
+        and the states and tensors at the edge midpoints (frozen_at).
     coef : callable
         The same bound coefficient.
     state : array (n_vertices,)
@@ -467,15 +474,18 @@ def newton_system(frozen, coef, state):
     C is the derivative of K(u) u through the state at the edge midpoints:
     on a triangle, C[i, j] = (area / 6) sum over the edges q at corner j of
     grad phi_i . d_t A(x_q, u_q) grad u, with d_t A a forward difference
-    of step 1e-7. C has the pattern of K; J is in general not symmetric.
+    of step 1e-7. C has the pattern of K and is summed straight into J's
+    data; J is in general not symmetric.
     """
+    if frozen.frozen_at is None:
+        raise PreconditionError(
+            "the Newton system needs a system assembled at a state")
+    t_mid, amid = frozen.frozen_at
     mesh = frozen.mesh
     nt = mesh.n_triangles
     state = np.asarray(state, dtype=float)
     corners = state[mesh.triangles]
-    t_mid = _edge_means(corners).ravel()
-    dadt = ((coef(t_mid + _FD_STEP) - coef(t_mid)) / _FD_STEP).reshape(
-        nt, 3, 2, 2)
+    dadt = (coef(t_mid + _FD_STEP).reshape(nt, 3, 2, 2) - amid) / _FD_STEP
     grad_u = p1_gradient(mesh.grads, corners)
     ux, uy = grad_u[:, 0, None], grad_u[:, 1, None]
     # d_t A grad u at the midpoints, summed over the two edges at each corner
@@ -486,9 +496,16 @@ def newton_system(frozen, coef, state):
     fy *= weight
     local = _element_matrices(mesh.grads, fx, fy)
     del fx, fy                    # as in p1_stiffness
-    cmat = mesh.pattern.scatter(local)
-    jac = mesh.pattern.matrix(frozen.matrix.data + cmat.data)
-    return SparseSystem(jac, cmat @ state + frozen.load, mesh)
+    pattern = mesh.pattern
+    data = np.bincount(pattern.slot, weights=local.ravel(),
+                       minlength=pattern.nnz)
+    data += frozen.matrix.data
+    jac = pattern.matrix(data)
+    # C u + load = J u - K u + load
+    load = jac @ state
+    load -= frozen.matrix @ state
+    load += frozen.load
+    return SparseSystem(jac, load, mesh)
 
 
 class SparseSystem:
@@ -503,17 +520,31 @@ class SparseSystem:
     Both are made with SUPERLU_SETTINGS, as is every SuperLU factor in the
     package.
     factor_kind names the factor that served the system: "ring", "lu"
-    (ordering computed) or "lu-reordered" (ordering reused); None before
-    the first solve. The matrix need not be symmetric: a Newton system
+    (ordering computed), "lu-reordered" (ordering reused) or "chord" (the
+    factor of another system, shared by with_load); None before the first
+    solve. The matrix need not be symmetric: a Newton system
     (newton_system) is not.
+    frozen_at is, for a stiffness that assemble_frozen froze at a state,
+    the states (3 nt,) and tensors (nt, 3, 2, 2) at the edge midpoints,
+    the values newton_system differentiates; None otherwise.
     """
 
-    def __init__(self, matrix, load, mesh):
+    def __init__(self, matrix, load, mesh, frozen_at=None):
         self.matrix = matrix
         self.load = load
         self.mesh = mesh
+        self.frozen_at = frozen_at
         self._solver = None
         self.factor_kind = None
+
+    def with_load(self, load):
+        """The system with this matrix and another load, solved with this
+        system's factor (made here if it was not yet); its factor_kind is
+        "chord"."""
+        other = SparseSystem(self.matrix, load, self.mesh)
+        other._solver = self._factor()
+        other.factor_kind = "chord"
+        return other
 
     def _factor(self):
         if self._solver is None:

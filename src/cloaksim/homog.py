@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.sparse.linalg import splu
 
 from .coeff import CoefficientField, IsotropicField, StructureConstants
@@ -257,6 +256,10 @@ def radial_homogenized(sigma_profile):
     period, the tangential one the arithmetic mean, both by adaptive
     quadrature to absolute tolerance 1e-10.
     """
+    # imported here: scipy.integrate loads scipy.optimize and
+    # scipy.special, which nothing else in the package needs
+    from scipy.integrate import quad
+
     def means(r, t):
         probe = sigma_profile(r, np.linspace(0.0, 1.0, 41)[:-1], t)
         pmin = np.min(probe)
@@ -319,8 +322,9 @@ class CellSolution:
 
 @lru_cache(maxsize=1)
 def _cell_grid(n1, n2):
-    """Corner dofs, corner points and P1Pattern of the crossed n1 x n2
-    grid; the last grid is kept, since a cell sweep reuses one resolution."""
+    """Corner dofs, corner points, P1Pattern, areas, barycentric gradients
+    and centroids of the triangles of the crossed n1 x n2 grid; the last
+    grid is kept, since a cell sweep reuses one resolution."""
     dx, dy = 1.0 / n1, 1.0 / n2
     i, j = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
     i = i.ravel()
@@ -354,10 +358,13 @@ def _cell_grid(n1, n2):
         np.stack([p11, p01, pc], axis=1),
         np.stack([p01, p00, pc], axis=1),
     ])
+    areas, grads = p1_elements(tris_xy)
+    centroids = tris_xy.mean(axis=1)
     # every call of this resolution shares them
-    tris_dof.setflags(write=False)
-    tris_xy.setflags(write=False)
-    return tris_dof, tris_xy, P1Pattern(tris_dof, 2 * n1 * n2)
+    for array in (tris_dof, tris_xy, areas, grads, centroids):
+        array.setflags(write=False)
+    return (tris_dof, tris_xy, P1Pattern(tris_dof, 2 * n1 * n2), areas,
+            grads, centroids)
 
 
 def solve_cell(problem):
@@ -371,12 +378,9 @@ def solve_cell(problem):
     n1, n2 = problem.resolution
     if n1 < 2 or n2 < 2:
         raise PreconditionError("cell resolution must be at least 2 per axis")
-    dofs, xy, pattern = _cell_grid(n1, n2)
+    dofs, _, pattern, areas, grads, centroids = _cell_grid(n1, n2)
     ndof = pattern.n
-    areas, grads = p1_elements(xy)
-
-    cent = xy.mean(axis=1)
-    amat = problem.matrices(cent)
+    amat = problem.matrices(centroids)
     sym_defect = np.abs(amat - amat.transpose(0, 2, 1)).max()
     if sym_defect > 1e-12 * max(np.abs(amat).max(), 1.0):
         raise PreconditionError("cell coefficient must be symmetric")

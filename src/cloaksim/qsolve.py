@@ -5,10 +5,12 @@ the coefficient frozen at the state u. The first step freezes the starting
 state (zero, unless a warm start is given) and solves the linear problem:
 a Picard step, which the angular-mode factor serves at the zero state.
 Every later step is a Newton step on the residual K(u) u - load
-(fem.newton_system). A Newton update that is not smaller than the update
-before it is replaced by the Picard step from the same state, and the
-result records that it was. A field that does not depend on the state is
-solved in a single step.
+(fem.newton_system), except the step after a Newton update of at most
+sqrt(tol): that one is a chord step, which solves with the last Newton
+matrix, and its factor, against the residual at the current state. An
+update that is not smaller than the update before it is replaced by the
+Picard step from the same state, and the result records that it was. A
+field that does not depend on the state is solved in a single step.
 """
 
 from collections import Counter
@@ -42,7 +44,8 @@ class QSolveResult:
     True when the safeguard replaced at least one Newton step by a Picard
     step. system is the system assembled at the returned state, whose
     residual dn_pairing reads as the boundary flux. factor_kinds counts the
-    systems the solve factored by SparseSystem.factor_kind.
+    solved systems by SparseSystem.factor_kind; a chord step, which reuses
+    the factor of the Newton step before it, counts as "chord".
     """
 
     u: np.ndarray
@@ -101,18 +104,29 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
         else np.asarray(warm_start, dtype=float).copy()
     activated = False
     updates = []
+    chord_below = np.sqrt(cfg.tol)
+    newton = None        # the last Newton system, if its update <= sqrt(tol)
     for it in range(1, cfg.max_iter + 1):
         system = assemble_frozen(mesh, coef, state=u, load=load)
+        chord = newton is not None
         if it == 1:
-            u_new = solve(system)
+            step = system
+        elif chord:
+            # J (u_new - u) = load - K(u) u with the last Newton matrix J
+            step = newton.with_load(
+                newton.matrix @ u - system.matrix @ u + system.load)
         else:
-            u_new = solve(newton_system(system, coef, u))
+            step = newton_system(system, coef, u)
+        u_new = solve(step)
         upd = _update(mesh, u_new, u)
+        newton = None
         if it > 1 and upd >= updates[-1]:
             # the safeguard: the Picard step from the same state
             u_new = solve(system)
             upd = _update(mesh, u_new, u)
             activated = True
+        elif it > 1 and not chord and upd <= chord_below:
+            newton = step
         updates.append(upd)
         u = u_new
         if upd <= cfg.tol:

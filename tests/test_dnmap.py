@@ -85,21 +85,42 @@ class TestOperator:
         # the first Newton system on the fresh mesh computes the LU
         # ordering and every later one reuses it, except the constant
         # datum's, whose Newton system at its constant state is radial
-        # and symmetric again
+        # and symmetric again. Every other column ends with a chord step,
+        # which reuses its last Newton factor
         mesh = build_disk_mesh(2.0, h_target=0.2)
         basis = FourierBasis(max_mode=2)
         op = dn_operator(preset_field("isotropic-sin"), basis, mesh)
         assert op.iterations[0] == 2
+        chords = basis.size - 1
         assert op.factor_kinds == {
-            "ring": basis.size + 1, "lu": 1,
-            "lu-reordered": sum(op.iterations) - basis.size - 2}
+            "ring": basis.size + 1, "lu": 1, "chord": chords,
+            "lu-reordered": sum(op.iterations) - basis.size - 2 - chords}
         recorded = [kind for kind, _, _ in factors]
         assert recorded.count("ring") == basis.size + 1
-        assert recorded.count("splu") == sum(op.iterations) - basis.size - 1
+        assert recorded.count("splu") == \
+            sum(op.iterations) - basis.size - 1 - chords
         linear = dn_operator(constant_field(np.diag([2.0, 3.0])), basis, mesh)
         assert linear.factor_kinds == {"lu-reordered": 1}
         assert dn_operator(identity_field(2), basis,
                            mesh).factor_kinds == {"ring": 1}
+
+    def test_nonlinear_pairing_matches_its_solutions(self):
+        # each column is paired as soon as it converges; the matrix is the
+        # pairing of the stored solutions, each with the system assembled
+        # at it
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        basis = FourierBasis(max_mode=3)
+        field = preset_field("isotropic-sin")
+        op = dn_operator(field, basis, mesh)
+        assert op.nonlinear and op.all_converged
+        coef = mesh.bind(field)
+        traces = basis.trace_matrix(mesh)
+        want = np.empty_like(op.pairing_matrix)
+        for j, u in enumerate(op.solutions):
+            system = assemble_frozen(mesh, coef, state=u)
+            want[:, j] = traces @ (system.matrix @ u)[mesh.boundary]
+        np.testing.assert_allclose(op.pairing_matrix, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
     def test_symmetry_for_state_independent(self):
         mesh = build_disk_mesh(2.0, h_target=0.15)

@@ -86,6 +86,24 @@ class TestNorms:
         semi = h1_seminorm(mesh, vals)
         assert abs(h1_norm(mesh, vals) - np.hypot(l2, semi)) < 1e-14
 
+    def test_l2_is_the_consistent_mass_form(self):
+        # v^T M v with the consistent mass matrix, element by element from
+        # the corner coordinates: area / 12 on each pair of corners, twice
+        # that on the diagonal
+        mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.2)
+        n = mesh.n_vertices
+        mass = np.zeros((n, n))
+        local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        for tri in mesh.triangles:
+            (x0, y0), (x1, y1), (x2, y2) = mesh.vertices[tri]
+            area = 0.5 * abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+            mass[np.ix_(tri, tri)] += area * local
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            v = rng.normal(size=n)
+            want = v @ mass @ v
+            assert abs(l2_norm(mesh, v) ** 2 - want) <= 1e-14 * want
+
     @pytest.mark.parametrize("norm", [l2_norm, h1_seminorm, h1_norm],
                              ids=lambda f: f.__name__)
     def test_values_length_checked(self, norm):
@@ -387,6 +405,15 @@ class TestNewtonSystem:
         assert np.array_equal(newton.matrix.indices, frozen.matrix.indices)
 
 
+    def test_needs_a_system_frozen_at_a_state(self):
+        # the Newton term differentiates the tensors that assemble_frozen
+        # kept at the state; a system assembled without one has none
+        mesh = build_disk_mesh(1.0, h_target=0.3)
+        coef = mesh.bind(preset_field("isotropic-sin"))
+        with pytest.raises(PreconditionError):
+            newton_system(assemble_frozen(mesh, coef), coef,
+                          np.zeros(mesh.n_vertices))
+
 def dense_oracle(corners, dofs, n, amats, dadt=None, grad_u=None):
     """Dense sums of P1 element matrices with np.add.at, by other formulas.
 
@@ -515,10 +542,13 @@ class TestFixedPattern:
             assert_canonical(matrix)
 
     def test_periodic_cell(self):
-        dofs, xy, pattern = _cell_grid(6, 5)
-        cent = xy.mean(axis=1)
+        dofs, xy, pattern, areas, grads, cent = _cell_grid(6, 5)
+        # the cached geometry is that of the grid's corner points
+        want_areas, want_grads = p1_elements(xy)
+        np.testing.assert_array_equal(areas, want_areas)
+        np.testing.assert_array_equal(grads, want_grads)
+        np.testing.assert_array_equal(cent, xy.mean(axis=1))
         s = 2.0 + np.cos(2.0 * np.pi * cent[:, 0])
-        areas, grads = p1_elements(xy)
         # a symmetric tensor, and one whose lower off-diagonal entry is not
         # the upper one
         for lower in (0.3, -0.2):

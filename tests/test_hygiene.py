@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cloaksim
@@ -279,3 +282,15 @@ def test_every_default_is_passed_by_the_program():
     assert listed <= unpassed, ("listed, but not a default the program "
                                 "leaves:\n"
                                 + "\n".join(sorted(listed - unpassed)))
+
+
+def test_import_leaves_the_quadrature_modules_out():
+    # scipy.integrate (and the scipy.optimize it loads) is imported where
+    # radial_homogenized needs it, not when the package is imported
+    code = ("import sys, cloaksim; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ,
+                              "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]", out.stdout

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from cloaksim import fem
 from cloaksim.coeff import IsotropicField, StructureConstants, identity_field
+from cloaksim.dnmap import FourierBasis
 from cloaksim.errors import PreconditionError
 from cloaksim.fem import assemble_frozen, build_disk_mesh, l2_norm
 from cloaksim.geometry import DiffMap, pushforward, regular_blowup
@@ -108,13 +110,15 @@ class TestPicard:
     def test_one_factorization_per_iteration(self, factors):
         # the system re-assembled at convergence is only paired, never
         # split or factored; the first step, at the radial zero state, is
-        # rotation-equivariant and the later ones are not
+        # rotation-equivariant and the later ones are not; the last step
+        # is a chord step on the factor of the Newton step before it
         mesh = build_disk_mesh(2.0, h_target=0.2)
         res = solve_quasilinear(mesh, sin_field(),
                                 np.cos(mesh.boundary_angles()))
         assert res.converged and res.iterations > 1
         kinds = [kind for kind, _, _ in factors]
-        assert kinds == ["ring"] + ["splu"] * (res.iterations - 1)
+        assert kinds == ["ring"] + ["splu"] * (res.iterations - 2)
+        assert res.factor_kinds["chord"] == 1
 
     def test_source_evaluated_once_per_solve(self):
         # the load does not depend on the state, so a Picard solve
@@ -187,6 +191,53 @@ class TestNewton:
         scale = np.abs(res.system.matrix).max() * np.abs(res.u).max()
         assert np.abs(resid).max() <= 1e-8 * scale
 
+    @pytest.mark.parametrize("datum", [1, 5, 16])
+    def test_returned_state_solves_the_discrete_problem(self, datum):
+        # the last step reuses a factor, so the returned u is checked
+        # against the problem itself: K(u) u = load on every interior row
+        mesh = build_disk_mesh(2.0, h_target=0.1)
+        trace = FourierBasis(max_mode=8).trace_matrix(mesh)[datum]
+        res = solve_quasilinear(mesh, preset_field("isotropic-sin"), trace)
+        assert res.converged and not res.damping_activated
+        assert res.factor_kinds["chord"] == 1
+        resid = res.system.matrix @ res.u - res.system.load
+        flux = np.linalg.norm(resid[mesh.boundary])
+        assert np.linalg.norm(resid[mesh.interior]) <= 1e-12 * flux
+
+    def test_chord_step_waits_for_a_small_newton_update(self, monkeypatch):
+        # a step reuses the last Newton factor only after a Newton update
+        # of at most sqrt(tol). The Newton update that admits the chord
+        # step at tol 1e-8 lies above sqrt(1e-14), so at tol 1e-14 that
+        # step is a Newton step and the chord step comes one step later
+        steps = []
+        real = fem.SparseSystem.solve_dirichlet
+
+        def recording(system, g):
+            u = real(system, g)
+            steps.append(system.factor_kind)
+            return u
+
+        monkeypatch.setattr(fem.SparseSystem, "solve_dirichlet", recording)
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        bv = np.cos(mesh.boundary_angles())
+        loose = solve_quasilinear(mesh, sin_field(), bv)
+        loose_steps, steps[:] = steps[:], []
+        tight = solve_quasilinear(mesh, sin_field(), bv,
+                                  config=PicardConfig(tol=1e-14))
+        n = loose.iterations
+        assert loose.converged and tight.converged
+        assert not (loose.damping_activated or tight.damping_activated)
+        assert 1e-7 < loose.updates[n - 2] <= 1e-4
+        assert tight.iterations == n + 1
+        lu = {"lu", "lu-reordered"}
+        for got, newton_steps in ((loose_steps, n - 2), (steps, n - 1)):
+            assert got[0] == "ring" and got[-1] == "chord"
+            assert len(got) == newton_steps + 2
+            assert set(got[1:-1]) <= lu
+        # the same steps up to the one that is a chord step at tol 1e-8
+        np.testing.assert_allclose(tight.updates[:n - 1],
+                                   loose.updates[:n - 1], rtol=1e-6)
+
     def test_radial_state_with_gradient(self, factors):
         # zero datum and a constant source give radial states with a
         # gradient: their Newton systems are rotation-invariant but not
@@ -197,7 +248,8 @@ class TestNewton:
                                 source=lambda p: np.full(len(p), 4.0))
         assert res.converged and res.iterations > 2
         kinds = [kind for kind, _, _ in factors]
-        assert kinds == ["ring"] + ["splu"] * (res.iterations - 1)
+        assert kinds == ["ring"] + ["splu"] * (res.iterations - 2)
+        assert res.factor_kinds["chord"] == 1
 
 
 def theta(u):
