@@ -165,7 +165,7 @@ def dn_operator(A, basis, mesh, cfg=None):
         system = assemble_frozen(mesh, mesh.bind(A))
         for j in range(basis.size):
             solutions[j] = system.solve_dirichlet(traces[j])
-        matrix = dn_pairing(solutions, [system] * basis.size, traces)
+        matrix = dn_pairing(system, solutions, traces)
         iterations = [1] * basis.size
         converged = None
         kinds = Counter([system.factor_kind])
@@ -176,10 +176,10 @@ def dn_operator(A, basis, mesh, cfg=None):
         for j in range(basis.size):
             res = solve_quasilinear(mesh, A, traces[j], config=cfg,
                                     coef=coef)
+            solutions[j] = res.u
             # paired at once, and the system dropped before the next
             # column's solve
-            matrix[:, j] = dn_pairing([res.u], [res.system], traces)[:, 0]
-            solutions[j] = res.u
+            matrix[:, [j]] = dn_pairing(res.system, solutions[[j]], traces)
             iterations.append(res.iterations)
             converged.append(res.converged)
             kinds += res.factor_kinds

@@ -3,7 +3,8 @@
 Each driver builds meshes that align every coefficient interface with a
 vertex ring, computes references on the same mesh as the perturbed problem
 (so leading discretization error cancels), and returns a DecayReport of
-per-parameter rows plus log-log slope fits.
+per-parameter rows plus log-log slope fits. Its meta lists, per row, the
+factor_kinds of the row's perturbed operator as a plain dict.
 """
 
 import json
@@ -123,10 +124,11 @@ def run_regular_cloak_sweep(cfg):
                            radial_bands=bands)
     op_ident = dn_operator(identity_field(2), basis, mesh, cfg.picard)
 
-    rows = []
+    rows, kinds = [], []
     for r in sched:
         coeff_r = transformed_inner_tensor(inclusion, r)
         op_r = dn_operator(coeff_r, basis, mesh, cfg.picard)
+        kinds.append(dict(op_r.factor_kinds))
         diff = op_r.solutions[_COS1] - op_ident.solutions[_COS1]
         rows.append({
             "r": r,
@@ -140,7 +142,8 @@ def run_regular_cloak_sweep(cfg):
     report = DecayReport(kind="regular-cloak", parameter="r", rows=rows,
                          meta={"h": cfg.h, "modes": cfg.modes,
                                "inclusion": cfg.inclusion,
-                               "n_vertices": mesh.n_vertices})
+                               "n_vertices": mesh.n_vertices,
+                               "factor_kinds": kinds})
     if len(rows) >= 4:
         for col in ("h1", "l2", "dn", "neumann"):
             report.fit_slope(col)
@@ -154,7 +157,7 @@ def run_truncated_singular_sweep(cfg):
         raise PreconditionError("singular sweep needs rho inside (1, 2)")
     inclusion = inclusion_field(cfg.inclusion)
     basis = FourierBasis(cfg.modes, radius=2.0)
-    rows = []
+    rows, kinds = [], []
     for rho in sched:
         layer = rho - 1.0
         # the whole annulus needs fine radial spacing, not just the lining:
@@ -165,6 +168,7 @@ def run_truncated_singular_sweep(cfg):
                                radial_bands=bands)
         cloak = truncated_singular_cloak(rho, interior=inclusion)
         op_c = dn_operator(cloak, basis, mesh, cfg.picard)
+        kinds.append(dict(op_c.factor_kinds))
         op_i = dn_operator(identity_field(2), basis, mesh, cfg.picard)
         rows.append({
             "rho": rho,
@@ -178,7 +182,8 @@ def run_truncated_singular_sweep(cfg):
     report = DecayReport(kind="truncated-singular", parameter="rho", rows=rows,
                          meta={"h": cfg.h, "modes": cfg.modes,
                                "inclusion": cfg.inclusion,
-                               "monotone_decreasing": trend_ok})
+                               "monotone_decreasing": trend_ok,
+                               "factor_kinds": kinds})
     if len(rows) >= 4:
         report.fit_slope("dn")
     return report
@@ -214,7 +219,7 @@ def run_homogenization_sweep(cfg):
     specs = build_isotropic_cloak_sequence(n_terms=max(sched), psi=cfg.psi,
                                            profile=cfg.profile)
     basis = FourierBasis(cfg.modes, radius=3.0)
-    rows = []
+    rows, kinds = [], []
     for n in sched:
         spec = specs[n - 1]
         dr = min(spec.eps / 8.0, cfg.h)
@@ -242,6 +247,7 @@ def run_homogenization_sweep(cfg):
         # as the field solution, avoiding extra factorizations of the big
         # systems here
         op_n = dn_operator(sigma_n, basis, mesh, cfg.picard)
+        kinds.append(dict(op_n.factor_kinds))
         u_n = op_n.solutions[_COS1]
         op_t = dn_operator(target, basis, mesh, cfg.picard)
         u_t = op_t.solutions[_COS1]
@@ -262,7 +268,8 @@ def run_homogenization_sweep(cfg):
         })
     report = DecayReport(kind="homogenization", parameter="n", rows=rows,
                          meta={"h": cfg.h, "modes": cfg.modes,
-                               "profile": cfg.profile, "psi": cfg.psi})
+                               "profile": cfg.profile, "psi": cfg.psi,
+                               "factor_kinds": kinds})
     if len(rows) >= 4:
         report.fit_slope("l2_target", x="eps", key="l2_target_vs_eps")
     return report
@@ -284,7 +291,7 @@ def run_diffeo_invariance(cfg, dmap=None):
                 f"is posed on radius {radius:g}")
         fields.append(field)
     basis = FourierBasis(cfg.modes, radius=2.0)
-    rows = []
+    rows, kinds = [], []
     for field in fields:
         pushed = pushforward(field, dmap)
         # this field's rows and unmapped operators, one per mesh size
@@ -294,6 +301,7 @@ def run_diffeo_invariance(cfg, dmap=None):
             mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=h)
             op_a = dn_operator(field, basis, mesh, cfg.picard)
             op_p = dn_operator(pushed, basis, mesh, cfg.picard)
+            kinds.append(dict(op_p.factor_kinds))
             field_ops.append(op_a)
             these.append({
                 "coefficient": field.name,
@@ -318,7 +326,8 @@ def run_diffeo_invariance(cfg, dmap=None):
         these[-1]["self_convergence"] = self_err
         rows += these
     return DecayReport(kind="diffeo-invariance", parameter="h", rows=rows,
-                       meta={"modes": cfg.modes, "map": dmap.name})
+                       meta={"modes": cfg.modes, "map": dmap.name,
+                             "factor_kinds": kinds})
 
 
 _FORMATS = ("csv", "json", "gnuplot-dat")

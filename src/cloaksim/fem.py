@@ -8,18 +8,19 @@ forms the element matrices of the stiffness, of the Newton term and of the
 periodic cell: plain arithmetic on (nt, 3) arrays of gradient components,
 with no batched matrix product. Every matrix assembled on one mesh shares
 one CSR pattern (P1Pattern), built once per mesh: an assembly sums the
-element matrices into its data array, and J = K + C is the sum of two data
-arrays.
+element matrices into its data array, J = K + C is the sum of two data
+arrays, and a linear system (SparseSystem) is made from that data alone.
 
 A Dirichlet solve factors its system once, in one of two kinds. When the
 mesh records its ring layout and the matrix is symmetric and invariant
 under a rotation by one angular step (a rotation-equivariant coefficient
 frozen at a radial state), the angular Fourier transform splits the
 problem into one Hermitian tridiagonal system over the rings per mode
-(RingFactor). Otherwise SuperLU factors the interior block. The first
-SuperLU factor on a mesh computes a fill-reducing ordering; every later one
-on that mesh reuses it. Every SuperLU factor in the package, the periodic
-cell's included, is made with one setting of its supernode sizes,
+(RingFactor). Otherwise SuperLU factors the interior block, gathered from
+the pattern data through one call of splu (_InteriorOrdering.factor). The
+first SuperLU factor on a mesh computes a fill-reducing ordering; every
+later one on that mesh reuses it. Every SuperLU factor in the package, the
+periodic cell's included, is made with one setting of its supernode sizes,
 SUPERLU_SETTINGS.
 """
 
@@ -75,7 +76,6 @@ class TriMesh:
     def _geometry(self):
         v = self.vertices[self.triangles]              # (nt, 3, 2)
         self.areas, self.grads = p1_elements(v)
-        self.centroids = v.mean(axis=1)
         # the assembly quadrature points, shape (3 * nt, 2)
         self.midpoints = _edge_means(v).reshape(-1, 2)
         edges = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 1],
@@ -390,12 +390,6 @@ class P1Pattern:
             return None
         return pos.astype(np.int32)
 
-    def holds(self, matrix):
-        """Whether a CSR matrix stores exactly this pattern."""
-        return (matrix.nnz == self.nnz
-                and np.array_equal(matrix.indptr, self.indptr)
-                and np.array_equal(matrix.indices, self.indices))
-
 
 def _edge_means(corners):
     """Values at the edge midpoints m01, m12, m20 of each triangle, the
@@ -449,10 +443,10 @@ def assemble_frozen(mesh, coef, state=None, load=None):
     # lowers the resident peak of a solve
     frozen_at = None if state is None else (t_mid, amid)
     del amid
-    matrix = p1_stiffness(mesh.areas, mesh.grads, amean, mesh.pattern)
+    data = p1_stiffness(mesh.areas, mesh.grads, amean, mesh.pattern).data
     if load is None:
         load = np.zeros(mesh.n_vertices)
-    return SparseSystem(matrix, load, mesh, frozen_at=frozen_at)
+    return SparseSystem(data, load, mesh, frozen_at=frozen_at)
 
 
 # forward-difference step in the state for the derivative of A
@@ -496,29 +490,23 @@ def newton_system(frozen, coef, state):
     fy *= weight
     local = _element_matrices(mesh.grads, fx, fy)
     del fx, fy                    # as in p1_stiffness
-    pattern = mesh.pattern
-    data = np.bincount(pattern.slot, weights=local.ravel(),
-                       minlength=pattern.nnz)
-    data += frozen.matrix.data
-    jac = pattern.matrix(data)
+    jac = mesh.pattern.scatter(local)
+    jac.data += frozen.matrix.data
     # C u + load = J u - K u + load
     load = jac @ state
     load -= frozen.matrix @ state
     load += frozen.load
-    return SparseSystem(jac, load, mesh)
+    return SparseSystem(jac.data, load, mesh)
 
 
 class SparseSystem:
     """Assembled system with Dirichlet elimination.
 
-    The interior problem is factored on the first solve and later solves
-    reuse the factor. ring_factor is tried first; SuperLU factors the
-    interior block when it does not apply. The first SuperLU factor of a
-    matrix in the mesh's pattern orders the block by minimum degree, and
-    the pattern keeps that ordering; every later one in the pattern
-    gathers the block, in that order, straight from the matrix data.
-    Both are made with SUPERLU_SETTINGS, as is every SuperLU factor in the
-    package.
+    data holds the entries of the matrix in the mesh's P1Pattern, and
+    matrix is the CSR matrix they make; data of any other length raises
+    ValueError. The interior problem is factored on the first solve and
+    later solves reuse the factor. ring_factor is tried first; SuperLU
+    factors the interior block when it does not apply (_interior_lu).
     factor_kind names the factor that served the system: "ring", "lu"
     (ordering computed), "lu-reordered" (ordering reused) or "chord" (the
     factor of another system, shared by with_load); None before the first
@@ -529,8 +517,8 @@ class SparseSystem:
     the values newton_system differentiates; None otherwise.
     """
 
-    def __init__(self, matrix, load, mesh, frozen_at=None):
-        self.matrix = matrix
+    def __init__(self, data, load, mesh, frozen_at=None):
+        self.matrix = mesh.pattern.matrix(data)
         self.load = load
         self.mesh = mesh
         self.frozen_at = frozen_at
@@ -541,18 +529,17 @@ class SparseSystem:
         """The system with this matrix and another load, solved with this
         system's factor (made here if it was not yet); its factor_kind is
         "chord"."""
-        other = SparseSystem(self.matrix, load, self.mesh)
+        other = SparseSystem(self.matrix.data, load, self.mesh)
         other._solver = self._factor()
         other.factor_kind = "chord"
         return other
 
     def _factor(self):
         if self._solver is None:
-            self._solver = ring_factor(self.matrix, self.mesh)
+            self._solver = ring_factor(self)
             self.factor_kind = "ring"
             if self._solver is None:
-                self._solver, self.factor_kind = _interior_lu(self.matrix,
-                                                              self.mesh)
+                self._solver, self.factor_kind = _interior_lu(self)
         return self._solver
 
     def solve_dirichlet(self, boundary_values):
@@ -573,25 +560,26 @@ class SparseSystem:
         return full
 
 
-def _interior_lu(matrix, mesh):
-    """SuperLU factor of the interior block of the matrix, and its kind."""
-    pattern = mesh.pattern
-    ours = pattern.holds(matrix)
-    if ours and pattern.ordering is not None:
-        return pattern.ordering.factor(matrix.data), "lu-reordered"
-    ii = mesh.interior
+def _interior_lu(system):
+    """SuperLU factor of the system's interior block, and its kind: "lu"
+    for the first on a mesh, which orders the block by minimum degree and
+    leaves that ordering to the mesh's pattern, "lu-reordered" for every
+    later one, which reuses it."""
+    mesh, data = system.mesh, system.matrix.data
+    if mesh.pattern.ordering is not None:
+        return mesh.pattern.ordering.factor(data, "NATURAL"), "lu-reordered"
     # minimum degree on A^T + A; the Newton systems have a symmetric
     # pattern, and their fill is 40 % below COLAMD's
-    lu = splu(matrix[ii][:, ii].tocsc(), permc_spec="MMD_AT_PLUS_A",
-              **SUPERLU_SETTINGS)
-    if ours:
-        pattern.ordering = _InteriorOrdering(pattern, ii, lu.perm_c)
-    return lu, "lu"
+    first = _InteriorOrdering(mesh, np.arange(len(mesh.interior))).factor(
+        data, "MMD_AT_PLUS_A")
+    mesh.pattern.ordering = _InteriorOrdering(mesh, first.lu.perm_c)
+    return first, "lu"
 
 
 class _InteriorOrdering:
-    """The column ordering of the first LU of a pattern's interior block,
-    kept for every later LU of a matrix in that pattern.
+    """A column ordering perm_c of the interior block of a mesh's pattern:
+    the mesh's own order (0, 1, ...) for its first LU, then that LU's,
+    kept for every later one.
 
     With inv = argsort(perm_c), SuperLU factored A P for the permutation
     P that perm_c stands for. A later LU factors B = P^T A P, whose entry
@@ -601,11 +589,12 @@ class _InteriorOrdering:
     stored entry.
     """
 
-    def __init__(self, pattern, rows, perm_c):
-        m = len(rows)
+    def __init__(self, mesh, perm_c):
+        pattern = mesh.pattern
+        m = len(perm_c)
         self.inv = np.argsort(perm_c)
         new = np.full(pattern.n, -1)
-        new[rows] = perm_c
+        new[mesh.interior] = perm_c
         r = new[np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))]
         c = new[pattern.indices]
         (kept,) = np.nonzero((r >= 0) & (c >= 0))
@@ -616,12 +605,14 @@ class _InteriorOrdering:
         self.indptr = np.zeros(m + 1, dtype=np.int32)
         np.cumsum(np.bincount(c, minlength=m), out=self.indptr[1:])
 
-    def factor(self, data):
-        """Interior solver of the matrix with these pattern entries."""
+    def factor(self, data, permc_spec):
+        """Interior solver of the matrix with these pattern entries: the
+        SuperLU factor of B, with SuperLU's column ordering permc_spec of B
+        on top."""
         m = len(self.inv)
         block = csc_matrix((data[self.gather], self.indices, self.indptr),
                            shape=(m, m))
-        return _Reordered(splu(block, permc_spec="NATURAL",
+        return _Reordered(splu(block, permc_spec=permc_spec,
                                **SUPERLU_SETTINGS), self.inv)
 
 
@@ -638,13 +629,14 @@ class _Reordered:
         return x
 
 
-def ring_factor(matrix, mesh):
-    """RingFactor of the interior problem, or None where it does not apply.
+def ring_factor(system):
+    """RingFactor of a system's interior problem, or None where it does
+    not apply.
 
-    It applies when the mesh records its ring layout (TriMesh.n_theta), the
-    matrix stores the mesh's pattern, and it is symmetric and invariant
-    under the rotation by one angular step, each to 1e-12 of its largest
-    diagonal entry (its largest entry, for a positive semi-definite matrix).
+    It applies when the mesh records its ring layout (TriMesh.n_theta) and
+    the matrix is symmetric and invariant under the rotation by one
+    angular step, each to 1e-12 of its largest diagonal entry (its largest
+    entry, for a positive semi-definite matrix).
 
     The cheap tests come first. A state or coefficient that is not radial
     makes the diagonal vary along a ring, at O(n) cost to see. Symmetry is
@@ -653,9 +645,10 @@ def ring_factor(matrix, mesh):
     invariant but not symmetric. Only then is the whole matrix compared
     with its rotation, a fixed permutation of the pattern's data.
     """
+    matrix, mesh = system.matrix, system.mesh
     n = mesh.n_theta
     # a mesh whose one ring is the boundary has the center alone inside
-    if n is None or mesh.n_vertices <= 1 + n or not mesh.pattern.holds(matrix):
+    if n is None or mesh.n_vertices <= 1 + n:
         return None
     diag = matrix.diagonal()
     tol = 1e-12 * np.abs(diag).max()

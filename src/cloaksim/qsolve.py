@@ -144,29 +144,25 @@ def _update(mesh, new, old):
     return l2_norm(mesh, new - old) / max(l2_norm(mesh, new), 1e-30)
 
 
-def dn_pairing(solutions, systems, basis_matrix):
-    """Boundary flux of each solution paired against each trace.
+def dn_pairing(system, solutions, basis_matrix):
+    """Boundary flux of each solution of one system paired against each
+    trace.
 
+    system : the assembled SparseSystem the solutions solve
     solutions : (n, n_vertices) nodal solutions, one per boundary datum
-    systems : n SparseSystems, the assembled system each solution solves
-        (the same object repeated when one linear system serves them all)
     basis_matrix : (K, nb) trace values on the boundary vertices
 
     Returns the (K, n) matrix whose (i, j) entry is the work of the j-th
-    solution's boundary flux against the i-th trace. With the same basis
-    used for the data and a state-independent coefficient the matrix is
-    symmetric.
+    solution's boundary flux, the residual of the system at it, against
+    the i-th trace. With the same basis used for the data and a
+    state-independent coefficient the matrix is symmetric.
     """
     basis_matrix = np.atleast_2d(np.asarray(basis_matrix, dtype=float))
-    if len(solutions) == 0 or len(systems) != len(solutions):
-        raise PreconditionError("need one assembled system per solution")
-    mesh = systems[0].mesh
-    if basis_matrix.shape[1] != len(mesh.boundary):
+    boundary = system.mesh.boundary
+    if basis_matrix.shape[1] != len(boundary):
         raise PreconditionError("basis columns must match boundary vertices")
     out = np.empty((basis_matrix.shape[0], len(solutions)))
-    for j, (u, system) in enumerate(zip(solutions, systems)):
-        if system.mesh is not mesh:
-            raise PreconditionError("solutions live on different meshes")
+    for j, u in enumerate(solutions):
         flux = system.matrix @ u - system.load
-        out[:, j] = basis_matrix @ flux[mesh.boundary]
+        out[:, j] = basis_matrix @ flux[boundary]
     return out

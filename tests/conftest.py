@@ -37,10 +37,10 @@ def factors(monkeypatch):
         calls.append(("splu", matrix, lu))
         return lu
 
-    def recording_ring(matrix, mesh):
-        factor = real_ring(matrix, mesh)
+    def recording_ring(system):
+        factor = real_ring(system)
         if factor is not None:
-            calls.append(("ring", matrix, factor))
+            calls.append(("ring", system.matrix, factor))
         return factor
 
     monkeypatch.setattr(fem, "splu", recording_splu)

@@ -166,6 +166,19 @@ class TestDrivers:
         with pytest.raises(PreconditionError):
             run_truncated_singular_sweep(ExperimentConfig(schedule=()))
 
+    def test_singular_sweep_records_factor_kinds(self, tmp_path):
+        # the truncated cloak is radial and linear: one ring factor serves
+        # each row's operator. The kinds go to the JSON report only
+        cfg = ExperimentConfig(schedule=(1.5, 1.25), h=0.25, modes=2)
+        rep = run_truncated_singular_sweep(cfg)
+        assert rep.meta["factor_kinds"] == [{"ring": 1}, {"ring": 1}]
+        doc = json.loads(emit_report(rep, "json", tmp_path / "r.json")
+                         .read_text())
+        assert doc["meta"]["factor_kinds"] == [{"ring": 1}, {"ring": 1}]
+        for fmt in ("csv", "gnuplot-dat"):
+            text = emit_report(rep, fmt, tmp_path / f"r.{fmt}").read_text()
+            assert "ring" not in text
+
     def test_homog_sweep_rejects_non_integers(self):
         with pytest.raises(PreconditionError):
             run_homogenization_sweep(ExperimentConfig(schedule=(1.5, 2.0)))

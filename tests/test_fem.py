@@ -3,7 +3,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from cloaksim import homog
@@ -280,15 +279,16 @@ class TestRingDetector:
         # a diagonal entry fails the cheap test along the ring; an
         # off-diagonal one only the comparison of the rotated matrix
         mesh = build_disk_mesh(2.0, h_target=0.2)
-        matrix = assemble_frozen(mesh, mesh.bind(identity_field(2))).matrix
-        assert ring_factor(matrix, mesh) is not None
+        system = assemble_frozen(mesh, mesh.bind(identity_field(2)))
+        assert ring_factor(system) is not None
+        matrix = system.matrix
         row = 1 + 3 * mesh.n_theta + 5
         lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
         picked = (matrix.indices[lo:hi] == row) == diagonal
         pos = lo + np.argmax(np.abs(matrix.data[lo:hi]) * picked)
         matrix.data[pos] *= 1.0 + 1e-8
-        self.assert_lu(SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh),
-                       factors)
+        self.assert_lu(SparseSystem(matrix.data, np.zeros(mesh.n_vertices),
+                                    mesh), factors)
 
 
     @pytest.mark.parametrize("where", ["ring", "next ring", "center"])
@@ -317,31 +317,11 @@ class TestRingDetector:
         assert np.array_equal(keys[slots], rows * pattern.n + cols)
         data = matrix.data.copy()
         data[slots] += 1e-3 * abs(matrix).max()
-        matrix = pattern.matrix(data)
-        assert matrix.nnz == assemble_frozen(
+        system = SparseSystem(data, np.zeros(mesh.n_vertices), mesh)
+        assert system.matrix.nnz == assemble_frozen(
             mesh, mesh.bind(identity_field(2))).matrix.nnz
-        assert ring_factor(matrix, mesh) is None
-        self.assert_lu(SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh),
-                       factors)
-
-    def test_other_pattern_declined(self, factors):
-        # the identity stiffness plus a symmetric coupling of each ring
-        # vertex (a, j) to (a, j + 2), invariant under the rotation but
-        # outside the mesh's pattern: SuperLU factors it
-        mesh = build_disk_mesh(2.0, h_target=0.2)
-        n = mesh.n_theta
-        matrix = assemble_frozen(mesh, mesh.bind(identity_field(2))).matrix
-        ring, j = np.divmod(np.arange(mesh.n_vertices - 1), n)
-        rows = 1 + ring * n + j
-        cols = 1 + ring * n + (j + 2) % n
-        far = coo_matrix((np.full(2 * len(rows), -1e-3),
-                          (np.r_[rows, cols], np.r_[cols, rows])),
-                         shape=matrix.shape)
-        matrix = (matrix + far).tocsr()
-        assert not mesh.pattern.holds(matrix)
-        assert ring_factor(matrix, mesh) is None
-        self.assert_lu(SparseSystem(matrix, np.zeros(mesh.n_vertices), mesh),
-                       factors)
+        assert ring_factor(system) is None
+        self.assert_lu(system, factors)
 
 
 class TestRotation:
@@ -592,23 +572,16 @@ class TestOrderingReuse:
         assert kinds == ["lu"] + ["lu-reordered"] * 3
         assert [kind for kind, _, _ in factors] == ["splu"] * 4
 
-    def test_other_pattern_computes_its_own(self, factors):
-        # after the mesh's first LU, a matrix with one more entry per row
-        # than the mesh's pattern is ordered afresh, bit for bit SuperLU's
+    def test_data_outside_the_pattern_refused(self):
+        # a system is made from its mesh's pattern data, so no matrix with
+        # other entries can reach a factor or the ring check
         mesh = build_disk_mesh(2.0, h_target=0.2)
-        field = constant_field(np.diag([2.0, 3.0]))
-        system = assemble_frozen(mesh, mesh.bind(field))
-        g = np.cos(mesh.boundary_angles())
-        system.solve_dirichlet(g)
-        n = mesh.n_vertices
-        far = coo_matrix((np.full(n, 1e-3), (np.arange(n),
-                                             (np.arange(n) + n // 2) % n)),
-                         shape=(n, n))
-        other = SparseSystem((system.matrix + far).tocsr(), system.load, mesh)
-        assert not mesh.pattern.holds(other.matrix)
-        u = other.solve_dirichlet(g)
-        assert (system.factor_kind, other.factor_kind) == ("lu", "lu")
-        assert np.array_equal(u, lu_reference(other, g))
+        load = np.zeros(mesh.n_vertices)
+        assert SparseSystem(np.ones(mesh.pattern.nnz), load, mesh).matrix.nnz \
+            == mesh.pattern.nnz
+        for extra in (-1, 1, mesh.n_vertices):
+            with pytest.raises(ValueError):
+                SparseSystem(np.ones(mesh.pattern.nnz + extra), load, mesh)
 
 
 def assert_same_as_default(block, lu, permc_spec):

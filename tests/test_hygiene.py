@@ -92,6 +92,16 @@ def test_every_superlu_factor_uses_the_shared_settings():
                       + "\n".join(bare))
 
 
+def test_one_superlu_call_in_fem_and_in_homog():
+    # every disk factor goes through _InteriorOrdering.factor, and the
+    # periodic cell has its own; a second call would be a second LU path
+    for name in ("fem.py", "homog.py"):
+        lines = [node.lineno
+                 for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+                 if isinstance(node, ast.Call) and name_of(node.func) == "splu"]
+        assert len(lines) == 1, f"{name}: splu called on lines {lines}"
+
+
 def name_of(node):
     """The name a Name or Attribute node ends in, else None."""
     return getattr(node, "id", None) or getattr(node, "attr", None)

@@ -290,7 +290,8 @@ class TestKirchhoffSolution:
                                     config=PicardConfig(tol=1e-12))
             assert res.converged
             u, _ = kirchhoff_solution(mesh.vertices)
-            _, grad = kirchhoff_solution(mesh.centroids)
+            _, grad = kirchhoff_solution(
+                mesh.vertices[mesh.triangles].mean(axis=1))
             l2.append(l2_norm(mesh, res.u - u))
             gu = np.einsum("tic,ti->tc", mesh.grads,
                            res.u[mesh.triangles])
@@ -320,7 +321,7 @@ def mms_error(h):
     # gradient error against the exact field at centroids; comparing to
     # the nodal interpolant instead would superconverge and hide the rate
     gu = np.einsum("tic,ti->tc", mesh.grads, uh[mesh.triangles])
-    c = mesh.centroids
+    c = mesh.vertices[mesh.triangles].mean(axis=1)
     gex = np.stack([c[:, 1], c[:, 0]], axis=1)
     return float(np.sqrt(np.sum(mesh.areas * np.sum((gu - gex) ** 2, axis=1))))
 
