@@ -3,30 +3,37 @@
 Meshes are structured: concentric vertex rings with a common angular count,
 so requested radii (interfaces of piecewise coefficients) can be matched
 exactly by a ring of vertices. The coefficient is sampled at the three
-edge midpoints of each element. One elementwise kernel (_element_matrices)
-forms the element matrices of the stiffness, of the Newton term and of the
-periodic cell: plain arithmetic on (nt, 3) arrays of gradient components,
-with no batched matrix product. Every matrix assembled on one mesh shares
-one CSR pattern (P1Pattern), built once per mesh: an assembly sums the
-element matrices into its data array, J = K + C is the sum of two data
-arrays, and a linear system (SparseSystem) is made from that data alone.
+edge midpoints of each element: once per mesh edge (TriMesh.edges), each
+interior edge serving its two triangles, and gathered to the elements by
+TriMesh.edge_of. One elementwise kernel (_element_matrices) forms the
+element matrices of the stiffness, of the Newton term and of the periodic
+cell: plain arithmetic on (nt, 3) arrays of gradient components, with no
+batched matrix product. Every matrix assembled on one mesh shares one CSR
+pattern (P1Pattern), built once per mesh: an assembly sums the element
+matrices into its data array, J = K + C is the sum of two data arrays, and
+a linear system (SparseSystem) is made from that data alone.
 
 A Dirichlet solve factors its system once, in one of two kinds. When the
 mesh records its ring layout and the matrix is symmetric and invariant
 under a rotation by one angular step (a rotation-equivariant coefficient
 frozen at a radial state), the angular Fourier transform splits the
-problem into one Hermitian tridiagonal system over the rings per mode
-(RingFactor). Otherwise SuperLU factors the interior block, gathered from
-the pattern data through one call of splu (_InteriorOrdering.factor). The
-first SuperLU factor on a mesh computes a fill-reducing ordering; every
-later one on that mesh reuses it. Every SuperLU factor in the package, the
-periodic cell's included, is made with one setting of its supernode sizes,
-SUPERLU_SETTINGS.
+problem into one Hermitian tridiagonal system over the rings per mode;
+LAPACK factors and solves all modes as one tridiagonal (RingFactor).
+Otherwise, or when that tridiagonal is not positive definite, SuperLU
+factors the interior block, gathered from the pattern data through one
+call of splu (_InteriorOrdering.factor). The first SuperLU factor on a
+mesh computes a fill-reducing ordering; every later one on that mesh
+reuses it. Every SuperLU factor in the package, the periodic cell's
+included, is made with one setting of its supernode sizes,
+SUPERLU_SETTINGS. A solve reads the boundary data through the entries
+that couple interior rows to boundary columns (TriMesh.boundary_band),
+and a boundary flux reads the boundary rows alone (TriMesh.boundary_rows).
 """
 
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import zpttrf, zpttrs
 from scipy.sparse import csc_matrix, csr_matrix
 # cg is never called here; it stays bound because perfbench/tracing.py wraps it
 from scipy.sparse.linalg import cg, splu  # noqa: F401
@@ -76,8 +83,6 @@ class TriMesh:
     def _geometry(self):
         v = self.vertices[self.triangles]              # (nt, 3, 2)
         self.areas, self.grads = p1_elements(v)
-        # the assembly quadrature points, shape (3 * nt, 2)
-        self.midpoints = _edge_means(v).reshape(-1, 2)
         edges = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 1],
                           v[:, 0] - v[:, 2]], axis=1)
         self.h_max = float(np.linalg.norm(edges, axis=2).max())
@@ -89,15 +94,50 @@ class TriMesh:
     def n_vertices(self):
         return len(self.vertices)
 
-    @property
-    def n_triangles(self):
-        return len(self.triangles)
-
     @cached_property
     def pattern(self):
         """The P1Pattern of every matrix assembled on this mesh, built on
         first use and kept with the ordering of the mesh's first LU."""
         return P1Pattern(self.triangles, self.n_vertices)
+
+    @cached_property
+    def edges(self):
+        """(ne, 2) the two ends i < j of each edge: one edge per entry of
+        the pattern above its diagonal, in the pattern's order."""
+        pattern = self.pattern
+        rows = pattern.rows()
+        upper = pattern.indices > rows
+        return np.stack([rows[upper], pattern.indices[upper]], axis=1)
+
+    @cached_property
+    def edge_of(self):
+        """(nt, 3) the index in edges of the edges m01, m12, m20 of each
+        triangle, read through the pattern's slot of its upper entry."""
+        pattern = self.pattern
+        number = np.cumsum(pattern.indices > pattern.rows()) - 1
+        slot = pattern.slot.reshape(-1, 3, 3)
+        a, b = [0, 1, 2], [1, 2, 0]
+        upper = self.triangles[:, a] < self.triangles[:, b]
+        return number[np.where(upper, slot[:, a, b], slot[:, b, a])]
+
+    @cached_property
+    def midpoints(self):
+        """The assembly quadrature points, (ne, 2): the midpoint of each
+        edge."""
+        ends = self.vertices[self.edges]
+        return 0.5 * (ends[:, 0] + ends[:, 1])
+
+    @cached_property
+    def boundary_band(self):
+        """The pattern's entries in an interior row and a boundary column
+        (P1Pattern.block): what a solve reads of its boundary data."""
+        return self.pattern.block(self.interior, self.boundary)
+
+    @cached_property
+    def boundary_rows(self):
+        """The pattern's entries in a boundary row (P1Pattern.block): what
+        the boundary flux of a solution reads."""
+        return self.pattern.block(self.boundary, np.arange(self.n_vertices))
 
     @cached_property
     def rotation(self):
@@ -119,8 +159,7 @@ class TriMesh:
     def load(self, source):
         """Load vector of the right-hand side source(points) -> values,
         integrated by the assembly quadrature: what assemble_frozen takes."""
-        nt = self.n_triangles
-        gq = np.asarray(source(self.midpoints), dtype=float).reshape(nt, 3)
+        gq = np.asarray(source(self.midpoints), dtype=float)[self.edge_of]
         # basis i is 1/2 on the two midpoints of its incident edges
         contrib = _corner_sums(gq)
         contrib *= (self.areas / 6.0)[:, None]
@@ -314,7 +353,8 @@ def _element_matrices(grads, fx, fy):
 
 
 def p1_stiffness(areas, grads, amats, pattern):
-    """Global P1 stiffness matrix (CSR) of elementwise constant tensors.
+    """Data of the global P1 stiffness matrix of elementwise constant
+    tensors, in the pattern.
 
     amats : (nt, 2, 2) coefficient per triangle, not necessarily symmetric
     pattern : P1Pattern of the triangles' degrees of freedom
@@ -361,15 +401,34 @@ class P1Pattern:
     def nnz(self):
         return len(self.indices)
 
+    def rows(self):
+        """The row of each stored entry, a new array."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def block(self, rows, cols):
+        """The stored entries in the given rows and columns, in the
+        pattern's order: for each, the index of its row in rows, its
+        position in data and the index of its column in cols. A sum over
+        them in this order adds the terms of a row in the order of a
+        product with the CSR matrix."""
+        row = np.full(self.n, -1)
+        row[rows] = np.arange(len(rows))
+        col = np.full(self.n, -1)
+        col[cols] = np.arange(len(cols))
+        r, c = row[self.rows()], col[self.indices]
+        (pos,) = np.nonzero((r >= 0) & (c >= 0))
+        return r[pos], pos, c[pos]
+
     def matrix(self, data):
         """The CSR matrix with this pattern and these entries."""
         return csr_matrix((data, self.indices, self.indptr),
                           shape=(self.n, self.n))
 
     def scatter(self, local):
-        """CSR sum of the (nt, 3, 3) element matrices local[t, i, j]."""
-        return self.matrix(np.bincount(self.slot, weights=local.ravel(),
-                                       minlength=self.nnz))
+        """The data of the sum of the (nt, 3, 3) element matrices
+        local[t, i, j]."""
+        return np.bincount(self.slot, weights=local.ravel(),
+                           minlength=self.nnz)
 
     def image(self, perm):
         """The position in data of the image (perm[i], perm[j]) of each
@@ -377,7 +436,7 @@ class P1Pattern:
         map the pattern onto itself."""
         # in place: each temporary holds 8 bytes per entry, and one more of
         # them raises the resident peak of a sweep of linear ring systems
-        entries = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        entries = self.rows()
         keys = perm[entries]
         keys *= self.n
         keys += perm[self.indices]
@@ -391,19 +450,10 @@ class P1Pattern:
         return pos.astype(np.int32)
 
 
-def _edge_means(corners):
-    """Values at the edge midpoints m01, m12, m20 of each triangle, the
-    assembly quadrature points, from values at its corners: each the mean
-    of the two ends of its edge. (nt, 3, ...) in and out."""
-    return 0.5 * np.stack([corners[:, 0] + corners[:, 1],
-                           corners[:, 1] + corners[:, 2],
-                           corners[:, 2] + corners[:, 0]], axis=1)
-
-
 def _corner_sums(mids):
     """The sum at each corner of the values at the midpoints of its two
     edges: corner 0 meets m01 and m20, 1 meets m01 and m12, 2 meets m12
-    and m20. (nt, 3, ...) in and out, in the order of _edge_means."""
+    and m20. (nt, 3, ...) in and out, in the order of TriMesh.edge_of."""
     out = np.empty_like(mids)
     np.add(mids[:, 0], mids[:, 2], out=out[:, 0])
     np.add(mids[:, 0], mids[:, 1], out=out[:, 1])
@@ -419,7 +469,7 @@ def assemble_frozen(mesh, coef, state=None, load=None):
     mesh : TriMesh
     coef : callable
         The coefficient bound at the quadrature points by mesh.bind(field):
-        coef(t) -> (3 * nt, 2, 2).
+        coef(t) -> (ne, 2, 2), one tensor per edge midpoint.
     state : array (n_vertices,), optional
         Nodal values of the state u at which A(x, u) is frozen; zeros when
         omitted (covers the t-independent case).
@@ -430,20 +480,23 @@ def assemble_frozen(mesh, coef, state=None, load=None):
     -------
     SparseSystem
     """
-    nt = mesh.n_triangles
-    t_mid = 0.0 if state is None else \
-        _edge_means(np.asarray(state, dtype=float)[mesh.triangles]).ravel()
-    # 1/3 weight per midpoint
-    amid = coef(t_mid).reshape(nt, 3, 2, 2)
-    amean = amid[:, 0] + amid[:, 1]
-    amean += amid[:, 2]
+    if state is None:
+        t_mid = 0.0
+    else:
+        ends = np.asarray(state, dtype=float)[mesh.edges]
+        t_mid = 0.5 * (ends[:, 0] + ends[:, 1])
+    amid = coef(t_mid)
+    # 1/3 weight per midpoint of each triangle
+    edge_of = mesh.edge_of
+    amean = amid[edge_of[:, 0]] + amid[edge_of[:, 1]]
+    amean += amid[edge_of[:, 2]]
     amean /= 3.0
     # a system frozen at a state keeps the midpoint states and tensors for
     # newton_system; otherwise they are dropped before p1_stiffness, which
     # lowers the resident peak of a solve
     frozen_at = None if state is None else (t_mid, amid)
     del amid
-    data = p1_stiffness(mesh.areas, mesh.grads, amean, mesh.pattern).data
+    data = p1_stiffness(mesh.areas, mesh.grads, amean, mesh.pattern)
     if load is None:
         load = np.zeros(mesh.n_vertices)
     return SparseSystem(data, load, mesh, frozen_at=frozen_at)
@@ -476,27 +529,30 @@ def newton_system(frozen, coef, state):
             "the Newton system needs a system assembled at a state")
     t_mid, amid = frozen.frozen_at
     mesh = frozen.mesh
-    nt = mesh.n_triangles
     state = np.asarray(state, dtype=float)
-    corners = state[mesh.triangles]
-    dadt = (coef(t_mid + _FD_STEP).reshape(nt, 3, 2, 2) - amid) / _FD_STEP
-    grad_u = p1_gradient(mesh.grads, corners)
+    dadt = (coef(t_mid + _FD_STEP) - amid) / _FD_STEP
+    # each component of d_t A at the three midpoints of each triangle
+    d00, d01, d10, d11 = (dadt[:, r, c][mesh.edge_of]
+                          for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    del dadt
+    grad_u = p1_gradient(mesh.grads, state[mesh.triangles])
     ux, uy = grad_u[:, 0, None], grad_u[:, 1, None]
     # d_t A grad u at the midpoints, summed over the two edges at each corner
-    fx = _corner_sums(dadt[:, :, 0, 0] * ux + dadt[:, :, 0, 1] * uy)
-    fy = _corner_sums(dadt[:, :, 1, 0] * ux + dadt[:, :, 1, 1] * uy)
+    fx = _corner_sums(d00 * ux + d01 * uy)
+    fy = _corner_sums(d10 * ux + d11 * uy)
     weight = (mesh.areas / 6.0)[:, None]
     fx *= weight
     fy *= weight
     local = _element_matrices(mesh.grads, fx, fy)
     del fx, fy                    # as in p1_stiffness
     jac = mesh.pattern.scatter(local)
-    jac.data += frozen.matrix.data
+    jac += frozen.matrix.data
+    newton = SparseSystem(jac, None, mesh)
     # C u + load = J u - K u + load
-    load = jac @ state
-    load -= frozen.matrix @ state
-    load += frozen.load
-    return SparseSystem(jac.data, load, mesh)
+    newton.load = newton.matrix @ state
+    newton.load -= frozen.matrix @ state
+    newton.load += frozen.load
+    return newton
 
 
 class SparseSystem:
@@ -513,8 +569,8 @@ class SparseSystem:
     solve. The matrix need not be symmetric: a Newton system
     (newton_system) is not.
     frozen_at is, for a stiffness that assemble_frozen froze at a state,
-    the states (3 nt,) and tensors (nt, 3, 2, 2) at the edge midpoints,
-    the values newton_system differentiates; None otherwise.
+    the states (ne,) and tensors (ne, 2, 2) at the edge midpoints, the
+    values newton_system differentiates; None otherwise.
     """
 
     def __init__(self, data, load, mesh, frozen_at=None):
@@ -543,14 +599,23 @@ class SparseSystem:
         return self._solver
 
     def solve_dirichlet(self, boundary_values):
-        """Solve with the given boundary vertex values."""
+        """Solve with the given boundary vertex values.
+
+        The interior right-hand side load - A g is summed over the entries
+        of the interior rows in boundary columns alone (mesh.boundary_band),
+        in the order of a product with A, and the solution passes a check
+        of its interior residual against 1e-8 of that right-hand side.
+        """
         g = np.asarray(boundary_values, dtype=float)
-        if g.shape != (len(self.mesh.boundary),):
+        mesh = self.mesh
+        if g.shape != (len(mesh.boundary),):
             raise PreconditionError("boundary_values must be one per boundary vertex")
-        ii = self.mesh.interior
-        full = np.zeros(self.mesh.n_vertices)
-        full[self.mesh.boundary] = g
-        rhs = (self.load - self.matrix @ full)[ii]
+        ii = mesh.interior
+        row, pos, col = mesh.boundary_band
+        rhs = self.load[ii] - np.bincount(
+            row, weights=self.matrix.data[pos] * g[col], minlength=len(ii))
+        full = np.empty(mesh.n_vertices)
+        full[mesh.boundary] = g
         full[ii] = self._factor().solve(rhs)
         resid = np.linalg.norm((self.matrix @ full - self.load)[ii])
         scale = np.linalg.norm(rhs)
@@ -595,7 +660,7 @@ class _InteriorOrdering:
         self.inv = np.argsort(perm_c)
         new = np.full(pattern.n, -1)
         new[mesh.interior] = perm_c
-        r = new[np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))]
+        r = new[pattern.rows()]
         c = new[pattern.indices]
         (kept,) = np.nonzero((r >= 0) & (c >= 0))
         r, c = r[kept], c[kept]
@@ -636,7 +701,8 @@ def ring_factor(system):
     It applies when the mesh records its ring layout (TriMesh.n_theta) and
     the matrix is symmetric and invariant under the rotation by one
     angular step, each to 1e-12 of its largest diagonal entry (its largest
-    entry, for a positive semi-definite matrix).
+    entry, for a positive semi-definite matrix), and the interior block is
+    positive definite, which the factorization itself finds.
 
     The cheap tests come first. A state or coefficient that is not radial
     makes the diagonal vary along a ring, at O(n) cost to see. Symmetry is
@@ -662,7 +728,8 @@ def ring_factor(system):
     if rotation is None or \
             np.abs(matrix.data[rotation] - matrix.data).max() > tol:
         return None
-    return RingFactor(matrix, bands)
+    factor = RingFactor(matrix, bands)
+    return factor if factor.positive else None
 
 
 def _ring_bands(matrix, n):
@@ -698,9 +765,12 @@ class RingFactor:
     tridiagonal system over the interior rings whose entries are the
     transforms of the rows at angular index 0 (the bands of _ring_bands);
     the center vertex couples to mode 0 alone and is unknown 0 of every
-    mode (an identity row for k > 0). All modes are factored as L D L^H in
-    one sweep over the rings, and a solve is a real FFT of each ring, two
-    sweeps and the inverse FFT.
+    mode (an identity row for k > 0). The modes are laid out one after
+    the other as one tridiagonal, with no coupling where two modes meet,
+    which LAPACK factors as L D L^H (zpttrf) and solves (zpttrs). A solve
+    is a real FFT of each ring, one zpttrs and the inverse FFT. positive
+    is False when the tridiagonal is not positive definite; the factor is
+    then of no use.
     """
 
     def __init__(self, matrix, bands):
@@ -710,38 +780,31 @@ class RingFactor:
         # sum_l c(l) exp(+2 pi i l k / n): the conjugate of the FFT
         symbol = np.fft.rfft(bands[1:], axis=2).conj()
         n_modes = symbol.shape[2]
-        diag = np.ones((m + 1, n_modes))
-        diag[1:] = symbol[0].real
+        diag = np.ones((n_modes, m + 1))
+        diag[:, 1:] = symbol[0].real.T
         diag[0, 0] = matrix[0, 0]
-        sup = np.zeros((m, n_modes), dtype=complex)
-        sup[1:] = symbol[1, :m - 1]
+        # the subdiagonal A[a + 1, a] of each mode, the conjugate of the
+        # coupling of ring a to ring a + 1; its last entry is 0
+        sub = np.zeros((n_modes, m + 1), dtype=complex)
+        sub[:, 1:m] = symbol[1, :m - 1].T.conj()
         # the unitary transform carries the center's coupling to mode 0
-        sup[0, 0] = np.sqrt(n) * matrix[1, 0]
-        pivots = np.empty((m + 1, n_modes))
-        lower = np.empty((m, n_modes), dtype=complex)
-        pivots[0] = diag[0]
-        for a in range(m):
-            lower[a] = sup[a].conj() / pivots[a]
-            pivots[a + 1] = diag[a + 1] - (lower[a] * sup[a]).real
-        self.pivots = pivots
-        self.lower = lower                  # subdiagonal of L
-        self.lower_h = lower.conj()         # superdiagonal of L^H
+        sub[0, 0] = np.sqrt(n) * matrix[1, 0]
+        self.d, self.e, info = zpttrf(diag.ravel(), sub.ravel()[:-1],
+                                      overwrite_d=1, overwrite_e=1)
+        self.positive = info == 0
 
     def solve(self, rhs):
         """Interior solution for the interior right-hand side rhs (center
         first, then the interior rings)."""
         n = self.n_theta
-        lower, lower_h = self.lower, self.lower_h
-        m = len(lower)
-        b = np.zeros(self.pivots.shape, dtype=complex)
-        b[1:] = np.fft.rfft(rhs[1:].reshape(m, n), axis=1, norm="ortho")
+        m = (len(rhs) - 1) // n
+        b = np.zeros((n // 2 + 1, m + 1), dtype=complex)
+        b[:, 1:] = np.fft.rfft(rhs[1:].reshape(m, n), axis=1, norm="ortho").T
         b[0, 0] = rhs[0]
-        for a in range(m):
-            b[a + 1] -= lower[a] * b[a]
-        b /= self.pivots
-        for a in range(m - 1, -1, -1):
-            b[a] -= lower_h[a] * b[a + 1]
+        b, _ = zpttrs(self.d, self.e, b.reshape(-1, 1), lower=1,
+                      overwrite_b=1)
+        b = b.reshape(-1, m + 1)
         x = np.empty(len(rhs))
         x[0] = b[0, 0].real
-        x[1:] = np.fft.irfft(b[1:], n=n, axis=1, norm="ortho").ravel()
+        x[1:] = np.fft.irfft(b[:, 1:].T, n=n, axis=1, norm="ortho").ravel()
         return x

@@ -389,7 +389,7 @@ def solve_cell(problem):
             amat[:, 0, 0] * amat[:, 1, 1] > amat[:, 0, 1] * amat[:, 1, 0])):
         raise PreconditionError("cell coefficient must be positive definite")
 
-    K = p1_stiffness(areas, grads, amat, pattern)
+    K = pattern.matrix(p1_stiffness(areas, grads, amat, pattern))
 
     rhs = np.empty((2, ndof))
     gx, gy = grads[:, :, 0], grads[:, :, 1]

@@ -154,15 +154,22 @@ def dn_pairing(system, solutions, basis_matrix):
 
     Returns the (K, n) matrix whose (i, j) entry is the work of the j-th
     solution's boundary flux, the residual of the system at it, against
-    the i-th trace. With the same basis used for the data and a
-    state-independent coefficient the matrix is symmetric.
+    the i-th trace. The residual is summed over the entries of the
+    boundary rows alone (mesh.boundary_rows), in the order of a product
+    with the matrix. Each column is its own sums and products, so it holds
+    the same bits whether it is paired alone or with others; one product
+    over all columns would also copy the solutions into another memory
+    order. With the same basis used for the data and a state-independent
+    coefficient the matrix is symmetric.
     """
     basis_matrix = np.atleast_2d(np.asarray(basis_matrix, dtype=float))
     boundary = system.mesh.boundary
     if basis_matrix.shape[1] != len(boundary):
         raise PreconditionError("basis columns must match boundary vertices")
+    row, pos, col = system.mesh.boundary_rows
+    data, load = system.matrix.data[pos], system.load[boundary]
     out = np.empty((basis_matrix.shape[0], len(solutions)))
     for j, u in enumerate(solutions):
-        flux = system.matrix @ u - system.load
-        out[:, j] = basis_matrix @ flux[boundary]
+        flux = np.bincount(row, weights=data * u[col], minlength=len(boundary))
+        out[:, j] = basis_matrix @ (flux - load)
     return out

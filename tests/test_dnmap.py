@@ -500,8 +500,9 @@ class TestNeumannTrace:
         inside = annulus(1.5, 2.0).contains(
             mesh.vertices[mesh.triangles].mean(axis=1))
         eye = np.broadcast_to(np.eye(2), (int(inside.sum()), 2, 2))
-        band = p1_stiffness(mesh.areas[inside], mesh.grads[inside], eye,
-                            P1Pattern(mesh.triangles[inside], mesh.n_vertices))
+        pattern = P1Pattern(mesh.triangles[inside], mesh.n_vertices)
+        band = pattern.matrix(p1_stiffness(mesh.areas[inside],
+                                           mesh.grads[inside], eye, pattern))
         traces = basis.trace_matrix(mesh)
         for j in range(basis.size):
             flux = traces @ (band @ op.solutions[j])[mesh.boundary]

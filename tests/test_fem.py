@@ -5,8 +5,10 @@ import pytest
 
 from scipy.sparse.linalg import splu
 
-from cloaksim import homog
-from cloaksim.coeff import ProductField, constant_field, identity_field
+from cloaksim import fem, homog
+from cloaksim.coeff import (ProductField, annulus, constant_field,
+                            identity_field, piecewise_field)
+from cloaksim.dnmap import FourierBasis
 from cloaksim.errors import NumericalError, PreconditionError
 from cloaksim.fem import (SUPERLU_SETTINGS, SparseSystem, TriMesh,
                           assemble_frozen, build_disk_mesh, h1_norm,
@@ -15,6 +17,7 @@ from cloaksim.fem import (SUPERLU_SETTINGS, SparseSystem, TriMesh,
 from cloaksim.geometry import pushforward, regular_blowup
 from cloaksim.homog import _cell_grid
 from cloaksim.presets import preset_field
+from cloaksim.qsolve import dn_pairing
 
 
 def unit_triangle():
@@ -234,6 +237,69 @@ def lu_reference(system, g):
     return full
 
 
+class TestSolveLayer:
+    """The boundary-only right-hand side and pairing, and the LAPACK ring
+    factor, against full products and SuperLU."""
+
+    @pytest.mark.parametrize("case", ["ring", "lu", "no ring layout"])
+    def test_boundary_band_right_hand_side(self, case, monkeypatch):
+        if case == "no ring layout":
+            mesh = jittered_square()
+        else:
+            mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.2)
+        field = constant_field(np.diag([2.0, 3.0])) if case == "lu" \
+            else identity_field(2)
+        system = assemble_frozen(mesh, mesh.bind(field),
+                                 load=mesh.load(lambda p: 1.0 + p[:, 0]))
+        seen = []
+        for cls in (fem.RingFactor, fem._Reordered):
+            def recording(self, rhs, real=cls.solve):
+                seen.append(rhs.copy())
+                return real(self, rhs)
+            monkeypatch.setattr(cls, "solve", recording)
+        g = np.cos(3.0 * mesh.boundary_angles()) + 0.5 \
+            if mesh.n_theta else mesh.vertices[mesh.boundary, 0] ** 2 - 0.3
+        u = system.solve_dirichlet(g)
+        assert system.factor_kind == ("ring" if case == "ring" else "lu")
+        full = np.zeros(mesh.n_vertices)
+        full[mesh.boundary] = g
+        (rhs,) = seen
+        assert np.array_equal(rhs, (system.load - system.matrix @ full)[
+            mesh.interior])
+        assert np.array_equal(u[mesh.boundary], g)
+
+    def test_pairing_is_the_full_residual_flux(self):
+        mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.2)
+        field = constant_field(np.diag([2.0, 3.0]))
+        system = assemble_frozen(mesh, mesh.bind(field),
+                                 load=mesh.load(lambda p: 1.0 + p[:, 1]))
+        traces = FourierBasis(3).trace_matrix(mesh)
+        solutions = np.array([system.solve_dirichlet(t) for t in traces])
+        want = np.stack([traces @ (system.matrix @ u - system.load)[
+            mesh.boundary] for u in solutions], axis=1)
+        # summed in the order of the full product, and paired column by
+        # column, so bit for bit; one column alone reads the same
+        assert np.array_equal(dn_pairing(system, solutions, traces), want)
+        assert np.array_equal(dn_pairing(system, solutions[[2]], traces),
+                              want[:, [2]])
+
+    def test_deep_ring_system_matches_superlu(self):
+        # 499 interior rings and a coefficient that jumps across two of
+        # them: a long tridiagonal per mode
+        mesh = build_disk_mesh(2.0, aligned_radii=(0.8, 1.3), h_target=0.2,
+                               n_theta=24, radial_bands=[(0.0, 2.0, 0.004)])
+        assert (mesh.n_vertices - 1) // mesh.n_theta - 1 >= 400
+        field = piecewise_field([(annulus(0.8, 1.3), constant_field(5.0)),
+                                 (None, identity_field(2))])
+        system = assemble_frozen(mesh, mesh.bind(field),
+                                 load=mesh.load(lambda p: 1.0 + p[:, 0]))
+        g = np.cos(2.0 * mesh.boundary_angles()) + 0.25
+        u = system.solve_dirichlet(g)
+        assert system.factor_kind == "ring"
+        want = lu_reference(system, g)
+        assert np.abs(u - want).max() <= 1e-10 * np.abs(want).max()
+
+
 class TestRingDetector:
     """Systems that are not rotation-invariant, or whose mesh records no
     rings, keep SuperLU and its results bit for bit."""
@@ -290,6 +356,22 @@ class TestRingDetector:
         self.assert_lu(SparseSystem(matrix.data, np.zeros(mesh.n_vertices),
                                     mesh), factors)
 
+
+    def test_indefinite_declined(self, factors):
+        # the identity stiffness less its mean diagonal entry: symmetric
+        # and rotation invariant, but with eigenvalues of both signs
+        mesh = build_disk_mesh(1.0, h_target=0.25)
+        matrix = assemble_frozen(mesh, mesh.bind(identity_field(2))).matrix
+        data = matrix.data.copy()
+        on_diagonal = mesh.pattern.rows() == mesh.pattern.indices
+        data[on_diagonal] -= matrix.diagonal().mean()
+        system = SparseSystem(data, np.zeros(mesh.n_vertices), mesh)
+        ii = mesh.interior
+        eig = np.linalg.eigvalsh(system.matrix[ii][:, ii].toarray())
+        assert eig[0] < 0.0 < eig[-1]
+        assert ring_factor(system) is None
+        self.assert_lu(system, factors)
+        assert system.factor_kind == "lu"
 
     @pytest.mark.parametrize("where", ["ring", "next ring", "center"])
     def test_rotation_invariant_but_not_symmetric(self, where, factors):
@@ -505,7 +587,7 @@ class TestFixedPattern:
         states = np.stack([0.5 * (ue[:, a] + ue[:, b]) for a, b in ends],
                           axis=1).ravel()
         bound = field.bind(mids.reshape(-1, 2))
-        nt = mesh.n_triangles
+        nt = len(mesh.triangles)
         amats = bound(states).reshape(nt, 3, 2, 2)
         dadt = ((bound(states + 1e-7) - bound(states)) / 1e-7).reshape(
             nt, 3, 2, 2)
@@ -535,11 +617,110 @@ class TestFixedPattern:
             amat = np.stack([np.stack([s, 0.3 * s], -1),
                              np.stack([lower * s, 1.5 + 0.0 * s], -1)],
                             axis=1)
-            stiff = p1_stiffness(areas, grads, amat, pattern)
+            stiff = pattern.matrix(p1_stiffness(areas, grads, amat, pattern))
             want = dense_oracle(xy, dofs, pattern.n,
                                 np.repeat(amat[:, None], 3, axis=1))
             assert_close(stiff, want)
             assert_canonical(stiff)
+
+
+ENDS = [(0, 1), (1, 2), (2, 0)]
+
+
+def three_point_reference(mesh, field, u, source):
+    """The frozen stiffness data, the Newton data and load, and the load
+    vector, with the field and the source evaluated at the three edge
+    midpoints of every triangle (3 nt points, each interior edge twice),
+    in the arithmetic of the kernels."""
+    corners = mesh.vertices[mesh.triangles]
+    mids = np.stack([0.5 * (corners[:, a] + corners[:, b])
+                     for a, b in ENDS], axis=1).reshape(-1, 2)
+    ue = u[mesh.triangles]
+    states = np.stack([0.5 * (ue[:, a] + ue[:, b]) for a, b in ENDS],
+                      axis=1).ravel()
+    nt = len(mesh.triangles)
+    bound = field.bind(mids)
+    amid = bound(states).reshape(nt, 3, 2, 2)
+    amean = amid[:, 0] + amid[:, 1]
+    amean += amid[:, 2]
+    amean /= 3.0
+    stiff = p1_stiffness(mesh.areas, mesh.grads, amean, mesh.pattern)
+    dadt = (bound(states + fem._FD_STEP).reshape(nt, 3, 2, 2) - amid) \
+        / fem._FD_STEP
+    grad_u = fem.p1_gradient(mesh.grads, ue)
+    ux, uy = grad_u[:, 0, None], grad_u[:, 1, None]
+    fx = fem._corner_sums(dadt[:, :, 0, 0] * ux + dadt[:, :, 0, 1] * uy)
+    fy = fem._corner_sums(dadt[:, :, 1, 0] * ux + dadt[:, :, 1, 1] * uy)
+    fx *= (mesh.areas / 6.0)[:, None]
+    fy *= (mesh.areas / 6.0)[:, None]
+    jac = mesh.pattern.scatter(fem._element_matrices(mesh.grads, fx, fy))
+    jac += stiff
+    jac_matrix = mesh.pattern.matrix(jac)
+    newton_load = jac_matrix @ u - mesh.pattern.matrix(stiff) @ u
+    contrib = fem._corner_sums(source(mids).reshape(nt, 3))
+    contrib *= (mesh.areas / 6.0)[:, None]
+    load = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.n_vertices)
+    return stiff, jac, newton_load, load
+
+
+EDGE_MESHES = {
+    "ring": lambda: (
+        build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.3),
+        pushforward(preset_field("isotropic-sin"), regular_blowup(0.5))),
+    "jittered square": lambda: (
+        jittered_square(),
+        SimpleNamespace(bind=lambda pts: lambda t:
+                        TestFixedPattern.skew_tensor(pts, t))),
+}
+
+
+class TestEdgeMap:
+    """The edges of a mesh, read from its pattern, against the edges of
+    its triangles counted by hand."""
+
+    @pytest.mark.parametrize("case", sorted(EDGE_MESHES))
+    def test_edges_of_the_triangles(self, case):
+        mesh, _ = EDGE_MESHES[case]()
+        counted = {}
+        for tri in mesh.triangles.tolist():
+            for a, b in ENDS:
+                key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+                counted[key] = counted.get(key, 0) + 1
+        assert len(mesh.edges) == \
+            mesh.n_vertices + len(mesh.triangles) - 1 == len(counted)
+        assert sorted(map(tuple, mesh.edges.tolist())) == sorted(counted)
+        # m01, m12, m20 of each triangle are the edges of its corners
+        ends = np.sort(mesh.triangles[:, ENDS], axis=2)
+        assert np.array_equal(mesh.edges[mesh.edge_of], ends)
+        corners = mesh.vertices[mesh.triangles]
+        mids = np.stack([0.5 * (corners[:, a] + corners[:, b])
+                         for a, b in ENDS], axis=1)
+        assert np.array_equal(mesh.midpoints[mesh.edge_of], mids)
+        # an interior edge serves two triangles, a boundary edge one
+        uses = np.bincount(mesh.edge_of.ravel(), minlength=len(mesh.edges))
+        assert sorted(set(uses.tolist())) == [1, 2]
+        assert uses.tolist() == [counted[tuple(e)]
+                                 for e in mesh.edges.tolist()]
+        outer = mesh.edges[uses == 1]
+        assert len(outer) == len(mesh.boundary)
+        assert np.isin(outer, mesh.boundary).all()
+
+    @pytest.mark.parametrize("case", sorted(EDGE_MESHES))
+    def test_one_evaluation_per_edge_is_the_three_point_sum(self, case):
+        mesh, field = EDGE_MESHES[case]()
+        x, y = mesh.vertices.T
+        u = np.sin(2.0 * x) + x * y
+        source = lambda p: np.cos(p[:, 0]) + p[:, 1] ** 2   # noqa: E731
+        coef = mesh.bind(field)
+        frozen = assemble_frozen(mesh, coef, state=u)
+        newton = newton_system(frozen, coef, u)
+        stiff, jac, newton_load, load = three_point_reference(
+            mesh, field, u, source)
+        assert np.array_equal(frozen.matrix.data, stiff)
+        assert np.array_equal(newton.matrix.data, jac)
+        assert np.array_equal(newton.load, newton_load)
+        assert np.array_equal(mesh.load(source), load)
 
 
 def fill(lu):

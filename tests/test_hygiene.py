@@ -102,6 +102,16 @@ def test_one_superlu_call_in_fem_and_in_homog():
         assert len(lines) == 1, f"{name}: splu called on lines {lines}"
 
 
+def test_ring_factor_sweeps_stay_in_lapack():
+    # RingFactor factors and solves all angular modes with one zpttrf and
+    # one zpttrs; a loop in it would be a sweep back in Python
+    (ring,) = [node for node in ast.parse((PACKAGE / "fem.py").read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name == "RingFactor"]
+    loops = [node.lineno for node in ast.walk(ring)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert not loops, f"fem.py: loops in RingFactor on lines {loops}"
+
+
 def name_of(node):
     """The name a Name or Attribute node ends in, else None."""
     return getattr(node, "id", None) or getattr(node, "attr", None)
