@@ -139,6 +139,8 @@ def run_regular_cloak_sweep(cfg):
             "iterations": op_r.iterations[_COS1],
             "converged": op_r.all_converged,
         })
+        # the row is recorded: its operators go before the next are built
+        del op_r
     report = DecayReport(kind="regular-cloak", parameter="r", rows=rows,
                          meta={"h": cfg.h, "modes": cfg.modes,
                                "inclusion": cfg.inclusion,
@@ -176,6 +178,8 @@ def run_truncated_singular_sweep(cfg):
             "converged": op_c.all_converged,
             "n_vertices": mesh.n_vertices,
         })
+        # the row is recorded: its operators go before the next are built
+        del op_c, op_i
     dns = [row["dn"] for row in rows]
     # decreasing trend with a discretization slack
     trend_ok = all(b <= a * 1.10 for a, b in zip(dns[:-1], dns[1:]))
@@ -266,6 +270,8 @@ def run_homogenization_sweep(cfg):
             "converged": op_n.all_converged,
             "n_vertices": mesh.n_vertices,
         })
+        # the row is recorded: its operators go before the next are built
+        del op_n, op_t, op_i, u_n, u_t, limit
     report = DecayReport(kind="homogenization", parameter="n", rows=rows,
                          meta={"h": cfg.h, "modes": cfg.modes,
                                "profile": cfg.profile, "psi": cfg.psi,

@@ -9,9 +9,13 @@ TriMesh.edge_of. One elementwise kernel (_element_matrices) forms the
 element matrices of the stiffness, of the Newton term and of the periodic
 cell: plain arithmetic on (nt, 3) arrays of gradient components, with no
 batched matrix product. Every matrix assembled on one mesh shares one CSR
-pattern (P1Pattern), built once per mesh: an assembly sums the element
-matrices into its data array, J = K + C is the sum of two data arrays, and
-a linear system (SparseSystem) is made from that data alone.
+pattern (P1Pattern): an assembly sums the element matrices into its data
+array, J = K + C is the sum of two data arrays, and a linear system
+(SparseSystem) is made from that data alone. A TriMesh builds the pattern
+with itself, and with it every map read from the pattern: the edges, the
+boundary blocks and the rotation. One reader, P1Pattern.block, gives
+every block of the pattern: the boundary blocks and the interior block of
+each LU.
 
 A Dirichlet solve factors its system once, in one of two kinds. When the
 mesh records its ring layout and the matrix is symmetric and invariant
@@ -29,8 +33,6 @@ SUPERLU_SETTINGS. A solve reads the boundary data through the entries
 that couple interior rows to boundary columns (TriMesh.boundary_band),
 and a boundary flux reads the boundary rows alone (TriMesh.boundary_rows).
 """
-
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import zpttrf, zpttrs
@@ -65,12 +67,36 @@ SUPERLU_SETTINGS = {"relax": 1, "panel_size": 1}
 
 
 class TriMesh:
-    """Triangulation of a disk with precomputed element geometry.
+    """Triangulation of a disk, with every map that assembly, solves and
+    fluxes read, all built here.
 
     n_theta is the vertex count per ring when the mesh has the layout of
     build_disk_mesh: the center vertex, then rings of n_theta vertices in
     angular order from the inside out, the last ring the boundary. It is
     None for any other mesh.
+
+    Attributes besides the arguments:
+    areas, grads : (nt,) and (nt, 3, 2) element areas and barycentric
+        gradients (p1_elements).
+    interior : the vertices not on the boundary, in order.
+    pattern : the P1Pattern of every matrix assembled on this mesh; it
+        keeps the ordering of the mesh's first LU.
+    edges : (ne, 2) the two ends i < j of each edge: one edge per entry of
+        the pattern above its diagonal, in the pattern's order.
+    edge_of : (nt, 3) the index in edges of the edges m01, m12, m20 of each
+        triangle, read through the pattern's slot of its upper entry.
+    midpoints : (ne, 2) the assembly quadrature points, the midpoint of
+        each edge.
+    h_max : the longest edge.
+    boundary_band : the pattern's entries in an interior row and a
+        boundary column (P1Pattern.block): what a solve reads of its
+        boundary data.
+    boundary_rows : the pattern's entries in a boundary row: what the
+        boundary flux of a solution reads.
+    rotation : for a ring mesh, the position in the pattern's data of the
+        image of each stored entry under the rotation by one angular step;
+        None when the mesh has no ring layout or the rotation does not map
+        the pattern onto itself.
     """
 
     def __init__(self, vertices, triangles, boundary, n_theta=None):
@@ -78,78 +104,38 @@ class TriMesh:
         self.triangles = np.asarray(triangles, dtype=np.int64)
         self.boundary = np.asarray(boundary, dtype=np.int64)
         self.n_theta = n_theta
-        self._geometry()
-
-    def _geometry(self):
-        v = self.vertices[self.triangles]              # (nt, 3, 2)
-        self.areas, self.grads = p1_elements(v)
-        edges = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 1],
-                          v[:, 0] - v[:, 2]], axis=1)
-        self.h_max = float(np.linalg.norm(edges, axis=2).max())
-        mask = np.zeros(len(self.vertices), dtype=bool)
+        self.areas, self.grads = p1_elements(self.vertices[self.triangles])
+        mask = np.zeros(self.n_vertices, dtype=bool)
         mask[self.boundary] = True
         self.interior = np.nonzero(~mask)[0]
+        self.pattern = pattern = P1Pattern(self.triangles, self.n_vertices)
+        rows = pattern.rows()
+        upper = pattern.indices > rows
+        self.edges = np.stack([rows[upper], pattern.indices[upper]], axis=1)
+        del rows                  # before the blocks below allocate theirs
+        number = np.cumsum(upper) - 1
+        slot = pattern.slot.reshape(-1, 3, 3)
+        a, b = [0, 1, 2], [1, 2, 0]
+        ascending = self.triangles[:, a] < self.triangles[:, b]
+        self.edge_of = number[np.where(ascending, slot[:, a, b],
+                                       slot[:, b, a])]
+        ends = self.vertices[self.edges]
+        self.midpoints = 0.5 * (ends[:, 0] + ends[:, 1])
+        self.h_max = float(np.linalg.norm(ends[:, 1] - ends[:, 0],
+                                          axis=1).max())
+        self.boundary_band = pattern.block(self.interior, self.boundary)
+        self.boundary_rows = pattern.block(self.boundary,
+                                           np.arange(self.n_vertices))
+        self.rotation = None
+        if n_theta is not None:
+            step = np.arange(self.n_vertices)
+            ring, j = divmod(step[1:] - 1, n_theta)
+            step[1:] = 1 + ring * n_theta + (j + 1) % n_theta
+            self.rotation = pattern.image(step)
 
     @property
     def n_vertices(self):
         return len(self.vertices)
-
-    @cached_property
-    def pattern(self):
-        """The P1Pattern of every matrix assembled on this mesh, built on
-        first use and kept with the ordering of the mesh's first LU."""
-        return P1Pattern(self.triangles, self.n_vertices)
-
-    @cached_property
-    def edges(self):
-        """(ne, 2) the two ends i < j of each edge: one edge per entry of
-        the pattern above its diagonal, in the pattern's order."""
-        pattern = self.pattern
-        rows = pattern.rows()
-        upper = pattern.indices > rows
-        return np.stack([rows[upper], pattern.indices[upper]], axis=1)
-
-    @cached_property
-    def edge_of(self):
-        """(nt, 3) the index in edges of the edges m01, m12, m20 of each
-        triangle, read through the pattern's slot of its upper entry."""
-        pattern = self.pattern
-        number = np.cumsum(pattern.indices > pattern.rows()) - 1
-        slot = pattern.slot.reshape(-1, 3, 3)
-        a, b = [0, 1, 2], [1, 2, 0]
-        upper = self.triangles[:, a] < self.triangles[:, b]
-        return number[np.where(upper, slot[:, a, b], slot[:, b, a])]
-
-    @cached_property
-    def midpoints(self):
-        """The assembly quadrature points, (ne, 2): the midpoint of each
-        edge."""
-        ends = self.vertices[self.edges]
-        return 0.5 * (ends[:, 0] + ends[:, 1])
-
-    @cached_property
-    def boundary_band(self):
-        """The pattern's entries in an interior row and a boundary column
-        (P1Pattern.block): what a solve reads of its boundary data."""
-        return self.pattern.block(self.interior, self.boundary)
-
-    @cached_property
-    def boundary_rows(self):
-        """The pattern's entries in a boundary row (P1Pattern.block): what
-        the boundary flux of a solution reads."""
-        return self.pattern.block(self.boundary, np.arange(self.n_vertices))
-
-    @cached_property
-    def rotation(self):
-        """For a ring mesh, the position in the pattern's data of the image
-        of each stored entry under the rotation by one angular step; None
-        when the rotation does not map the pattern onto itself. Built on
-        the first ring check."""
-        n = self.n_theta
-        step = np.arange(self.n_vertices)
-        ring, j = divmod(step[1:] - 1, n)
-        step[1:] = 1 + ring * n + (j + 1) % n
-        return self.pattern.image(step)
 
     def bind(self, field):
         """The field at the assembly quadrature points as a function of the
@@ -242,32 +228,21 @@ def build_disk_mesh(radius, aligned_radii=(), h_target=0.1, n_theta=None,
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     ct, st = np.cos(theta), np.sin(theta)
 
-    nv = 1 + len(rings) * n_theta
-    verts = np.empty((nv, 2))
-    verts[0] = 0.0
-    for i, r in enumerate(rings):
-        sl = slice(1 + i * n_theta, 1 + (i + 1) * n_theta)
-        verts[sl, 0] = r * ct
-        verts[sl, 1] = r * st
+    verts = np.zeros((1 + len(rings) * n_theta, 2))
+    verts[1:, 0] = np.outer(rings, ct).ravel()
+    verts[1:, 1] = np.outer(rings, st).ravel()
 
-    def ring_idx(i, j):
-        return 1 + i * n_theta + (j % n_theta)
-
-    tris = []
+    # vertex (i, j) of ring i at angle j, and its neighbour (i, j + 1)
     j = np.arange(n_theta)
-    # center fan
-    tris.append(np.stack([np.zeros(n_theta, dtype=np.int64),
-                          ring_idx(0, j), ring_idx(0, j + 1)], axis=1))
-    # ring bands: quad (a inner-j, b inner-j+1, c outer-j, d outer-j+1)
-    for i in range(len(rings) - 1):
-        a = ring_idx(i, j)
-        b = ring_idx(i, j + 1)
-        c = ring_idx(i + 1, j)
-        d = ring_idx(i + 1, j + 1)
-        tris.append(np.stack([a, d, b], axis=1))
-        tris.append(np.stack([a, c, d], axis=1))
-    tris = np.concatenate(tris, axis=0)
-    boundary = ring_idx(len(rings) - 1, j)
+    first = 1 + n_theta * np.arange(len(rings))[:, None]
+    at, after = first + j, first + (j + 1) % n_theta
+    fan = np.stack([np.zeros_like(j), at[0], after[0]], axis=1)
+    # ring bands: quad (a inner-j, b inner-j+1, c outer-j, d outer-j+1),
+    # band by band, all (a, d, b) of a band before all its (a, c, d)
+    a, b, c, d = at[:-1], after[:-1], at[1:], after[1:]
+    quads = np.array([[a, d, b], [a, c, d]]).transpose(2, 0, 3, 1)
+    tris = np.concatenate([fan, quads.reshape(-1, 3)])
+    boundary = at[-1]
 
     mesh = TriMesh(verts, tris, boundary, n_theta=n_theta)
     if default_theta and radial_bands is None and mesh.h_max > 1.5 * h_target:
@@ -650,22 +625,18 @@ class _InteriorOrdering:
     P that perm_c stands for. A later LU factors B = P^T A P, whose entry
     B[i, j] is A[inv[i], inv[j]], in its natural order, and solves
     x[inv] = B^-1 rhs[inv]. gather, indices and indptr store B in CSC
-    form: gather[k] is the position in the pattern's data of B's k-th
-    stored entry.
+    form, read by P1Pattern.block in the rows and columns interior[inv]:
+    gather[k] is the position in the pattern's data of B's k-th stored
+    entry.
     """
 
     def __init__(self, mesh, perm_c):
-        pattern = mesh.pattern
         m = len(perm_c)
         self.inv = np.argsort(perm_c)
-        new = np.full(pattern.n, -1)
-        new[mesh.interior] = perm_c
-        r = new[pattern.rows()]
-        c = new[pattern.indices]
-        (kept,) = np.nonzero((r >= 0) & (c >= 0))
-        r, c = r[kept], c[kept]
+        rows = mesh.interior[self.inv]
+        r, pos, c = mesh.pattern.block(rows, rows)
         order = np.lexsort((r, c))          # by column, then by row
-        self.gather = kept[order]
+        self.gather = pos[order]
         self.indices = r[order].astype(np.int32)
         self.indptr = np.zeros(m + 1, dtype=np.int32)
         np.cumsum(np.bincount(c, minlength=m), out=self.indptr[1:])
@@ -704,29 +675,23 @@ def ring_factor(system):
     entry, for a positive semi-definite matrix), and the interior block is
     positive definite, which the factorization itself finds.
 
-    The cheap tests come first. A state or coefficient that is not radial
-    makes the diagonal vary along a ring, at O(n) cost to see. Symmetry is
-    read from the rows at angular index 0 that RingFactor reads anyway; it
-    turns away the Newton system of a radial state, which is rotation
-    invariant but not symmetric. Only then is the whole matrix compared
-    with its rotation, a fixed permutation of the pattern's data.
+    The matrix is compared with its rotation (TriMesh.rotation, a fixed
+    permutation of the pattern's data) first. Symmetry is then read from
+    the rows at angular index 0 that RingFactor reads anyway; it turns away
+    the Newton system of a radial state, which is rotation invariant but
+    not symmetric.
     """
     matrix, mesh = system.matrix, system.mesh
     n = mesh.n_theta
-    # a mesh whose one ring is the boundary has the center alone inside
-    if n is None or mesh.n_vertices <= 1 + n:
+    # no rotation without a ring layout; a mesh whose one ring is the
+    # boundary has the center alone inside
+    if mesh.rotation is None or mesh.n_vertices <= 1 + n:
         return None
-    diag = matrix.diagonal()
-    tol = 1e-12 * np.abs(diag).max()
-    rings = diag[1:].reshape(-1, n)
-    if np.abs(rings - rings[:, :1]).max() > tol:
+    tol = 1e-12 * np.abs(matrix.diagonal()).max()
+    if np.abs(matrix.data[mesh.rotation] - matrix.data).max() > tol:
         return None
     bands = _ring_bands(matrix, n)
     if not _bands_symmetric(matrix, bands, tol):
-        return None
-    rotation = mesh.rotation
-    if rotation is None or \
-            np.abs(matrix.data[rotation] - matrix.data).max() > tol:
         return None
     factor = RingFactor(matrix, bands)
     return factor if factor.positive else None

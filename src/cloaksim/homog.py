@@ -72,15 +72,12 @@ def zeta(j, t, M=8):
 # amplitude fitting for the oscillating profile
 
 _GAUSS_ORDER = 24
-_quad_cache = {}
 
 
+@lru_cache
 def _quad_nodes(M):
     """Gauss points and weights on [0,1], subdivided at the breakpoints of
     the two bumps so every panel sees a smooth integrand."""
-    key = int(M)
-    if key in _quad_cache:
-        return _quad_cache[key]
     s = np.array([0.0, 1.0, 2.0, M - 2.0, M - 1.0, float(M)]) / (2.0 * M)
     cuts = np.unique(np.concatenate([s, s + 0.5]))
     xg, wg = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
@@ -91,10 +88,7 @@ def _quad_nodes(M):
         weights.append(half * wg)
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
-    z1 = zeta(1, nodes, M)
-    z2 = zeta(2, nodes, M)
-    _quad_cache[key] = (nodes, weights, z1, z2)
-    return _quad_cache[key]
+    return nodes, weights, zeta(1, nodes, M), zeta(2, nodes, M)
 
 
 def cell_means(a1, a2, M=8):

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu
 from cloaksim import fem, homog
 from cloaksim.coeff import (ProductField, annulus, constant_field,
                             identity_field, piecewise_field)
-from cloaksim.dnmap import FourierBasis
+from cloaksim.dnmap import FourierBasis, dn_operator
 from cloaksim.errors import NumericalError, PreconditionError
 from cloaksim.fem import (SUPERLU_SETTINGS, SparseSystem, TriMesh,
                           assemble_frozen, build_disk_mesh, h1_norm,
@@ -158,6 +158,20 @@ class TestDiskMesh:
         mesh = build_disk_mesh(2.0, h_target=0.3)
         th = mesh.boundary_angles()
         assert len(np.unique(np.round(th, 9))) == len(th)
+
+    def test_every_map_built_with_the_mesh(self):
+        # the maps are there before any assembly, and a linear DN operator
+        # on the mesh adds, replaces and drops none of its attributes
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        before = dict(vars(mesh))
+        for name in ("pattern", "edges", "edge_of", "midpoints",
+                     "boundary_band", "boundary_rows", "rotation"):
+            assert before[name] is not None
+        op = dn_operator(identity_field(2), FourierBasis(max_mode=2), mesh)
+        assert dict(op.factor_kinds) == {"ring": 1}
+        after = vars(mesh)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
 
 
 class TestSolve:
@@ -342,8 +356,8 @@ class TestRingDetector:
 
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_one_perturbed_entry(self, diagonal, factors):
-        # a diagonal entry fails the cheap test along the ring; an
-        # off-diagonal one only the comparison of the rotated matrix
+        # a diagonal or an off-diagonal entry: either fails the
+        # comparison of the matrix with its rotation
         mesh = build_disk_mesh(2.0, h_target=0.2)
         system = assemble_frozen(mesh, mesh.bind(identity_field(2)))
         assert ring_factor(system) is not None
@@ -752,6 +766,29 @@ class TestOrderingReuse:
                 0.01 * fill(fresh)
         assert kinds == ["lu"] + ["lu-reordered"] * 3
         assert [kind for kind, _, _ in factors] == ["splu"] * 4
+
+    def test_gathered_block_is_the_interior_block(self):
+        # the CSC block of the first (identity) ordering and of the
+        # reordered one against scipy's slicing of the whole matrix, with
+        # the rows and columns taken in the ordering's order
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        coef = mesh.bind(preset_field("isotropic-sin"))
+        x, y = mesh.vertices.T
+        u = np.sin(x) + x * y
+        system = newton_system(assemble_frozen(mesh, coef, state=u), coef, u)
+        system.solve_dirichlet(np.cos(mesh.boundary_angles()))
+        assert system.factor_kind == "lu"
+        m = len(mesh.interior)
+        first = fem._InteriorOrdering(mesh, np.arange(m))
+        reordered = mesh.pattern.ordering
+        assert not np.array_equal(reordered.inv, np.arange(m))
+        matrix = system.matrix
+        for ordering in (first, reordered):
+            rows = mesh.interior[ordering.inv]
+            want = matrix[rows][:, rows].tocsc()
+            assert np.array_equal(ordering.indptr, want.indptr)
+            assert np.array_equal(ordering.indices, want.indices)
+            assert np.array_equal(matrix.data[ordering.gather], want.data)
 
     def test_data_outside_the_pattern_refused(self):
         # a system is made from its mesh's pattern data, so no matrix with
