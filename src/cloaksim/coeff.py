@@ -78,15 +78,22 @@ class CoefficientField:
     constants : StructureConstants
     dim : int
         Spatial dimension, 2 or 3.
+    radial : bool
+        True when the field is rotation-equivariant about the origin:
+        A(Qx, t) = Q A(x, t) Q^T for every rotation Q. A ring mesh then
+        assembles its stiffness at the zero state from one wedge of
+        triangles (fem.assemble_frozen), which checks the declaration on a
+        second angular index.
     """
 
-    def __init__(self, fn, constants, dim=2, name=""):
+    def __init__(self, fn, constants, dim=2, name="", radial=False):
         if dim not in (2, 3):
             raise PreconditionError("dim must be 2 or 3")
         self._fn = fn
         self.constants = constants
         self.dim = dim
         self.name = name
+        self.radial = radial
 
     def eval(self, x, t=0.0):
         pts, single = _as_points(x, self.dim)
@@ -120,15 +127,16 @@ class CoefficientField:
 
 
 class IsotropicField(CoefficientField):
-    """Scalar coefficient sigma(x, t) * I."""
+    """Scalar coefficient sigma(x, t) * I; radial when sigma depends on x
+    through |x| alone."""
 
-    def __init__(self, scalar_fn, constants, dim=2, name=""):
+    def __init__(self, scalar_fn, constants, dim=2, name="", radial=False):
         def fn(pts, tt):
             s = np.asarray(scalar_fn(pts, tt), dtype=float)
             eye = np.eye(dim)
             return s[:, None, None] * eye[None, :, :]
 
-        super().__init__(fn, constants, dim=dim, name=name)
+        super().__init__(fn, constants, dim=dim, name=name, radial=radial)
 
 
 class ProductField(CoefficientField):
@@ -138,7 +146,8 @@ class ProductField(CoefficientField):
     the same shape; scalar_constants (alpha_a, beta_a, L_a) bound it below
     and above and give its Lipschitz modulus. The product then has the
     exact constants (alpha_a alpha_B, beta_a beta_B, L_a beta_B). Binding
-    evaluates B once; each state then costs one product per component.
+    evaluates B once; each state then costs one product per component. The
+    product is radial when B is.
     """
 
     def __init__(self, scalar, scalar_constants, field, name=""):
@@ -153,7 +162,7 @@ class ProductField(CoefficientField):
         constants = StructureConstants(a.alpha * b.alpha, a.beta * b.beta,
                                        a.lipschitz_l * b.beta)
         super().__init__(lambda pts, tt: self.bind(pts)(tt), constants,
-                         dim=field.dim, name=name)
+                         dim=field.dim, name=name, radial=field.radial)
 
     def bind(self, points):
         pts, _ = _as_points(points, self.dim)
@@ -173,7 +182,8 @@ class ProductField(CoefficientField):
 
 
 def constant_field(matrix, dim=None, name=""):
-    """Field with a fixed symmetric matrix value."""
+    """Field with a fixed symmetric matrix value; radial when it is a
+    multiple of the identity."""
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim == 0:
         if dim is None:
@@ -193,7 +203,9 @@ def constant_field(matrix, dim=None, name=""):
     def fn(pts, tt):
         return np.broadcast_to(mat, (len(pts), dim, dim)).copy()
 
-    return CoefficientField(fn, constants, dim=dim, name=name or "constant")
+    radial = bool(np.array_equal(mat, mat[0, 0] * np.eye(dim)))
+    return CoefficientField(fn, constants, dim=dim, name=name or "constant",
+                            radial=radial)
 
 
 def identity_field(dim=2):
@@ -241,7 +253,8 @@ def piecewise_field(pieces, dim=2, name="piecewise"):
 
     pieces: list of (Region or None, CoefficientField); None matches
     everything and normally appears last. Combined constants are the
-    componentwise worst case: min alpha, max beta, max L.
+    componentwise worst case: min alpha, max beta, max L. The regions are
+    centered at the origin, so the field is radial when every piece is.
     """
     if not pieces:
         raise PreconditionError("piecewise_field needs at least one piece")
@@ -272,7 +285,8 @@ def piecewise_field(pieces, dim=2, name="piecewise"):
             raise PreconditionError(f"point {bad} not covered by any piece")
         return out
 
-    return CoefficientField(fn, StructureConstants(alpha, beta, lip), dim=dim, name=name)
+    return CoefficientField(fn, StructureConstants(alpha, beta, lip), dim=dim,
+                            name=name, radial=all(f.radial for f in fields))
 
 
 @dataclass

@@ -13,26 +13,34 @@ pattern (P1Pattern): an assembly sums the element matrices into its data
 array, J = K + C is the sum of two data arrays, and a linear system
 (SparseSystem) is made from that data alone. A TriMesh builds the pattern
 with itself, and with it every map read from the pattern: the edges, the
-boundary blocks and the rotation. One reader, P1Pattern.block, gives
-every block of the pattern: the boundary blocks and the interior block of
-each LU.
+boundary blocks and, on a ring mesh, its Wedge. One reader,
+P1Pattern.block, gives every block of the pattern: the boundary blocks and
+the interior block of each LU.
 
-A Dirichlet solve factors its system once, in one of two kinds. When the
-mesh records its ring layout and the matrix is symmetric and invariant
-under a rotation by one angular step (a rotation-equivariant coefficient
-frozen at a radial state), the angular Fourier transform splits the
-problem into one Hermitian tridiagonal system over the rings per mode;
-LAPACK factors and solves all modes as one tridiagonal (RingFactor).
-Otherwise, or when that tridiagonal is not positive definite, SuperLU
-factors the interior block, gathered from the pattern data through one
-call of splu (_InteriorOrdering.factor). The first SuperLU factor on a
-mesh computes a fill-reducing ordering; every later one on that mesh
-reuses it. Every SuperLU factor in the package, the periodic cell's
-included, is made with one setting of its supernode sizes,
+On a ring mesh the rows at one angular index fix the whole stiffness of a
+radial field (CoefficientField.radial: A(Qx, t) = Q A(x, t) Q^T for every
+rotation Q) frozen at the zero state. assemble_frozen then assembles only
+the Wedge, the triangles with a corner at angular index 0 or 1 and the
+center fan, and gathers the rest of the data from the rows at angular
+index 0 (Wedge.spin). The rows at angular index 1 check the field's
+declaration: where they differ from the gathered ones by more than 1e-9 of
+the largest band entry, the field is not radial and the assembly raises.
+The angular Fourier transform then splits such a system into one Hermitian
+tridiagonal system over the rings per mode (Bernardi, Dauge & Maday,
+Spectral Methods for Axisymmetric Domains, 1999); LAPACK factors and
+solves all modes as one tridiagonal (RingFactor). Every other system, and
+one whose bands are not symmetric or whose tridiagonal is not positive
+definite, is factored by SuperLU: the interior block, gathered from the
+pattern data through one call of splu (_InteriorOrdering.factor). The
+first SuperLU factor on a mesh computes a fill-reducing ordering; every
+later one on that mesh reuses it. Every SuperLU factor in the package, the
+periodic cell's included, is made with one setting of its supernode sizes,
 SUPERLU_SETTINGS. A solve reads the boundary data through the entries
 that couple interior rows to boundary columns (TriMesh.boundary_band),
 and a boundary flux reads the boundary rows alone (TriMesh.boundary_rows).
 """
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import zpttrf, zpttrs
@@ -66,6 +74,32 @@ __all__ = [
 SUPERLU_SETTINGS = {"relax": 1, "panel_size": 1}
 
 
+class Wedge(NamedTuple):
+    """The part of a ring mesh that fixes the stiffness of a radial field.
+
+    triangles : the triangles with a corner at angular index 0 or 1, and
+        the center fan, ascending: every triangle at the vertices of
+        angular index 0 and 1 and at the center.
+    edges : their edges, ascending indices in TriMesh.edges.
+    edge_of : (nw, 3) the index in edges of the edges m01, m12, m20 of
+        each of the triangles.
+    spin : for each stored entry of the pattern, the position in data of
+        the entry its row rotates to at angular index 0 (the entry itself
+        in the center row and in the rows at angular index 0).
+    turned : the positions of the entries in the rows at angular index 1.
+    bands : (positions, flat indices) of the entries of the rows at angular
+        index 0 of the interior rings, the center column left out, and
+        their places in the (3, m, n_theta) bands of RingFactor.
+    """
+
+    triangles: np.ndarray
+    edges: np.ndarray
+    edge_of: np.ndarray
+    spin: np.ndarray
+    turned: np.ndarray
+    bands: tuple
+
+
 class TriMesh:
     """Triangulation of a disk, with every map that assembly, solves and
     fluxes read, all built here.
@@ -93,10 +127,9 @@ class TriMesh:
         boundary data.
     boundary_rows : the pattern's entries in a boundary row: what the
         boundary flux of a solution reads.
-    rotation : for a ring mesh, the position in the pattern's data of the
-        image of each stored entry under the rotation by one angular step;
-        None when the mesh has no ring layout or the rotation does not map
-        the pattern onto itself.
+    wedge : the Wedge of a ring mesh with at least one interior ring,
+        whose pattern the rotation by one angular step maps onto itself;
+        None for any other mesh.
     """
 
     def __init__(self, vertices, triangles, boundary, n_theta=None):
@@ -126,12 +159,9 @@ class TriMesh:
         self.boundary_band = pattern.block(self.interior, self.boundary)
         self.boundary_rows = pattern.block(self.boundary,
                                            np.arange(self.n_vertices))
-        self.rotation = None
-        if n_theta is not None:
-            step = np.arange(self.n_vertices)
-            ring, j = divmod(step[1:] - 1, n_theta)
-            step[1:] = 1 + ring * n_theta + (j + 1) % n_theta
-            self.rotation = pattern.image(step)
+        self.wedge = None
+        if n_theta is not None and self.n_vertices > 1 + n_theta:
+            self.wedge = _wedge(self, n_theta)
 
     @property
     def n_vertices(self):
@@ -139,8 +169,18 @@ class TriMesh:
 
     def bind(self, field):
         """The field at the assembly quadrature points as a function of the
-        state alone: the coefficient that assemble_frozen takes."""
-        return field.bind(self.midpoints)
+        state alone: the coefficient that assemble_frozen takes.
+
+        On a mesh with a wedge, a radial field is bound at the wedge's edge
+        midpoints too (BoundField.wedge). A linear one is evaluated at every
+        midpoint only when a state asks for it, which the zero state does
+        not."""
+        if self.wedge is None or not field.radial:
+            return BoundField(field.bind(self.midpoints), None)
+        wedge = field.bind(self.midpoints[self.wedge.edges])
+        if field.is_linear:
+            return BoundField(lambda t: field.eval(self.midpoints, t), wedge)
+        return BoundField(field.bind(self.midpoints), wedge)
 
     def load(self, source):
         """Load vector of the right-hand side source(points) -> values,
@@ -162,6 +202,74 @@ class TriMesh:
         nxt = np.roll(b, -1, axis=0)
         seg = np.linalg.norm(nxt - b, axis=1)
         return 0.5 * (seg + np.roll(seg, 1))
+
+
+class BoundField:
+    """A field bound at a mesh's quadrature points (TriMesh.bind).
+
+    Called with the states at the edge midpoints (a scalar or one per
+    edge), it gives the tensors there, (ne, 2, 2). wedge, for a radial
+    field on a mesh with a Wedge, gives them at the wedge's edges alone;
+    None otherwise.
+    """
+
+    def __init__(self, every, wedge):
+        self.every = every
+        self.wedge = wedge
+
+    def __call__(self, t):
+        return self.every(t)
+
+
+def _wedge(mesh, n):
+    """The Wedge of a ring mesh with n vertices per ring, or None when the
+    rotation by one angular step does not map its pattern onto itself."""
+    pattern, nv = mesh.pattern, mesh.n_vertices
+    # the center and the vertices of angular index 0 and 1
+    marked = np.ones(nv, dtype=bool)
+    marked[1:] = np.arange(nv - 1) % n < 2
+    triangles = np.nonzero(marked[mesh.triangles].any(axis=1))[0]
+    edges = np.unique(mesh.edge_of[triangles])
+    edge_of = np.searchsorted(edges, mesh.edge_of[triangles])
+    # each entry (r, c) turned back by the angular index j of its row: ring
+    # vertex (b, i) goes to (b, i - j), the center stays. In place where it
+    # can be, as each temporary holds 4 or 8 bytes per entry
+    ptr, cols = pattern.indptr, pattern.indices
+    keys = pattern.rows()
+    shift = keys - 1
+    shift %= n
+    shift[:ptr[1]] = 0                             # the center row
+    keys -= shift
+    keys *= nv
+    keys += cols
+    keys -= shift
+    wrap = cols - 1
+    wrap %= n
+    keys[wrap < shift] += n
+    del wrap
+    center = cols == 0                             # the center column
+    keys[center] += shift[center]
+    turned = np.nonzero(shift == 1)[0]
+    # the rows at angular index 0 of the interior rings, but the center's
+    m = (nv - 1) // n - 1
+    (pos,) = np.nonzero(shift[ptr[1]:ptr[1 + m * n]] == 0)
+    pos += ptr[1]
+    pos = pos[~center[pos]]
+    del shift, center
+    # the row-major keys of the entries, sorted: the pattern is canonical
+    entries = pattern.rows()
+    entries *= nv
+    entries += cols
+    spin = np.searchsorted(entries, keys)
+    np.minimum(spin, pattern.nnz - 1, out=spin)
+    if not np.array_equal(entries[spin], keys):
+        return None
+    del entries, keys
+    ring = (np.searchsorted(ptr, pos, side="right") - 2) // n
+    col_ring, j = np.divmod(cols[pos] - 1, n)
+    flat = ((1 + col_ring - ring) * m + ring) * n + j
+    return Wedge(triangles, edges, edge_of, spin.astype(np.int32), turned,
+                 (pos, flat))
 
 
 def _ring_radii(radius, aligned_radii, h_target, radial_bands):
@@ -327,12 +435,14 @@ def _element_matrices(grads, fx, fy):
     return local
 
 
-def p1_stiffness(areas, grads, amats, pattern):
+def p1_stiffness(areas, grads, amats, pattern, triangles=None):
     """Data of the global P1 stiffness matrix of elementwise constant
     tensors, in the pattern.
 
     amats : (nt, 2, 2) coefficient per triangle, not necessarily symmetric
     pattern : P1Pattern of the triangles' degrees of freedom
+    triangles : the pattern's triangles that areas, grads and amats are of,
+        ascending; all of them when omitted (P1Pattern.scatter)
     """
     gx, gy = grads[:, :, 0], grads[:, :, 1]
     # area A g_j at each corner j
@@ -344,7 +454,7 @@ def p1_stiffness(areas, grads, amats, pattern):
     # dropped before the scatter allocates the data: kept alive, they
     # raise the resident peak of a sweep of cell solves by 3 %
     del fx, fy
-    return pattern.scatter(local)
+    return pattern.scatter(local, triangles)
 
 
 class P1Pattern:
@@ -399,30 +509,13 @@ class P1Pattern:
         return csr_matrix((data, self.indices, self.indptr),
                           shape=(self.n, self.n))
 
-    def scatter(self, local):
+    def scatter(self, local, triangles=None):
         """The data of the sum of the (nt, 3, 3) element matrices
-        local[t, i, j]."""
-        return np.bincount(self.slot, weights=local.ravel(),
-                           minlength=self.nnz)
-
-    def image(self, perm):
-        """The position in data of the image (perm[i], perm[j]) of each
-        stored entry (i, j), or None when a vertex permutation does not
-        map the pattern onto itself."""
-        # in place: each temporary holds 8 bytes per entry, and one more of
-        # them raises the resident peak of a sweep of linear ring systems
-        entries = self.rows()
-        keys = perm[entries]
-        keys *= self.n
-        keys += perm[self.indices]
-        # the row-major keys of the entries, sorted: the pattern is canonical
-        entries *= self.n
-        entries += self.indices
-        pos = np.searchsorted(entries, keys)
-        np.minimum(pos, self.nnz - 1, out=pos)
-        if not np.array_equal(entries[pos], keys):
-            return None
-        return pos.astype(np.int32)
+        local[t, i, j] of all the triangles, or of these triangles (in
+        ascending order) alone."""
+        slot = self.slot if triangles is None else \
+            self.slot.reshape(-1, 9)[triangles].ravel()
+        return np.bincount(slot, weights=local.ravel(), minlength=self.nnz)
 
 
 def _corner_sums(mids):
@@ -442,7 +535,7 @@ def assemble_frozen(mesh, coef, state=None, load=None):
     Parameters
     ----------
     mesh : TriMesh
-    coef : callable
+    coef : BoundField
         The coefficient bound at the quadrature points by mesh.bind(field):
         coef(t) -> (ne, 2, 2), one tensor per edge midpoint.
     state : array (n_vertices,), optional
@@ -454,27 +547,69 @@ def assemble_frozen(mesh, coef, state=None, load=None):
     Returns
     -------
     SparseSystem
+
+    With no state and a coefficient bound on the mesh's wedge (a radial
+    field on a ring mesh), only the wedge is assembled (_wedge_stiffness),
+    and the system is ring-factored.
     """
+    if load is None:
+        load = np.zeros(mesh.n_vertices)
+    if state is None and coef.wedge is not None:
+        return SparseSystem(_wedge_stiffness(mesh, coef.wedge(0.0)), load,
+                            mesh, circulant=True)
     if state is None:
         t_mid = 0.0
     else:
         ends = np.asarray(state, dtype=float)[mesh.edges]
         t_mid = 0.5 * (ends[:, 0] + ends[:, 1])
     amid = coef(t_mid)
-    # 1/3 weight per midpoint of each triangle
-    edge_of = mesh.edge_of
-    amean = amid[edge_of[:, 0]] + amid[edge_of[:, 1]]
-    amean += amid[edge_of[:, 2]]
-    amean /= 3.0
+    amean = _triangle_means(amid, mesh.edge_of)
     # a system frozen at a state keeps the midpoint states and tensors for
     # newton_system; otherwise they are dropped before p1_stiffness, which
     # lowers the resident peak of a solve
     frozen_at = None if state is None else (t_mid, amid)
     del amid
     data = p1_stiffness(mesh.areas, mesh.grads, amean, mesh.pattern)
-    if load is None:
-        load = np.zeros(mesh.n_vertices)
     return SparseSystem(data, load, mesh, frozen_at=frozen_at)
+
+
+def _triangle_means(amid, edge_of):
+    """The mean of the tensors at the three edge midpoints of each
+    triangle: 1/3 weight per midpoint."""
+    amean = amid[edge_of[:, 0]] + amid[edge_of[:, 1]]
+    amean += amid[edge_of[:, 2]]
+    amean /= 3.0
+    return amean
+
+
+def _wedge_stiffness(mesh, amid):
+    """The stiffness data of a radial field, from the tensors at the
+    wedge's edge midpoints alone.
+
+    The wedge's triangles are summed in the mesh's order into the mesh's
+    pattern slots, so its rows at angular index 0, the rows RingFactor
+    reads, hold the bits a full assembly would give. Every other entry is
+    the one its row rotates to at angular index 0 (Wedge.spin). The rows at
+    angular index 1, assembled as well, must match their gathered values
+    to 1e-9 of the largest band entry; a field that is not radial fails
+    that by orders of magnitude, and raises NumericalError.
+    """
+    wedge = mesh.wedge
+    tris = wedge.triangles
+    part = p1_stiffness(mesh.areas[tris], mesh.grads[tris],
+                        _triangle_means(amid, wedge.edge_of), mesh.pattern,
+                        tris)
+    data = part[wedge.spin]
+    scale = np.abs(data[wedge.bands[0]]).max()
+    defect = np.abs(data[wedge.turned] - part[wedge.turned]).max()
+    if defect > 1e-9 * scale:
+        raise NumericalError(
+            f"the stiffness of a field declared radial is not rotation "
+            f"invariant on this mesh: its rows at angular index 1 differ "
+            f"from those at index 0 by {defect / scale:.3e} of the largest "
+            f"band entry (above 1e-9). The field is not radial, or it jumps "
+            f"at the quadrature points")
+    return data
 
 
 # forward-difference step in the state for the derivative of A
@@ -536,23 +671,26 @@ class SparseSystem:
     data holds the entries of the matrix in the mesh's P1Pattern, and
     matrix is the CSR matrix they make; data of any other length raises
     ValueError. The interior problem is factored on the first solve and
-    later solves reuse the factor. ring_factor is tried first; SuperLU
-    factors the interior block when it does not apply (_interior_lu).
-    factor_kind names the factor that served the system: "ring", "lu"
-    (ordering computed), "lu-reordered" (ordering reused) or "chord" (the
-    factor of another system, shared by with_load); None before the first
-    solve. The matrix need not be symmetric: a Newton system
-    (newton_system) is not.
+    later solves reuse the factor. circulant is True for data that is
+    block-circulant over the mesh's rings by construction (the wedge
+    assembly of assemble_frozen): such a system is factored by ring_factor,
+    and by SuperLU (_interior_lu) when that declines it; every other
+    system by SuperLU. factor_kind names the factor that served the
+    system: "ring", "lu" (ordering computed), "lu-reordered" (ordering
+    reused) or "chord" (the factor of another system, shared by
+    with_load); None before the first solve. The matrix need not be
+    symmetric: a Newton system (newton_system) is not.
     frozen_at is, for a stiffness that assemble_frozen froze at a state,
     the states (ne,) and tensors (ne, 2, 2) at the edge midpoints, the
     values newton_system differentiates; None otherwise.
     """
 
-    def __init__(self, data, load, mesh, frozen_at=None):
+    def __init__(self, data, load, mesh, frozen_at=None, circulant=False):
         self.matrix = mesh.pattern.matrix(data)
         self.load = load
         self.mesh = mesh
         self.frozen_at = frozen_at
+        self.circulant = circulant
         self._solver = None
         self.factor_kind = None
 
@@ -567,8 +705,9 @@ class SparseSystem:
 
     def _factor(self):
         if self._solver is None:
-            self._solver = ring_factor(self)
-            self.factor_kind = "ring"
+            if self.circulant:
+                self._solver = ring_factor(self)
+                self.factor_kind = "ring"
             if self._solver is None:
                 self._solver, self.factor_kind = _interior_lu(self)
         return self._solver
@@ -666,79 +805,57 @@ class _Reordered:
 
 
 def ring_factor(system):
-    """RingFactor of a system's interior problem, or None where it does
-    not apply.
+    """RingFactor of the interior problem of a circulant system (its data
+    block-circulant over the mesh's rings), or None where it does not
+    apply: when the bands are not symmetric to 1e-12 of the largest band
+    entry, or the interior block is not positive definite, which the
+    factorization itself finds.
 
-    It applies when the mesh records its ring layout (TriMesh.n_theta) and
-    the matrix is symmetric and invariant under the rotation by one
-    angular step, each to 1e-12 of its largest diagonal entry (its largest
-    entry, for a positive semi-definite matrix), and the interior block is
-    positive definite, which the factorization itself finds.
-
-    The matrix is compared with its rotation (TriMesh.rotation, a fixed
-    permutation of the pattern's data) first. Symmetry is then read from
-    the rows at angular index 0 that RingFactor reads anyway; it turns away
-    the Newton system of a radial state, which is rotation invariant but
-    not symmetric.
+    The bands are the rows at angular index 0 of the interior rings
+    (Wedge.bands). Symmetry is read from them: c(j) = c(-j) within a ring,
+    the band to the next ring mirrors the band back from it, and so does
+    the center's coupling to the first ring.
     """
-    matrix, mesh = system.matrix, system.mesh
+    data, mesh = system.matrix.data, system.mesh
     n = mesh.n_theta
-    # no rotation without a ring layout; a mesh whose one ring is the
-    # boundary has the center alone inside
-    if mesh.rotation is None or mesh.n_vertices <= 1 + n:
+    m = (mesh.n_vertices - 1) // n - 1            # interior rings
+    pos, flat = mesh.wedge.bands
+    bands = np.zeros(3 * m * n)
+    bands[flat] = data[pos]
+    bands = bands.reshape(3, m, n)
+    # the center row holds (0, 0), (0, 1), ...; row 1 starts with (1, 0)
+    ptr = mesh.pattern.indptr
+    center, to_ring, from_ring = data[ptr[0]], data[ptr[0] + 1], data[ptr[1]]
+    tol = 1e-12 * np.abs(bands).max()
+    neg = -np.arange(n) % n
+    if not (np.abs(bands[1] - bands[1][:, neg]).max() <= tol
+            and np.abs(bands[2, :-1] - bands[0, 1:][:, neg]).max(
+                initial=0.0) <= tol
+            and abs(to_ring - from_ring) <= tol):
         return None
-    tol = 1e-12 * np.abs(matrix.diagonal()).max()
-    if np.abs(matrix.data[mesh.rotation] - matrix.data).max() > tol:
-        return None
-    bands = _ring_bands(matrix, n)
-    if not _bands_symmetric(matrix, bands, tol):
-        return None
-    factor = RingFactor(matrix, bands)
+    factor = RingFactor(bands, center, from_ring)
     return factor if factor.positive else None
 
 
-def _ring_bands(matrix, n):
-    """Rows at angular index 0 of the interior rings of a ring-mesh matrix
-    with n vertices per ring: bands[1 + d, a, j] is the entry of row (a, 0)
-    in column (a + d, j), for d = -1, 0, 1. The center column is left out."""
-    m = (matrix.shape[0] - 1) // n - 1            # interior rings
-    first = matrix[1 + n * np.arange(m)].tocoo()
-    keep = first.col > 0
-    ring, j = divmod(first.col[keep] - 1, n)
-    row = first.row[keep]
-    bands = np.zeros((3, m, n))
-    bands[1 + ring - row, row, j] = first.data[keep]
-    return bands
-
-
-def _bands_symmetric(matrix, bands, tol):
-    """Whether a rotation-invariant matrix with these ring bands is
-    symmetric: c(j) = c(-j) within a ring, the band to the next ring
-    mirrors the band back from it, and so does the center's coupling."""
-    neg = -np.arange(bands.shape[2]) % bands.shape[2]
-    return bool(np.abs(bands[1] - bands[1][:, neg]).max() <= tol
-                and np.abs(bands[2, :-1] - bands[0, 1:][:, neg]).max(
-                    initial=0.0) <= tol
-                and abs(matrix[0, 1] - matrix[1, 0]) <= tol)
-
-
 class RingFactor:
-    """Interior factor of a symmetric rotation-invariant system, by mode.
+    """Interior factor of a symmetric block-circulant system, by mode.
 
     The matrix is block-circulant over the rings, so the angular Fourier
     transform of each ring decouples the modes. Mode k is a Hermitian
     tridiagonal system over the interior rings whose entries are the
-    transforms of the rows at angular index 0 (the bands of _ring_bands);
-    the center vertex couples to mode 0 alone and is unknown 0 of every
-    mode (an identity row for k > 0). The modes are laid out one after
-    the other as one tridiagonal, with no coupling where two modes meet,
-    which LAPACK factors as L D L^H (zpttrf) and solves (zpttrs). A solve
-    is a real FFT of each ring, one zpttrs and the inverse FFT. positive
-    is False when the tridiagonal is not positive definite; the factor is
-    then of no use.
+    transforms of the rows at angular index 0: bands[1 + d, a, j] is the
+    entry of row (a, 0) in column (a + d, j), for d = -1, 0, 1. The center
+    vertex, with diagonal entry center and coupling to each vertex of the
+    first ring, couples to mode 0 alone and is unknown 0 of every mode (an
+    identity row for k > 0). The modes are laid out one after the other as
+    one tridiagonal, with no coupling where two modes meet, which LAPACK
+    factors as L D L^H (zpttrf) and solves (zpttrs). A solve is a real FFT
+    of each ring, one zpttrs and the inverse FFT. positive is False when
+    the tridiagonal is not positive definite; the factor is then of no
+    use.
     """
 
-    def __init__(self, matrix, bands):
+    def __init__(self, bands, center, coupling):
         _, m, n = bands.shape
         self.n_theta = n
         # row (a, j) holds c(j' - j) in column (b, j'), so mode k sees
@@ -747,13 +864,13 @@ class RingFactor:
         n_modes = symbol.shape[2]
         diag = np.ones((n_modes, m + 1))
         diag[:, 1:] = symbol[0].real.T
-        diag[0, 0] = matrix[0, 0]
+        diag[0, 0] = center
         # the subdiagonal A[a + 1, a] of each mode, the conjugate of the
         # coupling of ring a to ring a + 1; its last entry is 0
         sub = np.zeros((n_modes, m + 1), dtype=complex)
         sub[:, 1:m] = symbol[1, :m - 1].T.conj()
         # the unitary transform carries the center's coupling to mode 0
-        sub[0, 0] = np.sqrt(n) * matrix[1, 0]
+        sub[0, 0] = np.sqrt(n) * coupling
         self.d, self.e, info = zpttrf(diag.ravel(), sub.ravel()[:-1],
                                       overwrite_d=1, overwrite_e=1)
         self.positive = info == 0

@@ -32,16 +32,22 @@ __all__ = [
 
 
 class DiffMap:
-    """Invertible map with an analytic jacobian, vectorized over points."""
+    """Invertible map with an analytic jacobian, vectorized over points.
+
+    radial is True for a map x -> psi(|x|) x/|x|, which commutes with every
+    rotation about the origin; it pushes a radial field forward to a
+    radial field.
+    """
 
     def __init__(self, forward, inverse, jacobian, dim=2, name="",
-                 domain=None):
+                 domain=None, radial=False):
         self._forward = forward
         self._inverse = inverse
         self._jacobian = jacobian
         self.dim = dim
         self.name = name
         self.domain = domain
+        self.radial = radial
 
     def forward(self, x):
         pts, single = _as_points(x, self.dim)
@@ -105,7 +111,7 @@ def _radial_map(psi, dpsi, psi_inv, dim, name, domain, origin_ok,
         return out
 
     return DiffMap(forward, inverse, jacobian, dim=dim, name=name,
-                   domain=domain)
+                   domain=domain, radial=True)
 
 
 def regular_blowup(r, dim=2):
@@ -182,21 +188,23 @@ def compose(outer, inner, name=""):
 
     return DiffMap(forward, inverse, jacobian, dim=inner.dim,
                    name=name or f"{outer.name}*{inner.name}",
-                   domain=inner.domain)
+                   domain=inner.domain, radial=outer.radial and inner.radial)
 
 
 class PushforwardField(CoefficientField):
     """F_*A: DF A DF^T / |det DF| at x = F^{-1}(y).
 
     Binding computes x, DF and det DF once; each state then costs one
-    batched product js A js^T with js = DF / sqrt|det DF|.
+    batched product js A js^T with js = DF / sqrt|det DF|. The push-forward
+    of a radial field by a radial map is radial.
     """
 
     def __init__(self, field, dmap, constants, name):
         self.field = field
         self.dmap = dmap
         super().__init__(lambda pts, tt: self.bind(pts)(tt), constants,
-                         dim=field.dim, name=name)
+                         dim=field.dim, name=name,
+                         radial=field.radial and dmap.radial)
 
     def bind(self, points):
         pts, _ = _as_points(points, self.dim)
@@ -257,7 +265,7 @@ def transformed_inner_tensor(field, r):
     c = field.constants
     constants = StructureConstants(c.alpha * scale, c.beta * scale,
                                    c.lipschitz_l * scale)
-    inner = CoefficientField(fn, constants, dim=dim)
+    inner = CoefficientField(fn, constants, dim=dim, radial=field.radial)
     return piecewise_field([(ball(r, dim=dim), inner),
                             (None, identity_field(dim))],
                            dim=dim, name=f"near-cloak(r={r:g}, {field.name})")
@@ -297,7 +305,8 @@ def singular_cloak_tensor(dim=2, r_min=1.0 + 1e-9):
     rad1, tan1 = _singular_eigs(2.0, dim)
     constants = StructureConstants(min(rad0, rad1, tan0, tan1),
                                    max(rad0, rad1, tan0, tan1), 0.0)
-    return CoefficientField(fn, constants, dim=dim, name="singular_cloak")
+    return CoefficientField(fn, constants, dim=dim, name="singular_cloak",
+                            radial=True)
 
 
 def truncated_singular_cloak(rho, dim=2, interior=None):

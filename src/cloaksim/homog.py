@@ -238,7 +238,7 @@ class HomogenizedTensor(CoefficientField):
         table = np.concatenate([lo, hi])
         constants = StructureConstants(float(table.min()),
                                        float(table.max()), 0.0)
-        super().__init__(fn, constants, dim=dim, name=name)
+        super().__init__(fn, constants, dim=dim, name=name, radial=True)
 
 
 def radial_homogenized(sigma_profile):
@@ -557,7 +557,8 @@ class RadialCloakSpec:
         constants = StructureConstants(float(vals.min()) * 0.999,
                                        float(vals.max()) * 1.001, 0.0)
         return IsotropicField(scalar_fn, constants, dim=2,
-                              name=f"cloak-sigma(R={self.R:g},eps={self.eps:g})")
+                              name=f"cloak-sigma(R={self.R:g},eps={self.eps:g})",
+                              radial=True)
 
     def homogenized(self):
         """Reference anisotropic shell: the target means as a radial tensor.

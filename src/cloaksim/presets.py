@@ -83,11 +83,13 @@ def _laminate(a, b, eps):
         raise PreconditionError("laminate values and period must be positive")
 
     def scalar_fn(pts, t):
+        # the phase rounded to 12 decimals, so that a rotation of a point
+        # on a jump, which moves |x| by a few ulps, keeps it on one side
         rr = np.linalg.norm(np.atleast_2d(pts), axis=1)
-        return np.where(np.mod(rr / eps, 1.0) < 0.5, a, b)
+        return np.where(np.mod(np.round(rr / eps, 12), 1.0) < 0.5, a, b)
 
     constants = StructureConstants(min(a, b), max(a, b), 0.0)
-    return IsotropicField(scalar_fn, constants, dim=2)
+    return IsotropicField(scalar_fn, constants, dim=2, radial=True)
 
 
 def _unit_disk(*values):

@@ -3,7 +3,9 @@
 The discrete problem is K(u) u = load, with K(u) the stiffness matrix of
 the coefficient frozen at the state u. The first step freezes the starting
 state (zero, unless a warm start is given) and solves the linear problem:
-a Picard step, which the angular-mode factor serves at the zero state.
+a Picard step. From zero it is assembled with no state, so a radial field
+on a ring mesh is assembled from one wedge of triangles and ring-factored
+(fem.assemble_frozen).
 Every later step is a Newton step on the residual K(u) u - load
 (fem.newton_system), except the step after a Newton update of at most
 sqrt(tol): that one is a chord step, which solves with the last Newton
@@ -107,7 +109,9 @@ def solve_quasilinear(mesh, field, boundary_values, config=None, source=None,
     chord_below = np.sqrt(cfg.tol)
     newton = None        # the last Newton system, if its update <= sqrt(tol)
     for it in range(1, cfg.max_iter + 1):
-        system = assemble_frozen(mesh, coef, state=u, load=load)
+        # the first step from zero freezes no state
+        state = None if it == 1 and warm_start is None else u
+        system = assemble_frozen(mesh, coef, state=state, load=load)
         chord = newton is not None
         if it == 1:
             step = system

@@ -46,3 +46,18 @@ def factors(monkeypatch):
     monkeypatch.setattr(fem, "splu", recording_splu)
     monkeypatch.setattr(fem, "ring_factor", recording_ring)
     return calls
+
+
+def oscillating_case(target):
+    """Criterion 7's first term, or its homogenized target, and the
+    sweep's mesh layout for it with fewer angles."""
+    from cloaksim.fem import build_disk_mesh
+    from cloaksim.homog import build_isotropic_cloak_sequence
+
+    spec = build_isotropic_cloak_sequence(n_terms=1)[0]
+    dr = spec.eps / 8.0
+    seam = spec.R - 2 * spec.eta - 2 * dr
+    mesh = build_disk_mesh(
+        3.0, aligned_radii=(1.0, spec.R - 2 * spec.eta, spec.R, 2.0),
+        h_target=0.25, n_theta=32, radial_bands=[(seam, 2.0, dr)])
+    return (spec.homogenized() if target else spec.field()), mesh

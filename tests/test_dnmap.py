@@ -9,13 +9,13 @@ from cloaksim.coeff import (IsotropicField, ProductField, StructureConstants,
 from cloaksim.dnmap import (DtNOperator, FourierBasis, dn_difference,
                             dn_operator, neumann_trace_error)
 from cloaksim.errors import PreconditionError
-from cloaksim.fem import (P1Pattern, assemble_frozen, build_disk_mesh,
-                          p1_stiffness)
+from cloaksim.fem import (P1Pattern, TriMesh, assemble_frozen,
+                          build_disk_mesh, p1_stiffness)
 from cloaksim.geometry import (DiffMap, pushforward, regular_blowup,
                                transformed_inner_tensor,
                                truncated_singular_cloak)
-from cloaksim.homog import build_isotropic_cloak_sequence
 from cloaksim.presets import inclusion_field, preset_field
+from conftest import oscillating_case
 
 
 class TestBasis:
@@ -81,24 +81,24 @@ class TestOperator:
         assert [kind for kind, _, _ in factors] == ["splu"]
 
     def test_factor_kinds_counted(self, factors):
-        # every column starts from the radial zero state (a ring factor);
-        # the first Newton system on the fresh mesh computes the LU
-        # ordering and every later one reuses it, except the constant
-        # datum's, whose Newton system at its constant state is radial
-        # and symmetric again. Every other column ends with a chord step,
-        # which reuses its last Newton factor
+        # every column starts from the zero state, assembled from the
+        # wedge (a ring factor); the first Newton system on the fresh mesh
+        # computes the LU ordering and every later one reuses it, the
+        # constant datum's included: a Newton system is never ring-factored.
+        # Every other column ends with a chord step, which reuses its last
+        # Newton factor
         mesh = build_disk_mesh(2.0, h_target=0.2)
         basis = FourierBasis(max_mode=2)
         op = dn_operator(preset_field("isotropic-sin"), basis, mesh)
         assert op.iterations[0] == 2
         chords = basis.size - 1
         assert op.factor_kinds == {
-            "ring": basis.size + 1, "lu": 1, "chord": chords,
-            "lu-reordered": sum(op.iterations) - basis.size - 2 - chords}
+            "ring": basis.size, "lu": 1, "chord": chords,
+            "lu-reordered": sum(op.iterations) - basis.size - 1 - chords}
         recorded = [kind for kind, _, _ in factors]
-        assert recorded.count("ring") == basis.size + 1
+        assert recorded.count("ring") == basis.size
         assert recorded.count("splu") == \
-            sum(op.iterations) - basis.size - 1 - chords
+            sum(op.iterations) - basis.size - chords
         linear = dn_operator(constant_field(np.diag([2.0, 3.0])), basis, mesh)
         assert linear.factor_kinds == {"lu-reordered": 1}
         assert dn_operator(identity_field(2), basis,
@@ -181,18 +181,6 @@ def _shell_case(rho):
     return truncated_singular_cloak(rho, interior=inclusion_field("5I")), mesh
 
 
-def _oscillating_case(target):
-    # criterion 7's first term (or its homogenized target) on the sweep's
-    # mesh layout, with fewer angles
-    spec = build_isotropic_cloak_sequence(n_terms=1)[0]
-    dr = spec.eps / 8.0
-    seam = spec.R - 2 * spec.eta - 2 * dr
-    mesh = build_disk_mesh(
-        3.0, aligned_radii=(1.0, spec.R - 2 * spec.eta, spec.R, 2.0),
-        h_target=0.25, n_theta=32, radial_bands=[(seam, 2.0, dr)])
-    return (spec.homogenized() if target else spec.field()), mesh
-
-
 RADIAL_CASES = {
     "identity": lambda: (identity_field(2), build_disk_mesh(2.0, h_target=0.2)),
     "5I": lambda: (inclusion_field("5I"),
@@ -203,19 +191,16 @@ RADIAL_CASES = {
         preset_field("homogenized-radial(1.5,0.125)"),
         build_disk_mesh(3.0, aligned_radii=(1.0, 1.25, 1.5, 2.0),
                         h_target=0.2)),
-    "sigma-1": lambda: _oscillating_case(target=False),
-    "sigma-1-target": lambda: _oscillating_case(target=True),
+    "sigma-1": lambda: oscillating_case(target=False),
+    "sigma-1-target": lambda: oscillating_case(target=True),
 }
 
 
 def _pairing_and_lu_reference(field, mesh, basis):
-    """dn_operator as the program runs it, and again with the ring factor
-    switched off so that SuperLU factors every system."""
-    op = dn_operator(field, basis, mesh)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fem, "ring_factor", lambda system: None)
-        ref = dn_operator(field, basis, mesh)
-    return op, ref
+    """dn_operator as the program runs it, and again on the same mesh built
+    without its ring layout, where SuperLU factors every system."""
+    bare = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary)
+    return dn_operator(field, basis, mesh), dn_operator(field, basis, bare)
 
 
 class TestRingFactor:
@@ -257,6 +242,9 @@ class TestRingFactor:
         # rotation invariance makes cos k and sin k eigenvectors of the
         # discrete DN map, so the pairing has no entry off the diagonal
         assert np.abs(M - np.diag(np.diag(M))).max() <= 1e-10 * scale
+        # and the DN map is positive semi-definite: the constant is its
+        # null vector, every other mode pairs to a positive energy
+        assert np.linalg.eigvalsh(0.5 * (M + M.T))[0] >= -1e-10 * scale
 
 
 class TestJson:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from scipy.sparse.linalg import splu
+from scipy.spatial import cKDTree
 
 from cloaksim import fem, homog
-from cloaksim.coeff import (ProductField, annulus, constant_field,
+from cloaksim.coeff import (IsotropicField, ProductField,
+                            StructureConstants, annulus, constant_field,
                             identity_field, piecewise_field)
 from cloaksim.dnmap import FourierBasis, dn_operator
 from cloaksim.errors import NumericalError, PreconditionError
@@ -16,8 +18,9 @@ from cloaksim.fem import (SUPERLU_SETTINGS, SparseSystem, TriMesh,
                           p1_stiffness, ring_factor)
 from cloaksim.geometry import pushforward, regular_blowup
 from cloaksim.homog import _cell_grid
-from cloaksim.presets import preset_field
+from cloaksim.presets import preset_field, preset_problem
 from cloaksim.qsolve import dn_pairing
+from conftest import oscillating_case
 
 
 def unit_triangle():
@@ -165,7 +168,7 @@ class TestDiskMesh:
         mesh = build_disk_mesh(2.0, h_target=0.2)
         before = dict(vars(mesh))
         for name in ("pattern", "edges", "edge_of", "midpoints",
-                     "boundary_band", "boundary_rows", "rotation"):
+                     "boundary_band", "boundary_rows", "wedge"):
             assert before[name] is not None
         op = dn_operator(identity_field(2), FourierBasis(max_mode=2), mesh)
         assert dict(op.factor_kinds) == {"ring": 1}
@@ -315,8 +318,9 @@ class TestSolveLayer:
 
 
 class TestRingDetector:
-    """Systems that are not rotation-invariant, or whose mesh records no
-    rings, keep SuperLU and its results bit for bit."""
+    """Systems that are not assembled from a wedge, or whose mesh records
+    no rings, and wedge systems whose bands are not symmetric or not
+    positive definite, keep SuperLU and its results bit for bit."""
 
     def assert_lu(self, system, factors):
         factors.clear()
@@ -345,41 +349,28 @@ class TestRingDetector:
         mesh = build_disk_mesh(2.0, h_target=0.2)
         bare = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary)
         assert mesh.n_theta == 64 and bare.n_theta is None
+        assert bare.wedge is None
         system = assemble_frozen(bare, bare.bind(identity_field(2)))
         self.assert_lu(system, factors)
 
     def test_center_alone_inside(self, factors):
         mesh = build_disk_mesh(1.0, h_target=1.0)
-        assert len(mesh.interior) == 1
+        assert len(mesh.interior) == 1 and mesh.wedge is None
         self.assert_lu(assemble_frozen(mesh, mesh.bind(identity_field(2))),
                        factors)
 
-    @pytest.mark.parametrize("diagonal", [True, False])
-    def test_one_perturbed_entry(self, diagonal, factors):
-        # a diagonal or an off-diagonal entry: either fails the
-        # comparison of the matrix with its rotation
-        mesh = build_disk_mesh(2.0, h_target=0.2)
-        system = assemble_frozen(mesh, mesh.bind(identity_field(2)))
-        assert ring_factor(system) is not None
-        matrix = system.matrix
-        row = 1 + 3 * mesh.n_theta + 5
-        lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
-        picked = (matrix.indices[lo:hi] == row) == diagonal
-        pos = lo + np.argmax(np.abs(matrix.data[lo:hi]) * picked)
-        matrix.data[pos] *= 1.0 + 1e-8
-        self.assert_lu(SparseSystem(matrix.data, np.zeros(mesh.n_vertices),
-                                    mesh), factors)
-
-
     def test_indefinite_declined(self, factors):
         # the identity stiffness less its mean diagonal entry: symmetric
-        # and rotation invariant, but with eigenvalues of both signs
+        # and block-circulant, but with eigenvalues of both signs
         mesh = build_disk_mesh(1.0, h_target=0.25)
-        matrix = assemble_frozen(mesh, mesh.bind(identity_field(2))).matrix
+        system = assemble_frozen(mesh, mesh.bind(identity_field(2)))
+        assert system.circulant
+        matrix = system.matrix
         data = matrix.data.copy()
         on_diagonal = mesh.pattern.rows() == mesh.pattern.indices
         data[on_diagonal] -= matrix.diagonal().mean()
-        system = SparseSystem(data, np.zeros(mesh.n_vertices), mesh)
+        system = SparseSystem(data, np.zeros(mesh.n_vertices), mesh,
+                              circulant=True)
         ii = mesh.interior
         eig = np.linalg.eigvalsh(system.matrix[ii][:, ii].toarray())
         assert eig[0] < 0.0 < eig[-1]
@@ -391,10 +382,11 @@ class TestRingDetector:
     def test_rotation_invariant_but_not_symmetric(self, where, factors):
         # add 1e-3 of the largest entry to the coupling of every ring
         # vertex (a, j) to (a, j + 1) or to (a + 1, j), or of the center to
-        # the first ring, and not to its mirror: the matrix stays invariant
-        # under the rotation by one angular step and keeps its pattern,
-        # but is no longer symmetric. The skew goes into the stored entries:
-        # a sparse sum would drop the couplings it leaves at exactly 0.0
+        # the first ring, and not to its mirror: the wedge data stays
+        # block-circulant and keeps its pattern, but is no longer
+        # symmetric, which the wedge bands show. The skew goes into the
+        # stored entries: a sparse sum would drop the couplings it leaves
+        # at exactly 0.0
         mesh = build_disk_mesh(2.0, h_target=0.2)
         n = mesh.n_theta
         matrix = assemble_frozen(mesh, mesh.bind(identity_field(2))).matrix
@@ -413,37 +405,181 @@ class TestRingDetector:
         assert np.array_equal(keys[slots], rows * pattern.n + cols)
         data = matrix.data.copy()
         data[slots] += 1e-3 * abs(matrix).max()
-        system = SparseSystem(data, np.zeros(mesh.n_vertices), mesh)
-        assert system.matrix.nnz == assemble_frozen(
-            mesh, mesh.bind(identity_field(2))).matrix.nnz
+        assert np.array_equal(data[mesh.wedge.spin], data)
+        system = SparseSystem(data, np.zeros(mesh.n_vertices), mesh,
+                              circulant=True)
         assert ring_factor(system) is None
         self.assert_lu(system, factors)
 
 
-class TestRotation:
-    """The rotation of a ring mesh as a permutation of its pattern's data,
-    against the rotation of the vertex coordinates."""
+def rotation_step(mesh):
+    """The vertex that each vertex of a ring mesh goes to under the
+    rotation by one angular step, found from the vertex coordinates."""
+    n = mesh.n_theta
+    c, s = np.cos(2.0 * np.pi / n), np.sin(2.0 * np.pi / n)
+    turned = mesh.vertices @ np.array([[c, s], [-s, c]])
+    dist, step = cKDTree(mesh.vertices).query(turned)
+    assert dist.max() <= 1e-12
+    return step
 
-    def test_image_of_each_entry(self):
+
+def rotation_defect(matrix, step):
+    """The largest change of an entry of the matrix under the rotation,
+    over its largest entry."""
+    turned = matrix[step][:, step]
+    return abs(turned - matrix).max() / abs(matrix).max()
+
+
+class TestWedge:
+    """The wedge of a ring mesh, against the rotation of its vertex
+    coordinates."""
+
+    def test_spin_of_each_entry(self):
         mesh = build_disk_mesh(1.0, aligned_radii=(0.5,), h_target=0.3)
-        n = mesh.n_theta
-        c, s = np.cos(2.0 * np.pi / n), np.sin(2.0 * np.pi / n)
-        turned = mesh.vertices @ np.array([[c, s], [-s, c]])
-        dist = np.linalg.norm(turned[:, None] - mesh.vertices[None], axis=2)
-        step = dist.argmin(axis=1)
-        assert np.allclose(dist.min(axis=1), 0.0, atol=1e-12)
+        n, nv = mesh.n_theta, mesh.n_vertices
+        step = rotation_step(mesh)
+        back = np.argsort(step)
+        # the angular index of each vertex, from its coordinates
+        angle = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
+        index = np.rint(angle / (2.0 * np.pi / n)).astype(int) % n
+        index[0] = 0
         pattern = mesh.pattern
-        slots = np.full((mesh.n_vertices,) * 2, -1)
+        slots = np.full((nv, nv), -1)
         rows = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
         slots[rows, pattern.indices] = np.arange(pattern.nnz)
-        assert np.array_equal(mesh.rotation,
-                              slots[step[rows], step[pattern.indices]])
+        want = np.empty(pattern.nnz, dtype=int)
+        for k, (r, c) in enumerate(zip(rows, pattern.indices)):
+            for _ in range(index[r]):
+                r, c = back[r], back[c]
+            want[k] = slots[r, c]
+        wedge = mesh.wedge
+        assert np.array_equal(wedge.spin, want)
+        assert np.array_equal(wedge.turned,
+                              np.nonzero((index[rows] == 1) & (rows > 0))[0])
+        # the triangles at the center or at angular index 0 or 1
+        corners = mesh.triangles
+        at = (corners == 0) | (index[corners] < 2)
+        assert np.array_equal(wedge.triangles, np.nonzero(at.any(axis=1))[0])
+        assert np.array_equal(mesh.edges[wedge.edges][wedge.edge_of],
+                              np.sort(corners[wedge.triangles][:, ENDS],
+                                      axis=2))
 
-    def test_a_permutation_that_leaves_the_pattern(self):
+    def test_a_pattern_the_rotation_leaves(self):
+        # one quad of the first ring band split along its other diagonal
         mesh = build_disk_mesh(1.0, h_target=0.3)
-        swap = np.arange(mesh.n_vertices)
-        swap[[0, mesh.n_vertices - 1]] = swap[[mesh.n_vertices - 1, 0]]
-        assert mesh.pattern.image(swap) is None
+        n = mesh.n_theta
+        a, b, c, d = 1 + 3, 1 + 4, 1 + n + 3, 1 + n + 4
+        tris = mesh.triangles.copy()
+        (first,) = np.nonzero((tris == a).any(1) & (tris == d).any(1)
+                              & (tris == b).any(1))
+        (second,) = np.nonzero((tris == a).any(1) & (tris == d).any(1)
+                               & (tris == c).any(1))
+        tris[first], tris[second] = [a, c, b], [b, c, d]
+        other = TriMesh(mesh.vertices, tris, mesh.boundary, n_theta=n)
+        assert mesh.wedge is not None and other.wedge is None
+
+
+def off_center_ball():
+    # 5 on the disk of radius 0.3 about (0.6, 0.2), 1 elsewhere: its edge
+    # crosses the rays at angular index 0 and 1 at different radii
+    def scalar(pts, t):
+        inside = np.linalg.norm(pts - [0.6, 0.2], axis=1) < 0.3
+        return np.where(inside, 5.0, 1.0)
+    return IsotropicField(scalar, StructureConstants(1.0, 5.0, 0.0),
+                          name="off-center ball")
+
+
+# the laminate jumps at radii 0.125 k, among them the midpoints 0.5, 1.0
+# and 1.5 of the radial edges at h 0.2
+PRESET_KEYS = ["identity", "isotropic-sin", "5I", "sin-5I",
+               "regular-cloak(0.5)", "truncated-singular-cloak(1.25)",
+               "homogenized-radial(1.5,0.125)", "laminate(1,4,0.25)"]
+
+
+def preset_case(key, h):
+    field, radius, jumps = preset_problem(key)
+    return field, build_disk_mesh(radius, aligned_radii=jumps, h_target=h)
+
+
+DECLARATION_CASES = {
+    **{f"{key} h{h}": (lambda key=key, h=h: preset_case(key, h))
+       for key in PRESET_KEYS for h in (0.2, 0.1)},
+    "sigma-1": lambda: oscillating_case(target=False),
+    "sigma-1-target": lambda: oscillating_case(target=True),
+    "pushed isotropic-sin": lambda: (
+        pushforward(preset_field("isotropic-sin"), regular_blowup(0.5)),
+        build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.2)),
+    "diag(2, 3)": lambda: (constant_field(np.diag([2.0, 3.0])),
+                           build_disk_mesh(2.0, h_target=0.2)),
+    "off-center ball": lambda: (off_center_ball(),
+                                build_disk_mesh(2.0, h_target=0.2)),
+}
+
+
+class TestRadialDeclaration:
+    """A field declares itself radial exactly when its full 2D stiffness is
+    invariant under the rotation of the mesh, and then the wedge path gives
+    the 2D path's numbers. The 2D path is the same field on the bare mesh,
+    with no ring layout; the rotation is found from the vertex coordinates.
+    A wrong declaration raises."""
+
+    @pytest.mark.parametrize("case", list(DECLARATION_CASES))
+    def test_declared_exactly_when_rotation_invariant(self, case, factors):
+        field, mesh = DECLARATION_CASES[case]()
+        bare = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary)
+        full = assemble_frozen(bare, bare.bind(field))
+        invariant = rotation_defect(full.matrix, rotation_step(mesh)) <= 1e-12
+        assert field.radial == invariant
+        assert invariant or case in ("diag(2, 3)", "off-center ball")
+        if not field.radial:
+            return
+        system = assemble_frozen(mesh, mesh.bind(field))
+        scale = np.abs(full.matrix.data).max()
+        assert np.abs(system.matrix.data - full.matrix.data).max() <= \
+            1e-12 * scale
+        radius = float(np.linalg.norm(mesh.vertices[mesh.boundary[0]]))
+        traces = FourierBasis(max_mode=4, radius=radius).trace_matrix(mesh)
+        factors.clear()
+        got = np.array([system.solve_dirichlet(g) for g in traces])
+        want = np.array([full.solve_dirichlet(g) for g in traces])
+        assert [kind for kind, _, _ in factors] == ["ring", "splu"]
+        M, R = dn_pairing(system, got, traces), dn_pairing(full, want, traces)
+        # the data agree to 5e-14, but the ring factor and SuperLU round
+        # differently: on sigma-1 and the finer shells the two solves of
+        # the same wedge data differ by up to 3e-12 of the largest pairing
+        # entry, and the two paths by up to 6e-12
+        assert np.abs(M - R).max() <= 1e-11 * np.abs(R).max()
+        # the cos(theta) column
+        assert np.abs(got[1] - want[1]).max() <= 1e-11 * np.abs(want[1]).max()
+
+    @pytest.mark.parametrize("make", [
+        lambda: constant_field(np.diag([2.0, 3.0])), off_center_ball],
+        ids=["diag(2, 3)", "off-center ball"])
+    def test_wrong_declaration_raises(self, make):
+        field = make()
+        field.radial = True
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        with pytest.raises(NumericalError, match="declared radial"):
+            assemble_frozen(mesh, mesh.bind(field))
+
+    def test_jumps_at_the_quadrature_points_raise(self):
+        # a laminate of period 0.25 decided on |x| as computed, without the
+        # preset's rounding: the midpoints 0.5, 1.0, 1.5 of the radial edges
+        # at h 0.2 lie on its jumps, and rounding puts their rotations on
+        # either side, at angular index 1 among others. The 2D stiffness
+        # is then not rotation invariant, and the wedge path refuses the
+        # field. (A flip that shows at neither angular index 0 nor 1 passes
+        # unseen.)
+        field = IsotropicField(
+            lambda p, t: np.where(
+                np.mod(np.linalg.norm(p, axis=1) / 0.25, 1.0) < 0.5, 1.0, 4.0),
+            StructureConstants(1.0, 4.0, 0.0), radial=True)
+        mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.2)
+        bare = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary)
+        full = assemble_frozen(bare, bare.bind(field))
+        assert rotation_defect(full.matrix, rotation_step(mesh)) > 1e-3
+        with pytest.raises(NumericalError, match="declared radial"):
+            assemble_frozen(mesh, mesh.bind(field))
 
 
 class TestNewtonSystem:

@@ -12,8 +12,10 @@ from cloaksim.qsolve import PicardConfig, solve_quasilinear
 
 
 def sin_field():
+    # depends on the state alone, so it declares itself radial
     return IsotropicField(lambda p, t: 2.0 + np.sin(t),
-                          StructureConstants(1.0, 3.0, 1.0), name="2+sin(t)")
+                          StructureConstants(1.0, 3.0, 1.0), name="2+sin(t)",
+                          radial=True)
 
 
 class TestConfig:
