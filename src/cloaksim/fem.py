@@ -11,9 +11,14 @@ cell: plain arithmetic on (nt, 3) arrays of gradient components, with no
 batched matrix product. Every matrix assembled on one mesh shares one CSR
 pattern (P1Pattern): an assembly sums the element matrices into its data
 array, J = K + C is the sum of two data arrays, and a linear system
-(SparseSystem) is made from that data alone. A TriMesh builds the pattern
-with itself, and with it every map read from the pattern: the edges, the
-boundary blocks and, on a ring mesh, its Wedge. One reader,
+(SparseSystem) is made from that data alone. The pattern is built from the
+triangles' edges, and gives the edges and the edges of each triangle with
+it. A TriMesh is its vertices and the geometry read from them (areas,
+gradients, edge midpoints) on a Connectivity: the triangles, the pattern
+and every map read from it, the boundary blocks and, on a ring mesh, its
+Wedge. No vertex coordinate enters the connectivity, so build_disk_mesh
+builds it once per layout (ring count and n_theta) and the meshes of a
+sweep that moves only the ring radii share it, read-only. One reader,
 P1Pattern.block, gives every block of the pattern: the boundary blocks and
 the interior block of each LU.
 
@@ -22,24 +27,30 @@ radial field (CoefficientField.radial: A(Qx, t) = Q A(x, t) Q^T for every
 rotation Q) frozen at the zero state. assemble_frozen then assembles only
 the Wedge, the triangles with a corner at angular index 0 or 1 and the
 center fan, and gathers the rest of the data from the rows at angular
-index 0 (Wedge.spin). The rows at angular index 1 check the field's
-declaration: where they differ from the gathered ones by more than 1e-9 of
-the largest band entry, the field is not radial and the assembly raises.
-The angular Fourier transform then splits such a system into one Hermitian
-tridiagonal system over the rings per mode (Bernardi, Dauge & Maday,
-Spectral Methods for Axisymmetric Domains, 1999); LAPACK factors and
-solves all modes as one tridiagonal (RingFactor). Every other system, and
-one whose bands are not symmetric or whose tridiagonal is not positive
-definite, is factored by SuperLU: the interior block, gathered from the
-pattern data through one call of splu (_InteriorOrdering.factor). The
-first SuperLU factor on a mesh computes a fill-reducing ordering; every
-later one on that mesh reuses it. Every SuperLU factor in the package, the
-periodic cell's included, is made with one setting of its supernode sizes,
-SUPERLU_SETTINGS. A solve reads the boundary data through the entries
-that couple interior rows to boundary columns (TriMesh.boundary_band),
-and a boundary flux reads the boundary rows alone (TriMesh.boundary_rows).
+index 0 (Wedge.spin). Two checks guard the declaration. TriMesh.bind
+evaluates the field at the wedge's edge midpoints turned by 1/4, 1/2 and
+3/4 of a turn, where A(Qx) must be Q A(x) Q^T to 1e-9 of the largest
+entry; and the rows at angular index 1, assembled too, must match the
+gathered ones to 1e-9 of the largest band entry, which catches a field
+that jumps at the quadrature points. A field that fails either is not
+radial, and NumericalError is raised. The angular Fourier transform then
+splits such a system into one Hermitian tridiagonal system over the rings
+per mode (Bernardi, Dauge & Maday, Spectral Methods for Axisymmetric
+Domains, 1999); LAPACK factors and solves all modes as one tridiagonal
+(RingFactor). Every other system, and one whose bands are not symmetric
+or whose tridiagonal is not positive definite, is factored by SuperLU:
+the interior block, gathered from the pattern data through one call of
+splu (_InteriorOrdering.factor). The first SuperLU factor on a mesh
+computes a fill-reducing ordering, which the mesh keeps (TriMesh.ordering);
+every later one on that mesh reuses it. Every SuperLU factor in the
+package, the periodic cell's included, is made with one setting of its
+supernode sizes, SUPERLU_SETTINGS. A solve reads the boundary data
+through the entries that couple interior rows to boundary columns
+(TriMesh.boundary_band), and a boundary flux reads the boundary rows alone
+(TriMesh.boundary_rows).
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +62,7 @@ from scipy.sparse.linalg import cg, splu  # noqa: F401
 from .errors import NumericalError, PreconditionError
 
 __all__ = [
+    "Connectivity",
     "TriMesh",
     "SparseSystem",
     "RingFactor",
@@ -100,84 +112,113 @@ class Wedge(NamedTuple):
     bands: tuple
 
 
-class TriMesh:
-    """Triangulation of a disk, with every map that assembly, solves and
-    fluxes read, all built here.
+class Connectivity(NamedTuple):
+    """The maps of a triangulation that no vertex coordinate enters: what
+    a TriMesh shares with every mesh of its layout (build_disk_mesh).
 
-    n_theta is the vertex count per ring when the mesh has the layout of
-    build_disk_mesh: the center vertex, then rings of n_theta vertices in
-    angular order from the inside out, the last ring the boundary. It is
-    None for any other mesh.
-
-    Attributes besides the arguments:
-    areas, grads : (nt,) and (nt, 3, 2) element areas and barycentric
-        gradients (p1_elements).
+    triangles : (nt, 3) the corners of each triangle, counterclockwise.
+    boundary : the boundary vertices, in order.
+    n_vertices : the vertex count.
+    n_theta : the vertex count per ring when the triangulation has the
+        layout of build_disk_mesh: the center vertex, then rings of n_theta
+        vertices in angular order from the inside out, the last ring the
+        boundary. None for any other triangulation.
     interior : the vertices not on the boundary, in order.
-    pattern : the P1Pattern of every matrix assembled on this mesh; it
-        keeps the ordering of the mesh's first LU.
-    edges : (ne, 2) the two ends i < j of each edge: one edge per entry of
-        the pattern above its diagonal, in the pattern's order.
-    edge_of : (nt, 3) the index in edges of the edges m01, m12, m20 of each
-        triangle, read through the pattern's slot of its upper entry.
-    midpoints : (ne, 2) the assembly quadrature points, the midpoint of
-        each edge.
-    h_max : the longest edge.
+    pattern : the P1Pattern of every matrix assembled on the triangles.
+    edges, edge_of : the pattern's edges and the edges of each triangle
+        (P1Pattern.edges, P1Pattern.edge_of).
     boundary_band : the pattern's entries in an interior row and a
         boundary column (P1Pattern.block): what a solve reads of its
         boundary data.
     boundary_rows : the pattern's entries in a boundary row: what the
         boundary flux of a solution reads.
-    wedge : the Wedge of a ring mesh with at least one interior ring,
+    wedge : the Wedge of a ring layout with at least one interior ring,
         whose pattern the rotation by one angular step maps onto itself;
-        None for any other mesh.
+        None for any other triangulation.
+
+    Every array in it is read-only, since the meshes of a layout share it.
     """
 
-    def __init__(self, vertices, triangles, boundary, n_theta=None):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = np.asarray(triangles, dtype=np.int64)
-        self.boundary = np.asarray(boundary, dtype=np.int64)
-        self.n_theta = n_theta
-        self.areas, self.grads = p1_elements(self.vertices[self.triangles])
-        mask = np.zeros(self.n_vertices, dtype=bool)
-        mask[self.boundary] = True
-        self.interior = np.nonzero(~mask)[0]
-        self.pattern = pattern = P1Pattern(self.triangles, self.n_vertices)
-        rows = pattern.rows()
-        upper = pattern.indices > rows
-        self.edges = np.stack([rows[upper], pattern.indices[upper]], axis=1)
-        del rows                  # before the blocks below allocate theirs
-        number = np.cumsum(upper) - 1
-        slot = pattern.slot.reshape(-1, 3, 3)
-        a, b = [0, 1, 2], [1, 2, 0]
-        ascending = self.triangles[:, a] < self.triangles[:, b]
-        self.edge_of = number[np.where(ascending, slot[:, a, b],
-                                       slot[:, b, a])]
-        ends = self.vertices[self.edges]
-        self.midpoints = 0.5 * (ends[:, 0] + ends[:, 1])
-        self.h_max = float(np.linalg.norm(ends[:, 1] - ends[:, 0],
-                                          axis=1).max())
-        self.boundary_band = pattern.block(self.interior, self.boundary)
-        self.boundary_rows = pattern.block(self.boundary,
-                                           np.arange(self.n_vertices))
-        self.wedge = None
-        if n_theta is not None and self.n_vertices > 1 + n_theta:
-            self.wedge = _wedge(self, n_theta)
+    triangles: np.ndarray
+    boundary: np.ndarray
+    n_vertices: int
+    n_theta: int
+    interior: np.ndarray
+    pattern: "P1Pattern"
+    edges: np.ndarray
+    edge_of: np.ndarray
+    boundary_band: tuple
+    boundary_rows: tuple
+    wedge: Wedge
 
-    @property
-    def n_vertices(self):
-        return len(self.vertices)
+    @classmethod
+    def of(cls, triangles, boundary, n_vertices, n_theta=None):
+        """The connectivity of these triangles (copied) and boundary."""
+        triangles = np.array(triangles, dtype=np.int64)
+        boundary = np.array(boundary, dtype=np.int64)
+        mask = np.zeros(n_vertices, dtype=bool)
+        mask[boundary] = True
+        interior = np.nonzero(~mask)[0]
+        pattern = P1Pattern(triangles, n_vertices)
+        band = pattern.block(interior, boundary)
+        rows = pattern.block(boundary, np.arange(n_vertices))
+        wedge = None
+        if n_theta is not None and n_vertices > 1 + n_theta:
+            wedge = _wedge(pattern, triangles, n_theta)
+        _read_only(triangles, boundary, interior, *band, *rows)
+        return cls(triangles, boundary, n_vertices, n_theta, interior,
+                   pattern, pattern.edges, pattern.edge_of, band, rows, wedge)
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+
+
+class TriMesh:
+    """Triangulation of a disk: the vertices and the geometry read from
+    them, on a Connectivity.
+
+    Every field of the connectivity is an attribute of the mesh (triangles,
+    boundary, n_vertices, n_theta, interior, pattern, edges, edge_of,
+    boundary_band, boundary_rows, wedge), the same objects for every mesh
+    that shares it. Besides them:
+    areas, grads : (nt,) and (nt, 3, 2) element areas and barycentric
+        gradients (p1_elements).
+    midpoints : (ne, 2) the assembly quadrature points, the midpoint of
+        each edge.
+    h_max : the longest edge.
+    ordering : the interior ordering of the mesh's first LU
+        (_InteriorOrdering), None before it.
+    """
+
+    def __init__(self, vertices, connectivity):
+        self.vertices = np.asarray(vertices, dtype=float)
+        if self.vertices.shape != (connectivity.n_vertices, 2):
+            raise PreconditionError(
+                "vertices must be one point per vertex of the connectivity")
+        vars(self).update(connectivity._asdict())
+        self.areas, self.grads = p1_elements(self.vertices[self.triangles])
+        start = self.vertices[self.edges[:, 0]]
+        end = self.vertices[self.edges[:, 1]]
+        self.midpoints = start + end
+        self.midpoints *= 0.5
+        end -= start
+        self.h_max = float(np.sqrt((end * end).sum(axis=1).max()))
+        self.ordering = None
 
     def bind(self, field):
         """The field at the assembly quadrature points as a function of the
         state alone: the coefficient that assemble_frozen takes.
 
-        On a mesh with a wedge, a radial field is bound at the wedge's edge
-        midpoints too (BoundField.wedge). A linear one is evaluated at every
-        midpoint only when a state asks for it, which the zero state does
-        not."""
+        On a mesh with a wedge, a radial field is evaluated at the wedge's
+        edge midpoints at the zero state (BoundField.wedge), after a check
+        of its declaration there (_radial_at). A linear one is evaluated at
+        every midpoint only when a state asks for it, which the zero state
+        does not."""
         if self.wedge is None or not field.radial:
             return BoundField(field.bind(self.midpoints), None)
-        wedge = field.bind(self.midpoints[self.wedge.edges])
+        wedge = _radial_at(field, self.midpoints[self.wedge.edges])
         if field.is_linear:
             return BoundField(lambda t: field.eval(self.midpoints, t), wedge)
         return BoundField(field.bind(self.midpoints), wedge)
@@ -209,8 +250,8 @@ class BoundField:
 
     Called with the states at the edge midpoints (a scalar or one per
     edge), it gives the tensors there, (ne, 2, 2). wedge, for a radial
-    field on a mesh with a Wedge, gives them at the wedge's edges alone;
-    None otherwise.
+    field on a mesh with a Wedge, is its tensors at the wedge's edge
+    midpoints at the zero state; None otherwise.
     """
 
     def __init__(self, every, wedge):
@@ -221,16 +262,41 @@ class BoundField:
         return self.every(t)
 
 
-def _wedge(mesh, n):
-    """The Wedge of a ring mesh with n vertices per ring, or None when the
-    rotation by one angular step does not map its pattern onto itself."""
-    pattern, nv = mesh.pattern, mesh.n_vertices
+def _radial_at(field, points):
+    """The tensors A(x, 0) of a field declared radial at these points,
+    evaluated in one call with A(Q x, 0) for the rotations Q by 1/4, 1/2
+    and 3/4 of a turn, which turn points and tensors without rounding.
+    Where A(Q x, 0) differs from Q A(x, 0) Q^T by more than 1e-9 of the
+    largest entry, the field is not radial and NumericalError is raised."""
+    quarter = points[:, ::-1] * [-1.0, 1.0]                # (-y, x)
+    amats = field.bind(np.concatenate(
+        [points, quarter, -points, -quarter]))(0.0).reshape(4, -1, 2, 2)
+    # Q A Q^T is A for the half turn, [[d, -c], [-b, a]] for the others
+    turned = amats[0, :, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]
+    defect = max(np.abs(amats[1] - turned).max(),
+                 np.abs(amats[2] - amats[0]).max(),
+                 np.abs(amats[3] - turned).max())
+    scale = np.abs(amats).max()
+    if defect > 1e-9 * scale:
+        raise NumericalError(
+            f"a field declared radial is not rotation equivariant: at the "
+            f"wedge's quadrature points turned by 1/4, 1/2 or 3/4 of a turn "
+            f"its tensors differ from the turned ones by {defect / scale:.3e} "
+            f"of the largest entry (above 1e-9)")
+    return amats[0].copy()
+
+
+def _wedge(pattern, triangles, n):
+    """The Wedge of the pattern of a ring layout's triangles with n vertices
+    per ring, read-only, or None when the rotation by one angular step does
+    not map the pattern onto itself."""
+    nv = pattern.n
     # the center and the vertices of angular index 0 and 1
     marked = np.ones(nv, dtype=bool)
     marked[1:] = np.arange(nv - 1) % n < 2
-    triangles = np.nonzero(marked[mesh.triangles].any(axis=1))[0]
-    edges = np.unique(mesh.edge_of[triangles])
-    edge_of = np.searchsorted(edges, mesh.edge_of[triangles])
+    (ours,) = np.nonzero(marked[triangles].any(axis=1))
+    edges = np.unique(pattern.edge_of[ours])
+    edge_of = np.searchsorted(edges, pattern.edge_of[ours])
     # each entry (r, c) turned back by the angular index j of its row: ring
     # vertex (b, i) goes to (b, i - j), the center stays. In place where it
     # can be, as each temporary holds 4 or 8 bytes per entry
@@ -268,8 +334,9 @@ def _wedge(mesh, n):
     ring = (np.searchsorted(ptr, pos, side="right") - 2) // n
     col_ring, j = np.divmod(cols[pos] - 1, n)
     flat = ((1 + col_ring - ring) * m + ring) * n + j
-    return Wedge(triangles, edges, edge_of, spin.astype(np.int32), turned,
-                 (pos, flat))
+    spin = spin.astype(np.int32)
+    _read_only(ours, edges, edge_of, spin, turned, pos, flat)
+    return Wedge(ours, edges, edge_of, spin, turned, (pos, flat))
 
 
 def _ring_radii(radius, aligned_radii, h_target, radial_bands):
@@ -331,18 +398,26 @@ def build_disk_mesh(radius, aligned_radii=(), h_target=0.1, n_theta=None,
         raise PreconditionError(
             f"h_target={h_target} too coarse: only {n_theta} vertices per circle "
             "(need at least 8)")
-    rad = _ring_radii(radius, aligned_radii, h_target, radial_bands)
-    rings = rad[1:]
+    rings = _ring_radii(radius, aligned_radii, h_target, radial_bands)[1:]
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    ct, st = np.cos(theta), np.sin(theta)
-
     verts = np.zeros((1 + len(rings) * n_theta, 2))
-    verts[1:, 0] = np.outer(rings, ct).ravel()
-    verts[1:, 1] = np.outer(rings, st).ravel()
+    verts[1:, 0] = np.outer(rings, np.cos(theta)).ravel()
+    verts[1:, 1] = np.outer(rings, np.sin(theta)).ravel()
+    mesh = TriMesh(verts, _ring_connectivity(len(rings), n_theta))
+    if default_theta and radial_bands is None and mesh.h_max > 1.5 * h_target:
+        raise NumericalError(
+            f"mesh h_max {mesh.h_max:.3g} exceeds 1.5 * h_target")
+    return mesh
 
+
+@lru_cache(maxsize=1)
+def _ring_connectivity(n_rings, n_theta):
+    """The Connectivity of the layout of build_disk_mesh with n_rings rings
+    of n_theta vertices; the last layout is kept, since a sweep that moves
+    only the ring radii builds every mesh on one layout."""
     # vertex (i, j) of ring i at angle j, and its neighbour (i, j + 1)
     j = np.arange(n_theta)
-    first = 1 + n_theta * np.arange(len(rings))[:, None]
+    first = 1 + n_theta * np.arange(n_rings)[:, None]
     at, after = first + j, first + (j + 1) % n_theta
     fan = np.stack([np.zeros_like(j), at[0], after[0]], axis=1)
     # ring bands: quad (a inner-j, b inner-j+1, c outer-j, d outer-j+1),
@@ -350,13 +425,7 @@ def build_disk_mesh(radius, aligned_radii=(), h_target=0.1, n_theta=None,
     a, b, c, d = at[:-1], after[:-1], at[1:], after[1:]
     quads = np.array([[a, d, b], [a, c, d]]).transpose(2, 0, 3, 1)
     tris = np.concatenate([fan, quads.reshape(-1, 3)])
-    boundary = at[-1]
-
-    mesh = TriMesh(verts, tris, boundary, n_theta=n_theta)
-    if default_theta and radial_bands is None and mesh.h_max > 1.5 * h_target:
-        raise NumericalError(
-            f"mesh h_max {mesh.h_max:.3g} exceeds 1.5 * h_target")
-    return mesh
+    return Connectivity.of(tris, at[-1], 1 + n_rings * n_theta, n_theta)
 
 
 def _nodal(mesh, values):
@@ -458,29 +527,71 @@ def p1_stiffness(areas, grads, amats, pattern, triangles=None):
 
 
 class P1Pattern:
-    """The CSR pattern of the P1 matrices on one set of triangles.
+    """The CSR pattern of the P1 matrices on one set of triangles, built
+    from their edges.
 
-    dofs : (nt, 3) global degree of freedom of each corner. indptr and
-    indices are canonical (rows in order, sorted columns, no duplicates);
-    slot[9 t + 3 i + j] is the position in data of the entry that couples
-    dofs[t, i] to dofs[t, j]. ordering is the interior ordering of the
-    first LU on the pattern (_InteriorOrdering), None before it.
+    dofs : (nt, 3) global degree of freedom of each corner. edges (ne, 2)
+    holds the two ends i < j of each edge, sorted by i, then j; edge_of
+    (nt, 3) the index in edges of the edges m01, m12, m20 of each triangle.
+    indptr and indices are canonical (rows in order, sorted columns, no
+    duplicates): row i holds its lower neighbours, its diagonal when some
+    triangle has the corner i, and its upper neighbours, so the upper
+    entries are the edges in their order. slot[9 t + 3 i + j] is the
+    position in data of the entry that couples dofs[t, i] to dofs[t, j].
+    Every array is read-only, since every matrix on the triangles shares
+    them.
     """
 
     def __init__(self, dofs, n_dofs):
-        # row-major key of each entry: dofs[t, i] * n_dofs + dofs[t, j]
-        keys = np.repeat(np.asarray(dofs, dtype=np.int64) * n_dofs, 3,
-                         axis=1).ravel()
-        keys += np.tile(dofs, (1, 3)).ravel()
-        # sorted and deduplicated; np.unique takes about four times as long
-        entries = np.sort(keys)
-        entries = entries[np.diff(entries, prepend=-1) != 0]
-        self.slot = np.searchsorted(entries, keys).astype(np.int32)
-        self.n = int(n_dofs)
-        self.indices = (entries % n_dofs).astype(np.int32)
-        self.indptr = np.searchsorted(
-            entries, np.arange(n_dofs + 1) * n_dofs).astype(np.int32)
-        self.ordering = None
+        dofs = np.asarray(dofs, dtype=np.int64)
+        n = self.n = int(n_dofs)
+        # the key lo n + hi of each edge lo < hi of each triangle, sorted and
+        # deduplicated; np.unique takes about four times as long
+        a, b = dofs, dofs[:, [1, 2, 0]]
+        ascending = a < b
+        keys = np.where(ascending, a, b)
+        keys *= n
+        keys += np.where(ascending, b, a)
+        del b
+        keys = keys.ravel()
+        edge_keys = np.sort(keys)
+        edge_keys = edge_keys[np.diff(edge_keys, prepend=-1) != 0]
+        self.edge_of = np.searchsorted(edge_keys, keys).reshape(-1, 3)
+        del keys
+        lo, hi = np.divmod(edge_keys, n)
+        self.edges = np.stack([lo, hi], axis=1)
+        ne = len(lo)
+        n_lower = np.bincount(hi, minlength=n)
+        n_upper = np.bincount(lo, minlength=n)
+        diagonal = n_lower + n_upper > 0
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(n_lower + diagonal + n_upper, out=indptr[1:])
+        # edge e is the e-th upper entry, after the lower and diagonal
+        # entries of its row and of the rows before it
+        upper = np.arange(ne) + np.cumsum(n_lower + diagonal)[lo]
+        # the edges by their upper end hi, then lo, are the lower entries;
+        # the rows before hi hold all their diagonal and upper entries
+        by_hi = np.argsort(hi, kind="stable")
+        before = np.cumsum(diagonal + n_upper)
+        before -= diagonal + n_upper
+        lower = np.empty(ne, dtype=np.int64)
+        lower[by_hi] = np.arange(ne) + before[hi[by_hi]]
+        del by_hi, before
+        on_diagonal = indptr[:-1] + n_lower
+        self.indices = np.empty(indptr[-1], dtype=np.int32)
+        self.indices[upper] = hi
+        self.indices[lower] = lo
+        (used,) = np.nonzero(diagonal)
+        self.indices[on_diagonal[used]] = used
+        self.indptr = indptr.astype(np.int32)
+        slot = np.empty((len(dofs), 3, 3), dtype=np.int32)
+        slot[:, [0, 1, 2], [0, 1, 2]] = on_diagonal[dofs]
+        up, down = upper[self.edge_of], lower[self.edge_of]
+        slot[:, [0, 1, 2], [1, 2, 0]] = np.where(ascending, up, down)
+        slot[:, [1, 2, 0], [0, 1, 2]] = np.where(ascending, down, up)
+        self.slot = slot.ravel()
+        _read_only(self.edge_of, self.edges, self.indices, self.indptr,
+                   self.slot)
 
     @property
     def nnz(self):
@@ -555,7 +666,7 @@ def assemble_frozen(mesh, coef, state=None, load=None):
     if load is None:
         load = np.zeros(mesh.n_vertices)
     if state is None and coef.wedge is not None:
-        return SparseSystem(_wedge_stiffness(mesh, coef.wedge(0.0)), load,
+        return SparseSystem(_wedge_stiffness(mesh, coef.wedge), load,
                             mesh, circulant=True)
     if state is None:
         t_mid = 0.0
@@ -742,16 +853,16 @@ class SparseSystem:
 def _interior_lu(system):
     """SuperLU factor of the system's interior block, and its kind: "lu"
     for the first on a mesh, which orders the block by minimum degree and
-    leaves that ordering to the mesh's pattern, "lu-reordered" for every
-    later one, which reuses it."""
+    leaves that ordering to the mesh (TriMesh.ordering), "lu-reordered" for
+    every later one, which reuses it."""
     mesh, data = system.mesh, system.matrix.data
-    if mesh.pattern.ordering is not None:
-        return mesh.pattern.ordering.factor(data, "NATURAL"), "lu-reordered"
+    if mesh.ordering is not None:
+        return mesh.ordering.factor(data, "NATURAL"), "lu-reordered"
     # minimum degree on A^T + A; the Newton systems have a symmetric
     # pattern, and their fill is 40 % below COLAMD's
     first = _InteriorOrdering(mesh, np.arange(len(mesh.interior))).factor(
         data, "MMD_AT_PLUS_A")
-    mesh.pattern.ordering = _InteriorOrdering(mesh, first.lu.perm_c)
+    mesh.ordering = _InteriorOrdering(mesh, first.lu.perm_c)
     return first, "lu"
 
 

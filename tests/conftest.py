@@ -61,3 +61,12 @@ def oscillating_case(target):
         3.0, aligned_radii=(1.0, spec.R - 2 * spec.eta, spec.R, 2.0),
         h_target=0.25, n_theta=32, radial_bands=[(seam, 2.0, dr)])
     return (spec.homogenized() if target else spec.field()), mesh
+
+
+def bare_mesh(mesh):
+    """The same triangulation without its ring layout, on a connectivity
+    of its own."""
+    from cloaksim.fem import Connectivity, TriMesh
+
+    return TriMesh(mesh.vertices, Connectivity.of(
+        mesh.triangles, mesh.boundary, mesh.n_vertices))

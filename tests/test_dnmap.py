@@ -9,13 +9,13 @@ from cloaksim.coeff import (IsotropicField, ProductField, StructureConstants,
 from cloaksim.dnmap import (DtNOperator, FourierBasis, dn_difference,
                             dn_operator, neumann_trace_error)
 from cloaksim.errors import PreconditionError
-from cloaksim.fem import (P1Pattern, TriMesh, assemble_frozen,
-                          build_disk_mesh, p1_stiffness)
+from cloaksim.fem import (P1Pattern, assemble_frozen, build_disk_mesh,
+                          p1_stiffness)
 from cloaksim.geometry import (DiffMap, pushforward, regular_blowup,
                                transformed_inner_tensor,
                                truncated_singular_cloak)
 from cloaksim.presets import inclusion_field, preset_field
-from conftest import oscillating_case
+from conftest import bare_mesh, oscillating_case
 
 
 class TestBasis:
@@ -199,7 +199,7 @@ RADIAL_CASES = {
 def _pairing_and_lu_reference(field, mesh, basis):
     """dn_operator as the program runs it, and again on the same mesh built
     without its ring layout, where SuperLU factors every system."""
-    bare = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary)
+    bare = bare_mesh(mesh)
     return dn_operator(field, basis, mesh), dn_operator(field, basis, bare)
 
 

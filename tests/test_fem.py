@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
@@ -12,28 +13,30 @@ from cloaksim.coeff import (IsotropicField, ProductField,
                             identity_field, piecewise_field)
 from cloaksim.dnmap import FourierBasis, dn_operator
 from cloaksim.errors import NumericalError, PreconditionError
-from cloaksim.fem import (SUPERLU_SETTINGS, SparseSystem, TriMesh,
-                          assemble_frozen, build_disk_mesh, h1_norm,
+from cloaksim.experiments import (ExperimentConfig,
+                                 run_truncated_singular_sweep)
+from cloaksim.fem import (SUPERLU_SETTINGS, Connectivity, SparseSystem,
+                          TriMesh, assemble_frozen, build_disk_mesh, h1_norm,
                           h1_seminorm, l2_norm, newton_system, p1_elements,
                           p1_stiffness, ring_factor)
 from cloaksim.geometry import pushforward, regular_blowup
 from cloaksim.homog import _cell_grid
 from cloaksim.presets import preset_field, preset_problem
 from cloaksim.qsolve import dn_pairing
-from conftest import oscillating_case
+from conftest import bare_mesh, oscillating_case
 
 
 def unit_triangle():
     # single right triangle (0,0)-(1,0)-(0,1), all vertices on the boundary
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
-    return TriMesh(verts, tris, boundary=np.array([0, 1, 2]))
+    return TriMesh(verts, Connectivity.of(tris, [0, 1, 2], 3))
 
 
 def square_mesh():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
-    return TriMesh(verts, tris, boundary=np.array([0, 1, 2, 3]))
+    return TriMesh(verts, Connectivity.of(tris, [0, 1, 2, 3], 4))
 
 
 class TestLocalAssembly:
@@ -347,7 +350,7 @@ class TestRingDetector:
     def test_mesh_without_ring_layout(self, factors):
         # the same disk, built by hand without recording its rings
         mesh = build_disk_mesh(2.0, h_target=0.2)
-        bare = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary)
+        bare = bare_mesh(mesh)
         assert mesh.n_theta == 64 and bare.n_theta is None
         assert bare.wedge is None
         system = assemble_frozen(bare, bare.bind(identity_field(2)))
@@ -475,7 +478,8 @@ class TestWedge:
         (second,) = np.nonzero((tris == a).any(1) & (tris == d).any(1)
                                & (tris == c).any(1))
         tris[first], tris[second] = [a, c, b], [b, c, d]
-        other = TriMesh(mesh.vertices, tris, mesh.boundary, n_theta=n)
+        other = TriMesh(mesh.vertices, Connectivity.of(
+            tris, mesh.boundary, mesh.n_vertices, n))
         assert mesh.wedge is not None and other.wedge is None
 
 
@@ -487,6 +491,17 @@ def off_center_ball():
         return np.where(inside, 5.0, 1.0)
     return IsotropicField(scalar, StructureConstants(1.0, 5.0, 0.0),
                           name="off-center ball")
+
+
+def five_on_ball(center, radius):
+    # 5 on the disk of this radius about center, 1 elsewhere. About
+    # (0, 1) it lies a quarter turn from the wedge; about (0.5, 0) it
+    # covers the wedge's rows at angular index 0 and 1 alike
+    def scalar(pts, t):
+        inside = np.linalg.norm(pts - center, axis=1) < radius
+        return np.where(inside, 5.0, 1.0)
+    return IsotropicField(scalar, StructureConstants(1.0, 5.0, 0.0),
+                          name=f"5 on the ball about {center}")
 
 
 # the laminate jumps at radii 0.125 k, among them the midpoints 0.5, 1.0
@@ -526,7 +541,7 @@ class TestRadialDeclaration:
     @pytest.mark.parametrize("case", list(DECLARATION_CASES))
     def test_declared_exactly_when_rotation_invariant(self, case, factors):
         field, mesh = DECLARATION_CASES[case]()
-        bare = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary)
+        bare = bare_mesh(mesh)
         full = assemble_frozen(bare, bare.bind(field))
         invariant = rotation_defect(full.matrix, rotation_step(mesh)) <= 1e-12
         assert field.radial == invariant
@@ -553,8 +568,11 @@ class TestRadialDeclaration:
         assert np.abs(got[1] - want[1]).max() <= 1e-11 * np.abs(want[1]).max()
 
     @pytest.mark.parametrize("make", [
-        lambda: constant_field(np.diag([2.0, 3.0])), off_center_ball],
-        ids=["diag(2, 3)", "off-center ball"])
+        lambda: constant_field(np.diag([2.0, 3.0])), off_center_ball,
+        lambda: five_on_ball((0.0, 1.0), 0.5),
+        lambda: five_on_ball((0.5, 0.0), 0.4)],
+        ids=["diag(2, 3)", "off-center ball", "ball at a quarter turn",
+             "ball on both rays"])
     def test_wrong_declaration_raises(self, make):
         field = make()
         field.radial = True
@@ -575,7 +593,7 @@ class TestRadialDeclaration:
                 np.mod(np.linalg.norm(p, axis=1) / 0.25, 1.0) < 0.5, 1.0, 4.0),
             StructureConstants(1.0, 4.0, 0.0), radial=True)
         mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.2)
-        bare = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary)
+        bare = bare_mesh(mesh)
         full = assemble_frozen(bare, bare.bind(field))
         assert rotation_defect(full.matrix, rotation_step(mesh)) > 1e-3
         with pytest.raises(NumericalError, match="declared radial"):
@@ -686,7 +704,8 @@ def jittered_square():
     a, b = idx[:-1, :-1].ravel(), idx[1:, :-1].ravel()
     c, d = idx[:-1, 1:].ravel(), idx[1:, 1:].ravel()
     tris = np.concatenate([np.stack([a, b, d], 1), np.stack([a, d, c], 1)])
-    return TriMesh(verts, tris, boundary=np.nonzero(~inside)[0])
+    return TriMesh(verts, Connectivity.of(tris, np.nonzero(~inside)[0],
+                                          len(verts)))
 
 
 class TestFixedPattern:
@@ -772,6 +791,116 @@ class TestFixedPattern:
                                 np.repeat(amat[:, None], 3, axis=1))
             assert_close(stiff, want)
             assert_canonical(stiff)
+
+
+def disk_triangles():
+    mesh = build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.3)
+    return mesh.triangles, mesh.n_vertices
+
+
+def band_triangles():
+    # the triangles whose centroid lies in the annulus 1.5 <= r <= 2 of an
+    # aligned disk: the rows of the vertices inside r < 1.5 have none
+    mesh = build_disk_mesh(2.0, aligned_radii=(0.4,), h_target=0.2)
+    inside = annulus(1.5, 2.0).contains(
+        mesh.vertices[mesh.triangles].mean(axis=1))
+    return mesh.triangles[inside], mesh.n_vertices
+
+
+PATTERN_INPUTS = {
+    "disk": disk_triangles,
+    "periodic cell 8x8": lambda: (_cell_grid(8, 8)[0], 2 * 8 * 8),
+    "band of triangles": band_triangles,
+}
+
+
+class TestEdgeFirstPattern:
+    """The pattern built from the triangles' edges against scipy's sum of
+    the 9 entries of each triangle (coo_matrix(...).tocsr()), which shares
+    no code with it."""
+
+    @pytest.mark.parametrize("case", sorted(PATTERN_INPUTS))
+    def test_against_the_summed_entries(self, case):
+        dofs, n = PATTERN_INPUTS[case]()
+        rows = np.repeat(dofs, 3, axis=1).ravel()
+        cols = np.tile(dofs, (1, 3)).ravel()
+        want = coo_matrix((np.ones(len(rows)), (rows, cols)),
+                          shape=(n, n)).tocsr()
+        want.sum_duplicates()
+        pattern = fem.P1Pattern(dofs, n)
+        assert np.array_equal(pattern.indptr, want.indptr)
+        assert np.array_equal(pattern.indices, want.indices)
+        # slot[9 t + 3 i + j] holds the entry (dofs[t, i], dofs[t, j])
+        at = pattern.slot
+        assert np.array_equal(
+            np.searchsorted(want.indptr, at, side="right") - 1, rows)
+        assert np.array_equal(want.indices[at], cols)
+        # the upper entries are the edges, in their order
+        row_of = np.repeat(np.arange(n), np.diff(want.indptr))
+        upper = want.indices > row_of
+        assert np.array_equal(pattern.edges,
+                              np.stack([row_of[upper], want.indices[upper]],
+                                       axis=1))
+        if case == "band of triangles":
+            empty = np.setdiff1d(np.arange(n), dofs)
+            assert len(empty) > 0
+            assert np.all(np.diff(pattern.indptr)[empty] == 0)
+
+
+class TestSharedConnectivity:
+    """The meshes of one ring layout share its connectivity, and keep their
+    own geometry and their own first LU."""
+
+    @staticmethod
+    def two_meshes():
+        # 10 rings of 64 vertices each, at radii 0.2 k and 0.1 k
+        return (build_disk_mesh(2.0, h_target=0.2, n_theta=64),
+                build_disk_mesh(1.0, h_target=0.1, n_theta=64))
+
+    def test_one_layout_one_connectivity(self):
+        big, small = self.two_meshes()
+        assert big.n_vertices == small.n_vertices == 1 + 10 * 64
+        for name in ("triangles", "boundary", "interior", "pattern", "edges",
+                     "edge_of", "boundary_band", "boundary_rows", "wedge"):
+            assert getattr(big, name) is getattr(small, name)
+        assert big.vertices is not small.vertices
+        np.testing.assert_array_equal(big.vertices, 2.0 * small.vertices)
+        np.testing.assert_array_equal(big.areas, 4.0 * small.areas)
+        other = build_disk_mesh(2.0, h_target=0.2, n_theta=72)
+        assert other.pattern is not big.pattern
+
+    def test_first_lu_on_each_mesh(self):
+        kinds = []
+        for mesh in self.two_meshes():
+            coef = mesh.bind(preset_field("isotropic-sin"))
+            x, y = mesh.vertices.T
+            g = np.cos(3.0 * mesh.boundary_angles())
+            for c in (0.5, 1.0):
+                u = c * (np.sin(x) + x * y)
+                system = newton_system(assemble_frozen(mesh, coef, state=u),
+                                       coef, u)
+                system.solve_dirichlet(g)
+                kinds.append(system.factor_kind)
+        assert kinds == ["lu", "lu-reordered"] * 2
+
+    def test_shared_arrays_are_read_only(self):
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        pattern, wedge = mesh.pattern, mesh.wedge
+        shared = [mesh.triangles, mesh.boundary, mesh.interior,
+                  pattern.indptr, pattern.indices, pattern.slot, mesh.edges,
+                  mesh.edge_of, *mesh.boundary_band, *mesh.boundary_rows,
+                  wedge.triangles, wedge.edges, wedge.edge_of, wedge.spin,
+                  wedge.turned, *wedge.bands]
+        for array in shared:
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+
+    def test_a_sweep_over_rho_builds_one_connectivity(self):
+        fem._ring_connectivity.cache_clear()
+        run_truncated_singular_sweep(ExperimentConfig(
+            schedule=(1.5, 1.25, 1.1), h=0.25, modes=2))
+        info = fem._ring_connectivity.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 ENDS = [(0, 1), (1, 2), (2, 0)]
@@ -916,7 +1045,7 @@ class TestOrderingReuse:
         assert system.factor_kind == "lu"
         m = len(mesh.interior)
         first = fem._InteriorOrdering(mesh, np.arange(m))
-        reordered = mesh.pattern.ordering
+        reordered = mesh.ordering
         assert not np.array_equal(reordered.inv, np.arange(m))
         matrix = system.matrix
         for ordering in (first, reordered):

@@ -117,6 +117,41 @@ def name_of(node):
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
+def written_objects(target):
+    """The objects an assignment target writes into: for each attribute or
+    item it assigns, the chain of objects it is reached through."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from written_objects(element)
+    elif isinstance(target, ast.Starred):
+        yield from written_objects(target.value)
+    else:
+        while isinstance(target, (ast.Attribute, ast.Subscript)):
+            target = target.value
+            yield target
+
+
+def test_nothing_is_assigned_into_a_pattern():
+    # a P1Pattern is shared by every mesh of a layout and every cell solve
+    # of a resolution, so what one mesh keeps (its first LU's ordering) is
+    # kept on the mesh
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for target in targets
+                      for obj in written_objects(target)
+                      if isinstance(obj, ast.Attribute)
+                      and obj.attr == "pattern"]
+    assert not found, ("assignments into a .pattern:\n"
+                       + "\n".join(found))
+
+
 def test_one_scatter_idiom_and_no_einsum_in_the_p1_kernels():
     # the package sums into vectors and CSR data with np.bincount;
     # np.add.at is an unbuffered loop. fem and homog contract per-triangle
