@@ -149,6 +149,16 @@ def _cmd_map_check(args):
     return 0
 
 
+def _emit(doc, args):
+    """Print the JSON document, and write it under --out-dir when --out is
+    given."""
+    text = json.dumps(doc, indent=1, sort_keys=True)
+    if args.out:
+        with open(os.path.join(args.out_dir, args.out), "w") as fh:
+            fh.write(text + "\n")
+    print(text)
+
+
 def _cmd_solve(args):
     field, radius, interfaces = preset_problem(args.coeff)
     mesh = build_disk_mesh(radius, aligned_radii=interfaces, h_target=args.h)
@@ -158,11 +168,7 @@ def _cmd_solve(args):
     doc = {"coefficient": args.coeff, "mode": args.mode,
            "l2": l2_norm(mesh, res.u), "h1": h1_norm(mesh, res.u),
            "iterations": res.iterations, "converged": res.converged}
-    text = json.dumps(doc, indent=1, sort_keys=True)
-    if args.out:
-        with open(os.path.join(args.out_dir, args.out), "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(doc, args)
     return 0 if res.converged else 3
 
 
@@ -198,11 +204,7 @@ def _cmd_cell(args):
            "mean_residual": sol.mean_residual}
     if sol.bounds:
         doc["bounds"] = {"harmonic": sol.bounds[0], "arithmetic": sol.bounds[1]}
-    text = json.dumps(doc, indent=1, sort_keys=True)
-    if args.out:
-        with open(os.path.join(args.out_dir, args.out), "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(doc, args)
     return 0
 
 

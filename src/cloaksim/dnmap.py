@@ -42,12 +42,7 @@ class FourierBasis:
 
     def modes(self):
         """Mode number of each basis index."""
-        k = np.empty(self.size, dtype=int)
-        k[0] = 0
-        for m in range(1, self.max_mode + 1):
-            k[2 * m - 1] = m
-            k[2 * m] = m
-        return k
+        return (np.arange(self.size) + 1) // 2
 
     def weights(self):
         """The H^{1/2} weight (1 + k^2)^(1/2) of each basis index."""
@@ -58,9 +53,9 @@ class FourierBasis:
         theta = mesh.boundary_angles()
         out = np.empty((self.size, len(theta)))
         out[0] = 1.0
-        for k in range(1, self.max_mode + 1):
-            out[2 * k - 1] = np.cos(k * theta)
-            out[2 * k] = np.sin(k * theta)
+        angles = np.outer(np.arange(1, self.max_mode + 1), theta)
+        np.cos(angles, out=out[1::2])
+        np.sin(angles, out=out[2::2])
         return out
 
     def masses(self, mesh):

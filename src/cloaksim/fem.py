@@ -18,7 +18,10 @@ gradients, edge midpoints) on a Connectivity: the triangles, the pattern
 and every map read from it, the boundary blocks and, on a ring mesh, its
 Wedge. No vertex coordinate enters the connectivity, so build_disk_mesh
 builds it once per layout (ring count and n_theta) and the meshes of a
-sweep that moves only the ring radii share it, read-only. One reader,
+sweep that moves only the ring radii share it, read-only. Only the layouts
+of build_disk_mesh carry a ring count and a Wedge, which _wedge reads from
+the order in which the layout lists its triangles; Connectivity.of, for
+any triangulation, gives neither. One reader,
 P1Pattern.block, gives every block of the pattern: the boundary blocks and
 the interior block of each LU.
 
@@ -102,6 +105,8 @@ class Wedge(NamedTuple):
     bands : (positions, flat indices) of the entries of the rows at angular
         index 0 of the interior rings, the center column left out, and
         their places in the (3, m, n_theta) bands of RingFactor.
+
+    Only _ring_connectivity builds one, from the order of its triangles.
     """
 
     triangles: np.ndarray
@@ -119,10 +124,10 @@ class Connectivity(NamedTuple):
     triangles : (nt, 3) the corners of each triangle, counterclockwise.
     boundary : the boundary vertices, in order.
     n_vertices : the vertex count.
-    n_theta : the vertex count per ring when the triangulation has the
-        layout of build_disk_mesh: the center vertex, then rings of n_theta
+    n_theta : the vertex count per ring of a layout of build_disk_mesh
+        (_ring_connectivity): the center vertex, then rings of n_theta
         vertices in angular order from the inside out, the last ring the
-        boundary. None for any other triangulation.
+        boundary. None from Connectivity.of, whatever the triangles.
     interior : the vertices not on the boundary, in order.
     pattern : the P1Pattern of every matrix assembled on the triangles.
     edges, edge_of : the pattern's edges and the edges of each triangle
@@ -132,9 +137,8 @@ class Connectivity(NamedTuple):
         boundary data.
     boundary_rows : the pattern's entries in a boundary row: what the
         boundary flux of a solution reads.
-    wedge : the Wedge of a ring layout with at least one interior ring,
-        whose pattern the rotation by one angular step maps onto itself;
-        None for any other triangulation.
+    wedge : the Wedge of a layout of build_disk_mesh with at least one
+        interior ring; None for one ring and from Connectivity.of.
 
     Every array in it is read-only, since the meshes of a layout share it.
     """
@@ -152,8 +156,9 @@ class Connectivity(NamedTuple):
     wedge: Wedge
 
     @classmethod
-    def of(cls, triangles, boundary, n_vertices, n_theta=None):
-        """The connectivity of these triangles (copied) and boundary."""
+    def of(cls, triangles, boundary, n_vertices):
+        """The connectivity of these triangles (copied) and boundary, with
+        no ring layout: n_theta and wedge are None."""
         triangles = np.array(triangles, dtype=np.int64)
         boundary = np.array(boundary, dtype=np.int64)
         mask = np.zeros(n_vertices, dtype=bool)
@@ -162,12 +167,9 @@ class Connectivity(NamedTuple):
         pattern = P1Pattern(triangles, n_vertices)
         band = pattern.block(interior, boundary)
         rows = pattern.block(boundary, np.arange(n_vertices))
-        wedge = None
-        if n_theta is not None and n_vertices > 1 + n_theta:
-            wedge = _wedge(pattern, triangles, n_theta)
         _read_only(triangles, boundary, interior, *band, *rows)
-        return cls(triangles, boundary, n_vertices, n_theta, interior,
-                   pattern, pattern.edges, pattern.edge_of, band, rows, wedge)
+        return cls(triangles, boundary, n_vertices, None, interior,
+                   pattern, pattern.edges, pattern.edge_of, band, rows, None)
 
 
 def _read_only(*arrays):
@@ -287,54 +289,44 @@ def _radial_at(field, points):
 
 
 def _wedge(pattern, triangles, n):
-    """The Wedge of the pattern of a ring layout's triangles with n vertices
-    per ring, read-only, or None when the rotation by one angular step does
-    not map the pattern onto itself."""
+    """The Wedge of the pattern of _ring_connectivity's triangles, with n
+    vertices per ring and at least two rings, read-only.
+
+    The triangles come in runs of n, one per angular index j = t mod n: the
+    center fan, then each band's (a, d, b) and its (a, c, d) triangles. The
+    rotation back by s angular steps maps triangle t corner for corner to
+    t - j + (j - s) mod n, in the same run, and so the entry of corners i
+    and k of t to that of corners i and k of the turned triangle."""
     nv = pattern.n
+    # the angular index of each vertex, 0 for the center
+    index = np.zeros(nv, dtype=np.int64)
+    index[1:] = np.arange(nv - 1) % n
     # the center and the vertices of angular index 0 and 1
-    marked = np.ones(nv, dtype=bool)
-    marked[1:] = np.arange(nv - 1) % n < 2
+    marked = index < 2
     (ours,) = np.nonzero(marked[triangles].any(axis=1))
     edges = np.unique(pattern.edge_of[ours])
     edge_of = np.searchsorted(edges, pattern.edge_of[ours])
-    # each entry (r, c) turned back by the angular index j of its row: ring
-    # vertex (b, i) goes to (b, i - j), the center stays. In place where it
-    # can be, as each temporary holds 4 or 8 bytes per entry
-    ptr, cols = pattern.indptr, pattern.indices
-    keys = pattern.rows()
-    shift = keys - 1
-    shift %= n
-    shift[:ptr[1]] = 0                             # the center row
-    keys -= shift
-    keys *= nv
-    keys += cols
-    keys -= shift
-    wrap = cols - 1
-    wrap %= n
-    keys[wrap < shift] += n
-    del wrap
-    center = cols == 0                             # the center column
-    keys[center] += shift[center]
-    turned = np.nonzero(shift == 1)[0]
-    # the rows at angular index 0 of the interior rings, but the center's
+    # for each corner i of each triangle, the triangle turned back by the
+    # angular index of corner i: entry (i, k) goes to its entry (i, k)
+    t = np.arange(len(triangles))[:, None]
+    j = t % n
+    turn = t - j + (j - index[triangles]) % n
+    slot = pattern.slot.reshape(-1, 3, 3)
+    source = slot[turn[:, :, None], np.arange(3)[:, None], np.arange(3)]
+    del t, j, turn
+    # allocated after the temporaries: before them, the allocator keeps
+    # 7 MB more resident on a mesh of 90 k vertices
+    spin = np.empty(pattern.nnz, dtype=np.int32)
+    spin[slot] = source
+    del source
+    rows = pattern.rows()
+    (turned,) = np.nonzero(index[rows] == 1)
+    # the rows at angular index 0 of the interior rings against every ring
+    # vertex: the entry of row (a, 0) in column (b, j) goes to band
+    # 1 + b - a, ring a, angle j
     m = (nv - 1) // n - 1
-    (pos,) = np.nonzero(shift[ptr[1]:ptr[1 + m * n]] == 0)
-    pos += ptr[1]
-    pos = pos[~center[pos]]
-    del shift, center
-    # the row-major keys of the entries, sorted: the pattern is canonical
-    entries = pattern.rows()
-    entries *= nv
-    entries += cols
-    spin = np.searchsorted(entries, keys)
-    np.minimum(spin, pattern.nnz - 1, out=spin)
-    if not np.array_equal(entries[spin], keys):
-        return None
-    del entries, keys
-    ring = (np.searchsorted(ptr, pos, side="right") - 2) // n
-    col_ring, j = np.divmod(cols[pos] - 1, n)
-    flat = ((1 + col_ring - ring) * m + ring) * n + j
-    spin = spin.astype(np.int32)
+    ring, pos, col = pattern.block(1 + n * np.arange(m), np.arange(1, nv))
+    flat = ((1 + col // n - ring) * m + ring) * n + col % n
     _read_only(ours, edges, edge_of, spin, turned, pos, flat)
     return Wedge(ours, edges, edge_of, spin, turned, (pos, flat))
 
@@ -413,8 +405,10 @@ def build_disk_mesh(radius, aligned_radii=(), h_target=0.1, n_theta=None,
 @lru_cache(maxsize=1)
 def _ring_connectivity(n_rings, n_theta):
     """The Connectivity of the layout of build_disk_mesh with n_rings rings
-    of n_theta vertices; the last layout is kept, since a sweep that moves
-    only the ring radii builds every mesh on one layout."""
+    of n_theta vertices, with its n_theta and, from two rings up, its Wedge;
+    the last layout is kept, since a sweep that moves only the ring radii
+    builds every mesh on one layout. _wedge reads the rotation from the
+    order of the triangles here: runs of n_theta, one per angular index."""
     # vertex (i, j) of ring i at angle j, and its neighbour (i, j + 1)
     j = np.arange(n_theta)
     first = 1 + n_theta * np.arange(n_rings)[:, None]
@@ -425,7 +419,11 @@ def _ring_connectivity(n_rings, n_theta):
     a, b, c, d = at[:-1], after[:-1], at[1:], after[1:]
     quads = np.array([[a, d, b], [a, c, d]]).transpose(2, 0, 3, 1)
     tris = np.concatenate([fan, quads.reshape(-1, 3)])
-    return Connectivity.of(tris, at[-1], 1 + n_rings * n_theta, n_theta)
+    layout = Connectivity.of(tris, at[-1], 1 + n_rings * n_theta)
+    wedge = None
+    if n_rings > 1:
+        wedge = _wedge(layout.pattern, layout.triangles, n_theta)
+    return layout._replace(n_theta=n_theta, wedge=wedge)
 
 
 def _nodal(mesh, values):

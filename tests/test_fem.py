@@ -433,12 +433,27 @@ def rotation_defect(matrix, step):
     return abs(turned - matrix).max() / abs(matrix).max()
 
 
+# ring layouts: an even and an odd n_theta, one interior ring, and graded
+WEDGE_LAYOUTS = {
+    "h0.3": lambda: build_disk_mesh(1.0, aligned_radii=(0.5,), h_target=0.3),
+    "n_theta 27": lambda: build_disk_mesh(2.0, h_target=0.2, n_theta=27),
+    "two rings": lambda: build_disk_mesh(1.0, h_target=0.5, n_theta=8),
+    "graded": lambda: build_disk_mesh(2.0, aligned_radii=(1.0,),
+                                      h_target=0.3,
+                                      radial_bands=[(0.8, 1.2, 0.05)]),
+}
+
+
 class TestWedge:
     """The wedge of a ring mesh, against the rotation of its vertex
-    coordinates."""
+    coordinates and against the dense matrix."""
 
     def test_spin_of_each_entry(self):
-        mesh = build_disk_mesh(1.0, aligned_radii=(0.5,), h_target=0.3)
+        for make in WEDGE_LAYOUTS.values():
+            self.check_spin(make())
+
+    @staticmethod
+    def check_spin(mesh):
         n, nv = mesh.n_theta, mesh.n_vertices
         step = rotation_step(mesh)
         back = np.argsort(step)
@@ -467,20 +482,41 @@ class TestWedge:
                               np.sort(corners[wedge.triangles][:, ENDS],
                                       axis=2))
 
-    def test_a_pattern_the_rotation_leaves(self):
-        # one quad of the first ring band split along its other diagonal
-        mesh = build_disk_mesh(1.0, h_target=0.3)
+    @pytest.mark.parametrize("layout", list(WEDGE_LAYOUTS))
+    def test_bands_of_each_interior_ring(self, layout):
+        # a stiffness that is not radial, assembled in full: its bands are
+        # row (a, 0) of the dense matrix over the columns of rings a - 1,
+        # a and a + 1, with nothing left of the center for a = 0
+        mesh = WEDGE_LAYOUTS[layout]()
         n = mesh.n_theta
-        a, b, c, d = 1 + 3, 1 + 4, 1 + n + 3, 1 + n + 4
-        tris = mesh.triangles.copy()
-        (first,) = np.nonzero((tris == a).any(1) & (tris == d).any(1)
-                              & (tris == b).any(1))
-        (second,) = np.nonzero((tris == a).any(1) & (tris == d).any(1)
-                               & (tris == c).any(1))
-        tris[first], tris[second] = [a, c, b], [b, c, d]
-        other = TriMesh(mesh.vertices, Connectivity.of(
-            tris, mesh.boundary, mesh.n_vertices, n))
-        assert mesh.wedge is not None and other.wedge is None
+        m = (mesh.n_vertices - 1) // n - 1
+        bare = bare_mesh(mesh)
+        field = SimpleNamespace(bind=lambda pts: lambda t:
+                                TestFixedPattern.skew_tensor(pts, t))
+        data = assemble_frozen(bare, bare.bind(field)).matrix.data
+        dense = mesh.pattern.matrix(data).toarray()
+        pos, flat = mesh.wedge.bands
+        bands = np.zeros(3 * m * n)
+        bands[flat] = data[pos]
+        bands = bands.reshape(3, m, n)
+        want = np.zeros((3, m, n))
+        for a in range(m):
+            for d in range(3):
+                if a + d > 0:
+                    first = 1 + (a + d - 1) * n
+                    want[d, a] = dense[1 + a * n, first:first + n]
+        assert np.array_equal(bands, want)
+        # one place per entry, and no entry 0.0 that a misplaced one hides
+        assert len(np.unique(flat)) == len(pos) == np.count_nonzero(bands)
+
+    def test_no_wedge_from_the_triangles_alone(self):
+        # Connectivity.of knows no ring layout, even of a ring mesh's own
+        # triangles: only build_disk_mesh records one
+        mesh = WEDGE_LAYOUTS["h0.3"]()
+        layout = Connectivity.of(mesh.triangles, mesh.boundary,
+                                 mesh.n_vertices)
+        assert mesh.wedge is not None
+        assert layout.n_theta is None and layout.wedge is None
 
 
 def off_center_ball():

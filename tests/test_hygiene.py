@@ -112,6 +112,16 @@ def test_ring_factor_sweeps_stay_in_lapack():
     assert not loops, f"fem.py: loops in RingFactor on lines {loops}"
 
 
+def test_wedge_is_read_from_the_ring_layout_alone():
+    # _wedge reads the rotation from the order in which _ring_connectivity
+    # lays out its triangles, and holds for no other triangulation
+    callers = [(path.name, [name for name, _ in scopes])
+               for path in program_sources()
+               for node, scopes in scoped_calls(ast.parse(path.read_text()))
+               if name_of(node.func) == "_wedge"]
+    assert callers == [("fem.py", ["_ring_connectivity"])], callers
+
+
 def name_of(node):
     """The name a Name or Attribute node ends in, else None."""
     return getattr(node, "id", None) or getattr(node, "attr", None)
