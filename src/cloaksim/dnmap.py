@@ -140,8 +140,15 @@ class DtNOperator:
 def dn_operator(A, basis, mesh, cfg=None):
     """Solve one boundary value problem per basis function and pair fluxes.
 
+    A basis whose max_mode reaches half the boundary vertex count raises
+    PreconditionError: on that polygon the traces of modes k and n - k
+    coincide, and their columns would be aliases.
+
     For a state-independent coefficient a single factorization serves all
-    columns. Otherwise each column is an independent nonlinear solve at
+    columns, and each datum is solved declared in its one angular mode
+    (SparseSystem.solve_dirichlet(mode=k)): a ring-factored (radial)
+    system solves that mode's block alone, and every full nodal solution
+    is kept. Otherwise each column is an independent nonlinear solve at
     amplitude one, all with the coefficient bound once, and the operator
     records a nonlinearity flag: the matrix is then a finite probe of a
     nonlinear map, not a linear restriction. Each such column is paired
@@ -153,13 +160,19 @@ def dn_operator(A, basis, mesh, cfg=None):
         raise PreconditionError(
             f"basis radius {basis.radius:g} does not match the mesh boundary "
             f"radius {rb.max():.12g}")
+    if 2 * basis.max_mode >= len(mesh.boundary):
+        raise PreconditionError(
+            f"basis max_mode {basis.max_mode} needs more than "
+            f"{2 * basis.max_mode} boundary vertices, the mesh has "
+            f"{len(mesh.boundary)}: the traces of modes k and n - k coincide")
     cfg = cfg or PicardConfig()
     traces = basis.trace_matrix(mesh)
     solutions = np.empty((basis.size, mesh.n_vertices))
     if A.is_linear:
         system = assemble_frozen(mesh, mesh.bind(A))
+        modes = basis.modes()
         for j in range(basis.size):
-            solutions[j] = system.solve_dirichlet(traces[j])
+            solutions[j] = system.solve_dirichlet(traces[j], mode=modes[j])
         matrix = dn_pairing(system, solutions, traces)
         iterations = [1] * basis.size
         converged = None

@@ -39,11 +39,15 @@ that jumps at the quadrature points. A field that fails either is not
 radial, and NumericalError is raised. The angular Fourier transform then
 splits such a system into one Hermitian tridiagonal system over the rings
 per mode (Bernardi, Dauge & Maday, Spectral Methods for Axisymmetric
-Domains, 1999); LAPACK factors and solves all modes as one tridiagonal
-(RingFactor). Every other system, and one whose bands are not symmetric
-or whose tridiagonal is not positive definite, is factored by SuperLU:
-the interior block, gathered from the pattern data through one call of
-splu (_InteriorOrdering.factor). The first SuperLU factor on a mesh
+Domains, 1999); LAPACK factors all modes as one tridiagonal (RingFactor).
+A solve of data in every mode transforms each ring by FFT and solves all
+modes at once; a solve declared in one mode k (solve_dirichlet(mode=k),
+a trace cos k theta or sin k theta) projects each ring onto cos k theta
+and sin k theta, solves mode k's block alone and rebuilds the nodal
+solution from the two. Every other system, and one whose bands are not
+symmetric or whose tridiagonal is not positive definite, is factored by
+SuperLU: the interior block, gathered from the pattern data through one
+call of splu (_InteriorOrdering.factor). The first SuperLU factor on a mesh
 computes a fill-reducing ordering, which the mesh keeps (TriMesh.ordering);
 every later one on that mesh reuses it. Every SuperLU factor in the
 package, the periodic cell's included, is made with one setting of its
@@ -821,13 +825,18 @@ class SparseSystem:
                 self._solver, self.factor_kind = _interior_lu(self)
         return self._solver
 
-    def solve_dirichlet(self, boundary_values):
+    def solve_dirichlet(self, boundary_values, mode=None):
         """Solve with the given boundary vertex values.
 
         The interior right-hand side load - A g is summed over the entries
         of the interior rows in boundary columns alone (mesh.boundary_band),
         in the order of a product with A, and the solution passes a check
         of its interior residual against 1e-8 of that right-hand side.
+        mode declares that right-hand side to lie in that one angular mode
+        (a trace cos k theta or sin k theta, no load, a rotation-invariant
+        matrix): a RingFactor then solves that mode alone
+        (RingFactor.solve_mode), and content in another mode fails the
+        residual check by O(1). Any other factor ignores it.
         """
         g = np.asarray(boundary_values, dtype=float)
         mesh = self.mesh
@@ -839,12 +848,19 @@ class SparseSystem:
             row, weights=self.matrix.data[pos] * g[col], minlength=len(ii))
         full = np.empty(mesh.n_vertices)
         full[mesh.boundary] = g
-        full[ii] = self._factor().solve(rhs)
+        solver = self._factor()
+        by_mode = mode is not None and isinstance(solver, RingFactor)
+        if by_mode:
+            full[ii] = solver.solve_mode(rhs, mode)
+        else:
+            full[ii] = solver.solve(rhs)
         resid = np.linalg.norm((self.matrix @ full - self.load)[ii])
         scale = np.linalg.norm(rhs)
         if scale > 0 and resid > 1e-8 * scale:
+            where = f" (solved in mode {mode} alone)" if by_mode else ""
             raise NumericalError(
-                f"linear solve residual {resid / scale:.3e} above 1e-8")
+                f"linear solve residual {resid / scale:.3e} above 1e-8"
+                f"{where}")
         return full
 
 
@@ -958,10 +974,12 @@ class RingFactor:
     first ring, couples to mode 0 alone and is unknown 0 of every mode (an
     identity row for k > 0). The modes are laid out one after the other as
     one tridiagonal, with no coupling where two modes meet, which LAPACK
-    factors as L D L^H (zpttrf) and solves (zpttrs). A solve is a real FFT
-    of each ring, one zpttrs and the inverse FFT. positive is False when
-    the tridiagonal is not positive definite; the factor is then of no
-    use.
+    factors as L D L^H (zpttrf) and solves (zpttrs). solve is a real FFT
+    of each ring, one zpttrs of every mode and the inverse FFT; solve_mode
+    takes a right-hand side in one mode k, and solves block k of the
+    tridiagonal alone between two real products with cos k theta and
+    sin k theta. positive is False when the tridiagonal is not positive
+    definite; the factor is then of no use.
     """
 
     def __init__(self, bands, center, coupling):
@@ -998,4 +1016,41 @@ class RingFactor:
         x = np.empty(len(rhs))
         x[0] = b[0, 0].real
         x[1:] = np.fft.irfft(b[:, 1:].T, n=n, axis=1, norm="ortho").ravel()
+        return x
+
+    def solve_mode(self, rhs, k):
+        """Interior solution for an interior right-hand side rhs in angular
+        mode k alone (0 <= k <= n_theta / 2): on each ring a combination of
+        cos k theta_j and sin k theta_j at theta_j = 2 pi j / n_theta, and
+        the center's entry zero unless k is 0. Each ring is projected onto
+        the two, mode k's block of the factor alone is solved, and the
+        solution is rebuilt from the two; what rhs holds in any other mode
+        is dropped, which the residual check of solve_dirichlet finds."""
+        n = self.n_theta
+        if not 0 <= k <= n // 2:
+            raise PreconditionError(
+                f"mode {k} outside 0..{n // 2} on {n} vertices per ring")
+        m = (len(rhs) - 1) // n
+        # the real and imaginary parts of the unitary FFT's row k,
+        # exp(-i k theta_j) / sqrt(n)
+        angles = (2.0 * np.pi * k / n) * np.arange(n)
+        wave = np.array([np.cos(angles), -np.sin(angles)])
+        wave /= np.sqrt(n)
+        b = np.zeros((m + 1, 1), dtype=complex)
+        if k == 0:
+            b[0] = rhs[0]
+        # each ring's transform, written as (real, imaginary) pairs
+        np.matmul(rhs[1:].reshape(m, n), wave.T,
+                  out=b.view(float).reshape(m + 1, 2)[1:])
+        first = k * (m + 1)
+        b, _ = zpttrs(self.d[first:first + m + 1], self.e[first:first + m],
+                      b, lower=1, overwrite_b=1)
+        # the inverse real FFT of one mode, Re(X) cos - Im(X) sin over
+        # sqrt(n), twice over unless the mode is its own conjugate (0, n/2)
+        parts = b.view(float).reshape(m + 1, 2)
+        if 2 * k % n:
+            parts *= 2.0
+        x = np.empty(len(rhs))
+        x[0] = parts[0, 0]
+        np.matmul(parts[1:], wave, out=x[1:].reshape(m, n))
         return x

@@ -92,6 +92,15 @@ class TestDnPipeline:
         gap = float(capsys.readouterr().out.strip())
         assert gap > 0.1
 
+    def test_aliased_basis_is_bad_input(self, tmp_path, capsys):
+        # h 0.8 gives 16 boundary vertices, too few for mode 8
+        out = str(tmp_path / "a.json")
+        assert run(["--h", "0.8", "--modes", "8", "dnmap", "--coeff",
+                    "identity", "--out", out]) == 2
+        assert "coincide" in capsys.readouterr().err
+        assert run(["--h", "0.8", "--modes", "7", "dnmap", "--coeff",
+                    "identity", "--out", out]) == 0
+
     def test_self_difference_zero(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         run(["--h", "0.3", "--modes", "2", "dnmap", "--coeff", "identity",

@@ -8,7 +8,7 @@ from cloaksim.coeff import (IsotropicField, ProductField, StructureConstants,
                             piecewise_field)
 from cloaksim.dnmap import (DtNOperator, FourierBasis, dn_difference,
                             dn_operator, neumann_trace_error)
-from cloaksim.errors import PreconditionError
+from cloaksim.errors import NumericalError, PreconditionError
 from cloaksim.fem import (P1Pattern, assemble_frozen, build_disk_mesh,
                           p1_stiffness)
 from cloaksim.geometry import (DiffMap, pushforward, regular_blowup,
@@ -70,6 +70,15 @@ class TestOperator:
         assert err.max() < 0.02
         off = op.pairing_matrix - np.diag(d)
         assert np.abs(off).max() < 0.01 * np.pi
+
+    def test_aliased_basis_refused(self):
+        # 16 boundary vertices: mode 8 is its own alias, mode 7 is not
+        mesh = build_disk_mesh(2.0, h_target=0.8)
+        assert len(mesh.boundary) == 16
+        with pytest.raises(PreconditionError, match="coincide"):
+            dn_operator(identity_field(2), FourierBasis(max_mode=8), mesh)
+        op = dn_operator(identity_field(2), FourierBasis(max_mode=7), mesh)
+        assert op.pairing_matrix.shape == (15, 15)
 
     def test_linear_operator_factors_once(self, factors):
         mesh = build_disk_mesh(2.0, h_target=0.2)
@@ -214,6 +223,61 @@ class TestRingFactor:
         M, R = op.pairing_matrix, ref.pairing_matrix
         assert np.abs(M - R).max() <= 1e-10 * np.abs(R).max()
         assert np.abs(op.solutions - ref.solutions).max() <= 1e-10
+
+    # "5I" is on n_theta = 27, where no mode is its own conjugate but 0
+    @pytest.mark.parametrize("case", sorted(RADIAL_CASES))
+    def test_mode_solve_matches_all_modes(self, case):
+        field, mesh = RADIAL_CASES[case]()
+        system = assemble_frozen(mesh, mesh.bind(field))
+        radius = np.linalg.norm(mesh.vertices[mesh.boundary[0]])
+        basis = FourierBasis(max_mode=6, radius=float(radius))
+        for trace, k in zip(basis.trace_matrix(mesh), basis.modes()):
+            full = system.solve_dirichlet(trace)
+            alone = system.solve_dirichlet(trace, mode=k)
+            assert np.abs(alone - full).max() <= 1e-12 * np.abs(full).max()
+        assert system.factor_kind == "ring"
+
+    def test_mode_zero_keeps_a_radial_load(self):
+        # the center row's right-hand side is its load alone: a radial
+        # source reaches it, a boundary datum does not
+        mesh = build_disk_mesh(2.0, h_target=0.2, n_theta=27)
+        load = mesh.load(lambda p: 1.0 + (p ** 2).sum(axis=1))
+        system = assemble_frozen(mesh, mesh.bind(inclusion_field("5I")),
+                                 load=load)
+        g = np.full(len(mesh.boundary), 0.5)
+        full = system.solve_dirichlet(g)
+        alone = system.solve_dirichlet(g, mode=0)
+        assert np.abs(alone - full).max() <= 1e-12 * np.abs(full).max()
+
+    def test_mode_solve_refuses_other_modes(self):
+        mesh = build_disk_mesh(2.0, h_target=0.2, n_theta=27)
+        system = assemble_frozen(mesh, mesh.bind(inclusion_field("5I")))
+        theta = mesh.boundary_angles()
+        with pytest.raises(NumericalError, match="mode 1"):
+            system.solve_dirichlet(np.cos(theta) + np.cos(2 * theta), mode=1)
+        # 27 vertices per ring hold modes 0..13
+        with pytest.raises(PreconditionError, match="outside"):
+            system.solve_dirichlet(np.cos(14 * theta), mode=14)
+
+    def test_mode_is_ignored_by_superlu(self):
+        mesh = bare_mesh(build_disk_mesh(2.0, h_target=0.2))
+        system = assemble_frozen(mesh, mesh.bind(inclusion_field("5I")))
+        basis = FourierBasis(max_mode=3)
+        for trace, k in zip(basis.trace_matrix(mesh), basis.modes()):
+            assert np.array_equal(system.solve_dirichlet(trace, mode=k),
+                                  system.solve_dirichlet(trace))
+        assert system.factor_kind == "lu"
+
+    def test_linear_operator_never_solves_every_mode(self, monkeypatch):
+        # the all-mode FFT solve costs twice the one-mode solve; a linear
+        # radial operator on a ring mesh must not fall back to it
+        def refused(self, rhs):
+            raise AssertionError("RingFactor.solve called")
+
+        monkeypatch.setattr(fem.RingFactor, "solve", refused)
+        field, mesh = _shell_case(1.5)
+        op = dn_operator(field, FourierBasis(max_mode=4), mesh)
+        assert op.factor_kinds == {"ring": 1}
 
     @given(n_theta=st.integers(8, 40),
            layers=st.lists(st.tuples(st.floats(0.2, 1.8), st.floats(0.2, 8.0)),

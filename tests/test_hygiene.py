@@ -351,9 +351,12 @@ def test_every_default_is_passed_by_the_program():
 
 def test_import_leaves_the_quadrature_modules_out():
     # scipy.integrate (and the scipy.optimize it loads) is imported where
-    # radial_homogenized needs it, not when the package is imported
+    # radial_homogenized needs it, not when the package is imported; and
+    # no module imports scipy.fft, whose import after cloaksim's took
+    # 56-85 ms on a 2-core Xeon, added to every process's start
     code = ("import sys, cloaksim; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+            "('scipy.integrate', 'scipy.optimize', 'scipy.fft') "
+            "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ,
