@@ -37,16 +37,16 @@ entry; and the rows at angular index 1, assembled too, must match the
 gathered ones to 1e-9 of the largest band entry, which catches a field
 that jumps at the quadrature points. A field that fails either is not
 radial, and NumericalError is raised. The angular Fourier transform then
-splits such a system into one Hermitian tridiagonal system over the rings
-per mode (Bernardi, Dauge & Maday, Spectral Methods for Axisymmetric
-Domains, 1999); LAPACK factors all modes as one tridiagonal (RingFactor).
+splits such a system into one tridiagonal system over the rings per mode
+(Bernardi, Dauge & Maday, Spectral Methods for Axisymmetric Domains,
+1999); LAPACK factors all modes as one tridiagonal, by LU with partial
+pivoting (RingFactor).
 A solve of data in every mode transforms each ring by FFT and solves all
 modes at once; a solve declared in one mode k (solve_dirichlet(mode=k),
 a trace cos k theta or sin k theta) projects each ring onto cos k theta
 and sin k theta, solves mode k's block alone and rebuilds the nodal
-solution from the two. Every other system, and one whose bands are not
-symmetric or whose tridiagonal is not positive definite, is factored by
-SuperLU: the interior block, gathered from the pattern data through one
+solution from the two. Every other system is factored by SuperLU: the
+interior block, gathered from the pattern data through one
 call of splu (_InteriorOrdering.factor). The first SuperLU factor on a mesh
 computes a fill-reducing ordering, which the mesh keeps (TriMesh.ordering);
 every later one on that mesh reuses it. Every SuperLU factor in the
@@ -61,7 +61,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import zpttrf, zpttrs
+from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.sparse import csc_matrix, csr_matrix
 # cg is never called here; it stays bound because perfbench/tracing.py wraps it
 from scipy.sparse.linalg import cg, splu  # noqa: F401
@@ -787,12 +787,11 @@ class SparseSystem:
     later solves reuse the factor. circulant is True for data that is
     block-circulant over the mesh's rings by construction (the wedge
     assembly of assemble_frozen): such a system is factored by ring_factor,
-    and by SuperLU (_interior_lu) when that declines it; every other
-    system by SuperLU. factor_kind names the factor that served the
-    system: "ring", "lu" (ordering computed), "lu-reordered" (ordering
-    reused) or "chord" (the factor of another system, shared by
-    with_load); None before the first solve. The matrix need not be
-    symmetric: a Newton system (newton_system) is not.
+    every other system by SuperLU (_interior_lu). factor_kind names the
+    factor that served the system: "ring", "lu" (ordering computed),
+    "lu-reordered" (ordering reused) or "chord" (the factor of another
+    system, shared by with_load); None before the first solve. Neither
+    factor needs a symmetric matrix: a Newton system (newton_system) is not.
     frozen_at is, for a stiffness that assemble_frozen froze at a state,
     the states (ne,) and tensors (ne, 2, 2) at the edge midpoints, the
     values newton_system differentiates; None otherwise.
@@ -819,9 +818,8 @@ class SparseSystem:
     def _factor(self):
         if self._solver is None:
             if self.circulant:
-                self._solver = ring_factor(self)
-                self.factor_kind = "ring"
-            if self._solver is None:
+                self._solver, self.factor_kind = ring_factor(self), "ring"
+            else:
                 self._solver, self.factor_kind = _interior_lu(self)
         return self._solver
 
@@ -931,76 +929,68 @@ class _Reordered:
 
 def ring_factor(system):
     """RingFactor of the interior problem of a circulant system (its data
-    block-circulant over the mesh's rings), or None where it does not
-    apply: when the bands are not symmetric to 1e-12 of the largest band
-    entry, or the interior block is not positive definite, which the
-    factorization itself finds.
-
-    The bands are the rows at angular index 0 of the interior rings
-    (Wedge.bands). Symmetry is read from them: c(j) = c(-j) within a ring,
-    the band to the next ring mirrors the band back from it, and so does
-    the center's coupling to the first ring.
-    """
+    block-circulant over the mesh's rings). The bands are the rows at
+    angular index 0 of the interior rings (Wedge.bands); the center's
+    couplings are its entry in the first ring's column 0 and that
+    column's entry back."""
     data, mesh = system.matrix.data, system.mesh
     n = mesh.n_theta
     m = (mesh.n_vertices - 1) // n - 1            # interior rings
     pos, flat = mesh.wedge.bands
     bands = np.zeros(3 * m * n)
     bands[flat] = data[pos]
-    bands = bands.reshape(3, m, n)
     # the center row holds (0, 0), (0, 1), ...; row 1 starts with (1, 0)
     ptr = mesh.pattern.indptr
-    center, to_ring, from_ring = data[ptr[0]], data[ptr[0] + 1], data[ptr[1]]
-    tol = 1e-12 * np.abs(bands).max()
-    neg = -np.arange(n) % n
-    if not (np.abs(bands[1] - bands[1][:, neg]).max() <= tol
-            and np.abs(bands[2, :-1] - bands[0, 1:][:, neg]).max(
-                initial=0.0) <= tol
-            and abs(to_ring - from_ring) <= tol):
-        return None
-    factor = RingFactor(bands, center, from_ring)
-    return factor if factor.positive else None
+    return RingFactor(bands.reshape(3, m, n), data[ptr[0]],
+                      data[ptr[0] + 1], data[ptr[1]])
 
 
 class RingFactor:
-    """Interior factor of a symmetric block-circulant system, by mode.
+    """Interior factor of a block-circulant system, by mode.
 
     The matrix is block-circulant over the rings, so the angular Fourier
-    transform of each ring decouples the modes. Mode k is a Hermitian
-    tridiagonal system over the interior rings whose entries are the
-    transforms of the rows at angular index 0: bands[1 + d, a, j] is the
-    entry of row (a, 0) in column (a + d, j), for d = -1, 0, 1. The center
-    vertex, with diagonal entry center and coupling to each vertex of the
-    first ring, couples to mode 0 alone and is unknown 0 of every mode (an
-    identity row for k > 0). The modes are laid out one after the other as
-    one tridiagonal, with no coupling where two modes meet, which LAPACK
-    factors as L D L^H (zpttrf) and solves (zpttrs). solve is a real FFT
-    of each ring, one zpttrs of every mode and the inverse FFT; solve_mode
-    takes a right-hand side in one mode k, and solves block k of the
-    tridiagonal alone between two real products with cos k theta and
-    sin k theta. positive is False when the tridiagonal is not positive
-    definite; the factor is then of no use.
+    transform of each ring decouples the modes. Mode k is a tridiagonal
+    system over the interior rings whose entries are the transforms of
+    the rows at angular index 0: bands[1 + d, a, j] is the entry of row
+    (a, 0) in column (a + d, j), for d = -1, 0, 1. The center vertex, with
+    diagonal entry center, coupling to_ring to each vertex of the first
+    ring and from_ring back, couples to mode 0 alone and is unknown 0 of
+    every mode (an identity row for k > 0). The modes are laid out one
+    after the other as one tridiagonal, with no coupling where two modes
+    meet, which LAPACK factors by LU with partial pivoting (zgttrf) and
+    solves (zgttrs); no row interchange crosses that zero coupling. solve
+    is a real FFT of each ring, one zgttrs of every mode and the inverse
+    FFT; solve_mode takes a right-hand side in one mode k, and solves
+    block k of the tridiagonal alone between two real products with
+    cos k theta and sin k theta. A singular mode raises NumericalError.
     """
 
-    def __init__(self, bands, center, coupling):
+    def __init__(self, bands, center, to_ring, from_ring):
         _, m, n = bands.shape
         self.n_theta = n
         # row (a, j) holds c(j' - j) in column (b, j'), so mode k sees
         # sum_l c(l) exp(+2 pi i l k / n): the conjugate of the FFT
-        symbol = np.fft.rfft(bands[1:], axis=2).conj()
+        symbol = np.fft.rfft(bands, axis=2).conj()
         n_modes = symbol.shape[2]
-        diag = np.ones((n_modes, m + 1))
-        diag[:, 1:] = symbol[0].real.T
+        diag = np.ones((n_modes, m + 1), dtype=complex)
+        diag[:, 1:] = symbol[1].T
         diag[0, 0] = center
-        # the subdiagonal A[a + 1, a] of each mode, the conjugate of the
-        # coupling of ring a to ring a + 1; its last entry is 0
+        # the sub- and superdiagonals A[i + 1, i] and A[i, i + 1] of each
+        # mode, the couplings of ring a + 1 back to ring a and of ring a
+        # to ring a + 1; their last entry, where two modes meet, is 0
         sub = np.zeros((n_modes, m + 1), dtype=complex)
-        sub[:, 1:m] = symbol[1, :m - 1].T.conj()
-        # the unitary transform carries the center's coupling to mode 0
-        sub[0, 0] = np.sqrt(n) * coupling
-        self.d, self.e, info = zpttrf(diag.ravel(), sub.ravel()[:-1],
-                                      overwrite_d=1, overwrite_e=1)
-        self.positive = info == 0
+        sub[:, 1:m] = symbol[0, 1:].T
+        sup = np.zeros((n_modes, m + 1), dtype=complex)
+        sup[:, 1:m] = symbol[2, :m - 1].T
+        # the unitary transform carries the center's couplings to mode 0
+        sub[0, 0] = np.sqrt(n) * from_ring
+        sup[0, 0] = np.sqrt(n) * to_ring
+        *self.lu, info = zgttrf(sub.ravel()[:-1], diag.ravel(),
+                                sup.ravel()[:-1], overwrite_dl=1,
+                                overwrite_d=1, overwrite_du=1)
+        if info > 0:
+            raise NumericalError(
+                f"ring factor singular in mode {(info - 1) // (m + 1)}")
 
     def solve(self, rhs):
         """Interior solution for the interior right-hand side rhs (center
@@ -1010,8 +1000,7 @@ class RingFactor:
         b = np.zeros((n // 2 + 1, m + 1), dtype=complex)
         b[:, 1:] = np.fft.rfft(rhs[1:].reshape(m, n), axis=1, norm="ortho").T
         b[0, 0] = rhs[0]
-        b, _ = zpttrs(self.d, self.e, b.reshape(-1, 1), lower=1,
-                      overwrite_b=1)
+        b, _ = zgttrs(*self.lu, b.reshape(-1, 1), overwrite_b=1)
         b = b.reshape(-1, m + 1)
         x = np.empty(len(rhs))
         x[0] = b[0, 0].real
@@ -1042,9 +1031,13 @@ class RingFactor:
         # each ring's transform, written as (real, imaginary) pairs
         np.matmul(rhs[1:].reshape(m, n), wave.T,
                   out=b.view(float).reshape(m + 1, 2)[1:])
+        # mode k's block of the factor: rows first ... first + m, whose
+        # row interchanges stay inside it
         first = k * (m + 1)
-        b, _ = zpttrs(self.d[first:first + m + 1], self.e[first:first + m],
-                      b, lower=1, overwrite_b=1)
+        dl, d, du, du2, ipiv = self.lu
+        b, _ = zgttrs(dl[first:first + m], d[first:first + m + 1],
+                      du[first:first + m], du2[first:first + m - 1],
+                      ipiv[first:first + m + 1] - first, b, overwrite_b=1)
         # the inverse real FFT of one mode, Re(X) cos - Im(X) sin over
         # sqrt(n), twice over unless the mode is its own conjugate (0, n/2)
         parts = b.view(float).reshape(m + 1, 2)

@@ -18,7 +18,7 @@ from cloaksim.experiments import (ExperimentConfig,
 from cloaksim.fem import (SUPERLU_SETTINGS, Connectivity, SparseSystem,
                           TriMesh, assemble_frozen, build_disk_mesh, h1_norm,
                           h1_seminorm, l2_norm, newton_system, p1_elements,
-                          p1_stiffness, ring_factor)
+                          p1_stiffness)
 from cloaksim.geometry import pushforward, regular_blowup
 from cloaksim.homog import _cell_grid
 from cloaksim.presets import preset_field, preset_problem
@@ -322,8 +322,7 @@ class TestSolveLayer:
 
 class TestRingDetector:
     """Systems that are not assembled from a wedge, or whose mesh records
-    no rings, and wedge systems whose bands are not symmetric or not
-    positive definite, keep SuperLU and its results bit for bit."""
+    no rings, keep SuperLU and its results bit for bit."""
 
     def assert_lu(self, system, factors):
         factors.clear()
@@ -362,7 +361,20 @@ class TestRingDetector:
         self.assert_lu(assemble_frozen(mesh, mesh.bind(identity_field(2))),
                        factors)
 
-    def test_indefinite_declined(self, factors):
+
+class TestRingPivoting:
+    """Wedge systems whose bands are not symmetric or not positive definite
+    are ring-factored too: zgttrf pivots within each mode, and the solves
+    match SuperLU's. A singular mode raises."""
+
+    @staticmethod
+    def assert_matches_lu(system, g):
+        u = system.solve_dirichlet(g)
+        want = lu_reference(system, g)
+        assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
+        return u
+
+    def test_indefinite_ring_factored(self, factors):
         # the identity stiffness less its mean diagonal entry: symmetric
         # and block-circulant, but with eigenvalues of both signs
         mesh = build_disk_mesh(1.0, h_target=0.25)
@@ -377,9 +389,18 @@ class TestRingDetector:
         ii = mesh.interior
         eig = np.linalg.eigvalsh(system.matrix[ii][:, ii].toarray())
         assert eig[0] < 0.0 < eig[-1]
-        assert ring_factor(system) is None
-        self.assert_lu(system, factors)
-        assert system.factor_kind == "lu"
+        # modes 0..8 of 32 per ring: zgttrf interchanges rows in mode 8
+        # (rows 32..35 of the factor), so its block's pivots are shifted
+        factors.clear()
+        basis = FourierBasis(max_mode=8, radius=1.0)
+        for trace, k in zip(basis.trace_matrix(mesh), basis.modes()):
+            full = self.assert_matches_lu(system, trace)
+            alone = system.solve_dirichlet(trace, mode=k)
+            assert np.abs(alone - full).max() <= 1e-12 * np.abs(full).max()
+        [(kind, _, factor)] = factors
+        assert kind == system.factor_kind == "ring"
+        ipiv = factor.lu[4]
+        assert not np.array_equal(ipiv[32:36], np.arange(33, 37))
 
     @pytest.mark.parametrize("where", ["ring", "next ring", "center"])
     def test_rotation_invariant_but_not_symmetric(self, where, factors):
@@ -411,8 +432,23 @@ class TestRingDetector:
         assert np.array_equal(data[mesh.wedge.spin], data)
         system = SparseSystem(data, np.zeros(mesh.n_vertices), mesh,
                               circulant=True)
-        assert ring_factor(system) is None
-        self.assert_lu(system, factors)
+        ii = mesh.interior
+        interior = system.matrix[ii][:, ii]
+        assert abs(interior - interior.T).max() > 1e-4 * abs(matrix).max()
+        factors.clear()
+        self.assert_matches_lu(system,
+                               np.cos(3.0 * mesh.boundary_angles()) + 0.5)
+        assert [kind for kind, _, _ in factors] == ["ring"]
+        assert system.factor_kind == "ring"
+
+    def test_singular_mode_raises(self):
+        # every mode but the center's identity rows is zero; mode 0 is the
+        # first whose pivot vanishes
+        mesh = build_disk_mesh(1.0, h_target=0.25)
+        system = SparseSystem(np.zeros(mesh.pattern.nnz),
+                              np.zeros(mesh.n_vertices), mesh, circulant=True)
+        with pytest.raises(NumericalError, match="singular in mode 0"):
+            system.solve_dirichlet(np.zeros(len(mesh.boundary)))
 
 
 def rotation_step(mesh):

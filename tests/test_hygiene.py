@@ -103,13 +103,16 @@ def test_one_superlu_call_in_fem_and_in_homog():
 
 
 def test_ring_factor_sweeps_stay_in_lapack():
-    # RingFactor factors and solves all angular modes with one zpttrf and
-    # one zpttrs; a loop in it would be a sweep back in Python
-    (ring,) = [node for node in ast.parse((PACKAGE / "fem.py").read_text()).body
-               if isinstance(node, ast.ClassDef) and node.name == "RingFactor"]
-    loops = [node.lineno for node in ast.walk(ring)
-             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
-    assert not loops, f"fem.py: loops in RingFactor on lines {loops}"
+    # ring_factor gathers the bands and RingFactor factors and solves all
+    # angular modes with one zgttrf and one zgttrs; a loop in either would
+    # be a sweep back in Python
+    body = ast.parse((PACKAGE / "fem.py").read_text()).body
+    named = {node.name: node for node in body
+             if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    for name in ("ring_factor", "RingFactor"):
+        loops = [node.lineno for node in ast.walk(named[name])
+                 if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+        assert not loops, f"fem.py: loops in {name} on lines {loops}"
 
 
 def test_wedge_is_read_from_the_ring_layout_alone():

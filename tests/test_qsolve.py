@@ -243,7 +243,7 @@ class TestNewton:
     def test_radial_state_with_gradient(self, factors):
         # zero datum and a constant source give radial states with a
         # gradient: their Newton systems are rotation-invariant but not
-        # symmetric, so the angular-mode factor must decline them
+        # assembled from a wedge, so SuperLU factors them
         mesh = build_disk_mesh(1.0, h_target=0.2)
         res = solve_quasilinear(mesh, preset_field("isotropic-sin"),
                                 np.zeros(len(mesh.boundary)),
