@@ -145,15 +145,14 @@ def dn_operator(A, basis, mesh, cfg=None):
     coincide, and their columns would be aliases.
 
     For a state-independent coefficient a single factorization serves all
-    columns, and each datum is solved declared in its one angular mode
-    (SparseSystem.solve_dirichlet(mode=k)): a ring-factored (radial)
-    system solves that mode's block alone, and every full nodal solution
-    is kept. Otherwise each column is an independent nonlinear solve at
-    amplitude one, all with the coefficient bound once, and the operator
-    records a nonlinearity flag: the matrix is then a finite probe of a
-    nonlinear map, not a linear restriction. Each such column is paired
-    as soon as its solve returns, and its system is dropped before the
-    next column's solve.
+    columns, and every full nodal solution is kept; a ring-factored
+    (radial) system solves each datum in its one angular mode
+    (RingFactor.solve). Otherwise each column is an independent nonlinear
+    solve at amplitude one, all with the coefficient bound once, and the
+    operator records a nonlinearity flag: the matrix is then a finite
+    probe of a nonlinear map, not a linear restriction. Each such column
+    is paired as soon as its solve returns, and its system is dropped
+    before the next column's solve.
     """
     rb = np.linalg.norm(mesh.vertices[mesh.boundary], axis=1)
     if np.abs(rb - basis.radius).max() > 1e-9 * basis.radius:
@@ -170,9 +169,8 @@ def dn_operator(A, basis, mesh, cfg=None):
     solutions = np.empty((basis.size, mesh.n_vertices))
     if A.is_linear:
         system = assemble_frozen(mesh, mesh.bind(A))
-        modes = basis.modes()
         for j in range(basis.size):
-            solutions[j] = system.solve_dirichlet(traces[j], mode=modes[j])
+            solutions[j] = system.solve_dirichlet(traces[j])
         matrix = dn_pairing(system, solutions, traces)
         iterations = [1] * basis.size
         converged = None

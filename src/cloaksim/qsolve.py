@@ -5,7 +5,8 @@ the coefficient frozen at the state u. The first step freezes the starting
 state (zero, unless a warm start is given) and solves the linear problem:
 a Picard step. From zero it is assembled with no state, so a radial field
 on a ring mesh is assembled from one wedge of triangles and ring-factored
-(fem.assemble_frozen).
+(fem.assemble_frozen), and a datum in one angular mode with no source is
+solved in that mode alone (fem.RingFactor.solve).
 Every later step is a Newton step on the residual K(u) u - load
 (fem.newton_system), except the step after a Newton update of at most
 sqrt(tol): that one is a chord step, which solves with the last Newton

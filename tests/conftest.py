@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -45,6 +46,46 @@ def factors(monkeypatch):
     monkeypatch.setattr(fem, "splu", recording_splu)
     monkeypatch.setattr(fem, "ring_factor", recording_ring)
     return calls
+
+
+@pytest.fixture
+def ring_solves(monkeypatch):
+    """Record, for every RingFactor solve, the angular mode it solved alone,
+    or None for a solve of every mode."""
+    from cloaksim import fem
+
+    calls = []
+    real_mode, real_all = fem.RingFactor._solve_mode, fem.RingFactor._solve_all
+
+    def recording_mode(self, coefficient, k, m):
+        calls.append(int(k))
+        return real_mode(self, coefficient, k, m)
+
+    def recording_all(self, rhs):
+        calls.append(None)
+        return real_all(self, rhs)
+
+    monkeypatch.setattr(fem.RingFactor, "_solve_mode", recording_mode)
+    monkeypatch.setattr(fem.RingFactor, "_solve_all", recording_all)
+    return calls
+
+
+def lu_reference(system, g):
+    """The Dirichlet solve as a fresh SuperLU factor of the interior block
+    computes it."""
+    from scipy.sparse.linalg import splu
+
+    from cloaksim.fem import SUPERLU_SETTINGS
+
+    mesh = system.mesh
+    ii = mesh.interior
+    full = np.zeros(mesh.n_vertices)
+    full[mesh.boundary] = g
+    rhs = (system.load - system.matrix @ full)[ii]
+    lu = splu(system.matrix[ii][:, ii].tocsc(), permc_spec="MMD_AT_PLUS_A",
+              **SUPERLU_SETTINGS)
+    full[ii] = lu.solve(rhs)
+    return full
 
 
 def oscillating_case(target):

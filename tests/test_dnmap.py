@@ -15,7 +15,7 @@ from cloaksim.geometry import (DiffMap, pushforward, regular_blowup,
                                transformed_inner_tensor,
                                truncated_singular_cloak)
 from cloaksim.presets import inclusion_field, preset_field
-from conftest import bare_mesh, oscillating_case
+from conftest import bare_mesh, lu_reference, oscillating_case
 
 
 class TestBasis:
@@ -226,18 +226,29 @@ class TestRingFactor:
 
     # "5I" is on n_theta = 27, where no mode is its own conjugate but 0
     @pytest.mark.parametrize("case", sorted(RADIAL_CASES))
-    def test_mode_solve_matches_all_modes(self, case):
+    def test_mode_solve_matches_all_modes(self, case, ring_solves):
+        # every Fourier datum, no load: zero off the outer ring, one mode.
+        # The ring factor of sigma-1, in every mode alike, is 2.8e-12 off
+        # SuperLU (CHANGES.md, the FOUND on RingFactor accuracy)
         field, mesh = RADIAL_CASES[case]()
         system = assemble_frozen(mesh, mesh.bind(field))
         radius = np.linalg.norm(mesh.vertices[mesh.boundary[0]])
         basis = FourierBasis(max_mode=6, radius=float(radius))
+        ii = mesh.interior
         for trace, k in zip(basis.trace_matrix(mesh), basis.modes()):
-            full = system.solve_dirichlet(trace)
-            alone = system.solve_dirichlet(trace, mode=k)
-            assert np.abs(alone - full).max() <= 1e-12 * np.abs(full).max()
+            u = system.solve_dirichlet(trace)
+            assert ring_solves[-1] == k
+            want = lu_reference(system, trace)
+            scale = np.abs(want).max()
+            assert np.abs(u - want).max() <= 1e-11 * scale
+            full = np.zeros(mesh.n_vertices)
+            full[mesh.boundary] = trace
+            every = system._factor()._solve_all(
+                (system.load - system.matrix @ full)[ii])
+            assert np.abs(u[ii] - every).max() <= 1e-12 * scale
         assert system.factor_kind == "ring"
 
-    def test_mode_zero_keeps_a_radial_load(self):
+    def test_mode_zero_keeps_a_radial_load(self, ring_solves):
         # the center row's right-hand side is its load alone: a radial
         # source reaches it, a boundary datum does not
         mesh = build_disk_mesh(2.0, h_target=0.2, n_theta=27)
@@ -245,39 +256,65 @@ class TestRingFactor:
         system = assemble_frozen(mesh, mesh.bind(inclusion_field("5I")),
                                  load=load)
         g = np.full(len(mesh.boundary), 0.5)
-        full = system.solve_dirichlet(g)
-        alone = system.solve_dirichlet(g, mode=0)
-        assert np.abs(alone - full).max() <= 1e-12 * np.abs(full).max()
+        u = system.solve_dirichlet(g)
+        want = lu_reference(system, g)
+        assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
+        assert ring_solves == [None]
 
-    def test_mode_solve_refuses_other_modes(self):
+    def test_mode_solve_refuses_other_modes(self, ring_solves):
+        # two modes on the outer ring, one of them 1e-9 of the other (a
+        # one-mode solve would miss it by 1e-9); or one mode there and a
+        # radial load on the rings between r = 0.5 and 1 alone, or on the
+        # center alone: each is solved in every mode
         mesh = build_disk_mesh(2.0, h_target=0.2, n_theta=27)
-        system = assemble_frozen(mesh, mesh.bind(inclusion_field("5I")))
+        field = mesh.bind(inclusion_field("5I"))
         theta = mesh.boundary_angles()
-        with pytest.raises(NumericalError, match="mode 1"):
-            system.solve_dirichlet(np.cos(theta) + np.cos(2 * theta), mode=1)
-        # 27 vertices per ring hold modes 0..13
-        with pytest.raises(PreconditionError, match="outside"):
-            system.solve_dirichlet(np.cos(14 * theta), mode=14)
+        inner = mesh.load(
+            lambda p: (abs(np.linalg.norm(p, axis=1) - 0.75) < 0.25) * 1.0)
+        center = np.zeros(mesh.n_vertices)
+        center[0] = 1.0
+        for g, load in [(np.cos(theta) + np.cos(2 * theta), None),
+                        (np.cos(theta) + 1e-9 * np.cos(3 * theta), None),
+                        (np.cos(theta), inner), (np.cos(theta), center)]:
+            system = assemble_frozen(mesh, field, load=load)
+            u = system.solve_dirichlet(g)
+            want = lu_reference(system, g)
+            assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
+        assert ring_solves == [None] * 4
 
-    def test_mode_is_ignored_by_superlu(self):
-        mesh = bare_mesh(build_disk_mesh(2.0, h_target=0.2))
-        system = assemble_frozen(mesh, mesh.bind(inclusion_field("5I")))
-        basis = FourierBasis(max_mode=3)
-        for trace, k in zip(basis.trace_matrix(mesh), basis.modes()):
-            assert np.array_equal(system.solve_dirichlet(trace, mode=k),
-                                  system.solve_dirichlet(trace))
-        assert system.factor_kind == "lu"
-
-    def test_linear_operator_never_solves_every_mode(self, monkeypatch):
+    def test_linear_operator_never_solves_every_mode(self, ring_solves):
         # the all-mode FFT solve costs twice the one-mode solve; a linear
         # radial operator on a ring mesh must not fall back to it
-        def refused(self, rhs):
-            raise AssertionError("RingFactor.solve called")
-
-        monkeypatch.setattr(fem.RingFactor, "solve", refused)
         field, mesh = _shell_case(1.5)
-        op = dn_operator(field, FourierBasis(max_mode=4), mesh)
+        basis = FourierBasis(max_mode=4)
+        op = dn_operator(field, basis, mesh)
         assert op.factor_kinds == {"ring": 1}
+        assert ring_solves == list(basis.modes())
+
+    def test_first_newton_step_solves_one_mode(self, ring_solves):
+        # the first step of each nonlinear column, from the zero state, is
+        # ring-factored and its datum lies in one mode; every later step
+        # is a Newton system, factored by SuperLU
+        mesh = build_disk_mesh(2.0, h_target=0.25)
+        basis = FourierBasis(3)
+        op = dn_operator(preset_field("isotropic-sin"), basis, mesh)
+        assert op.nonlinear
+        assert op.factor_kinds["ring"] == 7
+        assert ring_solves == list(basis.modes())
+
+    def test_residual_check_names_the_factor(self):
+        # a field that is not radial, its full 2D data taken as circulant:
+        # the ring factor reads the rows at angular index 0 for all rows,
+        # and the residual check refuses the solve
+        mesh = build_disk_mesh(2.0, h_target=0.2)
+        field = constant_field(np.diag([2.0, 3.0]))
+        frozen = assemble_frozen(mesh, mesh.bind(field))
+        assert not frozen.circulant
+        system = fem.SparseSystem(frozen.matrix.data, frozen.load, mesh,
+                                  circulant=True)
+        g = np.cos(2.0 * mesh.boundary_angles())
+        with pytest.raises(NumericalError, match=r"\(ring factor\)"):
+            system.solve_dirichlet(g)
 
     @given(n_theta=st.integers(8, 40),
            layers=st.lists(st.tuples(st.floats(0.2, 1.8), st.floats(0.2, 8.0)),

@@ -103,9 +103,10 @@ def test_one_superlu_call_in_fem_and_in_homog():
 
 
 def test_ring_factor_sweeps_stay_in_lapack():
-    # ring_factor gathers the bands and RingFactor factors and solves all
-    # angular modes with one zgttrf and one zgttrs; a loop in either would
-    # be a sweep back in Python
+    # ring_factor gathers the bands and RingFactor factors all angular
+    # modes with one zgttrf and solves them with one zgttrs, or one mode's
+    # block with one, selected from one FFT of the outer ring; a loop in
+    # either would be a sweep back in Python
     body = ast.parse((PACKAGE / "fem.py").read_text()).body
     named = {node.name: node for node in body
              if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
