@@ -193,7 +193,7 @@ def run_truncated_singular_sweep(cfg):
     return report
 
 
-def _mode_limit_values(mesh, spec):
+def _mode_limit_values(mesh):
     """Large-n limit field for the cos(theta) datum on the radius-3 disk:
     matched harmonic mode outside radius 2, shell mode inside, zero under
     the cloak."""
@@ -256,7 +256,7 @@ def run_homogenization_sweep(cfg):
         op_t = dn_operator(target, basis, mesh, cfg.picard)
         u_t = op_t.solutions[_COS1]
         op_i = dn_operator(ident, basis, mesh, cfg.picard)
-        limit = _mode_limit_values(mesh, spec)
+        limit = _mode_limit_values(mesh)
         rows.append({
             "n": n,
             "eps": spec.eps,

@@ -45,16 +45,17 @@ A right-hand side that is zero off the outer interior ring and in one
 mode k on it (a trace cos k theta or sin k theta, no load) is solved in
 mode k's block alone, read from that ring's FFT and rebuilt from
 cos k theta and sin k theta; any other transforms each ring by FFT and
-solves all modes at once. Every other system is factored by SuperLU: the
-interior block, gathered from the pattern data through one
-call of splu (_InteriorOrdering.factor). The first SuperLU factor on a mesh
-computes a fill-reducing ordering, which the mesh keeps (TriMesh.ordering);
-every later one on that mesh reuses it. Every SuperLU factor in the
-package, the periodic cell's included, is made with one setting of its
-supernode sizes, SUPERLU_SETTINGS. A solve reads the boundary data
-through the entries that couple interior rows to boundary columns
-(TriMesh.boundary_band), and a boundary flux reads the boundary rows alone
-(TriMesh.boundary_rows).
+solves all modes at once. Every other system is factored by SuperLU
+(_InteriorLU): the interior block, gathered from the pattern data through
+one call of splu. Each factor is built from the system it factors, and
+SparseSystem picks its class in one statement. The first SuperLU factor on
+a mesh computes a fill-reducing ordering, which the mesh keeps
+(TriMesh.ordering); every later one on that mesh reuses it. Every SuperLU
+factor in the package, the periodic cell's included, is made with one
+setting of its supernode sizes, SUPERLU_SETTINGS. A solve reads the
+boundary data through the entries that couple interior rows to boundary
+columns (TriMesh.boundary_band), and a boundary flux reads the boundary
+rows alone (TriMesh.boundary_rows).
 """
 
 from functools import lru_cache
@@ -73,7 +74,6 @@ __all__ = [
     "TriMesh",
     "SparseSystem",
     "RingFactor",
-    "ring_factor",
     "P1Pattern",
     "build_disk_mesh",
     "assemble_frozen",
@@ -195,7 +195,8 @@ class TriMesh:
         each edge.
     h_max : the longest edge.
     ordering : the interior ordering of the mesh's first LU
-        (_InteriorOrdering), None before it.
+        (_InteriorOrdering), which _InteriorLU keeps here; None before
+        it.
     """
 
     def __init__(self, vertices, connectivity):
@@ -217,16 +218,15 @@ class TriMesh:
         """The field at the assembly quadrature points as a function of the
         state alone: the coefficient that assemble_frozen takes.
 
-        On a mesh with a wedge, a radial field is evaluated at the wedge's
-        edge midpoints at the zero state (BoundField.wedge), after a check
-        of its declaration there (_radial_at). A linear one is evaluated at
-        every midpoint only when a state asks for it, which the zero state
-        does not."""
-        if self.wedge is None or not field.radial:
-            return BoundField(field.bind(self.midpoints), None)
-        wedge = _radial_at(field, self.midpoints[self.wedge.edges])
-        if field.is_linear:
-            return BoundField(lambda t: field.eval(self.midpoints, t), wedge)
+        Every field is bound at every midpoint by its own
+        CoefficientField.bind, which is called only at the states a solve
+        asks for. On a mesh with a wedge, a radial field is also evaluated
+        at the wedge's edge midpoints at the zero state (BoundField.wedge),
+        after a check of its declaration there (_radial_at); the wedge
+        assembly at the zero state reads that alone."""
+        wedge = None
+        if self.wedge is not None and field.radial:
+            wedge = _radial_at(field, self.midpoints[self.wedge.edges])
         return BoundField(field.bind(self.midpoints), wedge)
 
     def load(self, source):
@@ -392,8 +392,8 @@ def build_disk_mesh(radius, aligned_radii=(), h_target=0.1, n_theta=None,
         n_theta = max(16, ((n_theta + 7) // 8) * 8)
     if n_theta < 8:
         raise PreconditionError(
-            f"h_target={h_target} too coarse: only {n_theta} vertices per circle "
-            "(need at least 8)")
+            f"n_theta={n_theta} too small: need at least 8 vertices per "
+            "circle")
     rings = _ring_radii(radius, aligned_radii, h_target, radial_bands)[1:]
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     verts = np.zeros((1 + len(rings) * n_theta, 2))
@@ -786,12 +786,13 @@ class SparseSystem:
     ValueError. The interior problem is factored on the first solve and
     later solves reuse the factor. circulant is True for data that is
     block-circulant over the mesh's rings by construction (the wedge
-    assembly of assemble_frozen): such a system is factored by ring_factor,
-    every other system by SuperLU (_interior_lu). factor_kind names the
-    factor that served the system: "ring", "lu" (ordering computed),
-    "lu-reordered" (ordering reused) or "chord" (the factor of another
-    system, shared by with_load); None before the first solve. Neither
-    factor needs a symmetric matrix: a Newton system (newton_system) is not.
+    assembly of assemble_frozen): such a system is factored by RingFactor,
+    every other system by SuperLU (_InteriorLU), each built from the
+    system. factor_kind is the kind of the factor that served the system:
+    "ring", "lu" (ordering computed) or "lu-reordered" (ordering reused),
+    read from the factor; "chord" for the factor of another system, shared
+    by with_load; None before the first solve. Neither factor needs a
+    symmetric matrix: a Newton system (newton_system) is not.
     frozen_at is, for a stiffness that assemble_frozen froze at a state,
     the states (ne,) and tensors (ne, 2, 2) at the edge midpoints, the
     values newton_system differentiates; None otherwise.
@@ -817,10 +818,8 @@ class SparseSystem:
 
     def _factor(self):
         if self._solver is None:
-            if self.circulant:
-                self._solver, self.factor_kind = ring_factor(self), "ring"
-            else:
-                self._solver, self.factor_kind = _interior_lu(self)
+            self._solver = (RingFactor if self.circulant else _InteriorLU)(self)
+            self.factor_kind = self._solver.kind
         return self._solver
 
     def solve_dirichlet(self, boundary_values):
@@ -853,20 +852,40 @@ class SparseSystem:
         return full
 
 
-def _interior_lu(system):
-    """SuperLU factor of the system's interior block, and its kind: "lu"
-    for the first on a mesh, which orders the block by minimum degree and
-    leaves that ordering to the mesh (TriMesh.ordering), "lu-reordered" for
-    every later one, which reuses it."""
-    mesh, data = system.mesh, system.matrix.data
-    if mesh.ordering is not None:
-        return mesh.ordering.factor(data, "NATURAL"), "lu-reordered"
-    # minimum degree on A^T + A; the Newton systems have a symmetric
-    # pattern, and their fill is 40 % below COLAMD's
-    first = _InteriorOrdering(mesh, np.arange(len(mesh.interior))).factor(
-        data, "MMD_AT_PLUS_A")
-    mesh.ordering = _InteriorOrdering(mesh, first.lu.perm_c)
-    return first, "lu"
+class _InteriorLU:
+    """SuperLU factor of a system's interior block, solving in the mesh's
+    order.
+
+    The first on a mesh (kind "lu") gathers the block in the mesh's own
+    order, orders it by minimum degree and leaves that ordering to the mesh
+    (TriMesh.ordering); every later one ("lu-reordered") gathers the block
+    in that ordering and factors it as it stands. lu is the SuperLU factor
+    of the gathered block, and inv the inverse of its ordering
+    (_InteriorOrdering.inv).
+    """
+
+    def __init__(self, system):
+        mesh, data = system.mesh, system.matrix.data
+        ordering = mesh.ordering
+        if ordering is None:
+            ordering = _InteriorOrdering(mesh, np.arange(len(mesh.interior)))
+            # minimum degree on A^T + A; the Newton systems have a
+            # symmetric pattern, and their fill is 40 % below COLAMD's
+            self.kind, permc_spec = "lu", "MMD_AT_PLUS_A"
+        else:
+            self.kind, permc_spec = "lu-reordered", "NATURAL"
+        m = len(ordering.inv)
+        block = csc_matrix((data[ordering.gather], ordering.indices,
+                            ordering.indptr), shape=(m, m))
+        self.lu = splu(block, permc_spec=permc_spec, **SUPERLU_SETTINGS)
+        self.inv = ordering.inv
+        if self.kind == "lu":
+            mesh.ordering = _InteriorOrdering(mesh, self.lu.perm_c)
+
+    def solve(self, rhs):
+        x = np.empty_like(rhs)
+        x[self.inv] = self.lu.solve(rhs[self.inv])
+        return x
 
 
 class _InteriorOrdering:
@@ -894,58 +913,19 @@ class _InteriorOrdering:
         self.indptr = np.zeros(m + 1, dtype=np.int32)
         np.cumsum(np.bincount(c, minlength=m), out=self.indptr[1:])
 
-    def factor(self, data, permc_spec):
-        """Interior solver of the matrix with these pattern entries: the
-        SuperLU factor of B, with SuperLU's column ordering permc_spec of B
-        on top."""
-        m = len(self.inv)
-        block = csc_matrix((data[self.gather], self.indices, self.indptr),
-                           shape=(m, m))
-        return _Reordered(splu(block, permc_spec=permc_spec,
-                               **SUPERLU_SETTINGS), self.inv)
-
-
-class _Reordered:
-    """An LU of the reordered interior block, solving in the mesh order."""
-
-    def __init__(self, lu, inv):
-        self.lu = lu
-        self.inv = inv
-
-    def solve(self, rhs):
-        x = np.empty_like(rhs)
-        x[self.inv] = self.lu.solve(rhs[self.inv])
-        return x
-
-
-def ring_factor(system):
-    """RingFactor of the interior problem of a circulant system (its data
-    block-circulant over the mesh's rings). The bands are the rows at
-    angular index 0 of the interior rings (Wedge.bands); the center's
-    couplings are its entry in the first ring's column 0 and that
-    column's entry back."""
-    data, mesh = system.matrix.data, system.mesh
-    n = mesh.n_theta
-    m = (mesh.n_vertices - 1) // n - 1            # interior rings
-    pos, flat = mesh.wedge.bands
-    bands = np.zeros(3 * m * n)
-    bands[flat] = data[pos]
-    # the center row holds (0, 0), (0, 1), ...; row 1 starts with (1, 0)
-    ptr = mesh.pattern.indptr
-    return RingFactor(bands.reshape(3, m, n), data[ptr[0]],
-                      data[ptr[0] + 1], data[ptr[1]])
-
 
 class RingFactor:
-    """Interior factor of a block-circulant system, by mode.
+    """Interior factor of a circulant system (SparseSystem.circulant: its
+    data block-circulant over the mesh's rings), by mode; kind "ring".
 
     The matrix is block-circulant over the rings, so the angular Fourier
     transform of each ring decouples the modes. Mode k is a tridiagonal
     system over the interior rings whose entries are the transforms of
-    the rows at angular index 0: bands[1 + d, a, j] is the entry of row
-    (a, 0) in column (a + d, j), for d = -1, 0, 1. The center vertex, with
-    diagonal entry center, coupling to_ring to each vertex of the first
-    ring and from_ring back, couples to mode 0 alone and is unknown 0 of
+    the rows at angular index 0 (Wedge.bands): bands[1 + d, a, j] is the
+    entry of row (a, 0) in column (a + d, j), for d = -1, 0, 1. The center
+    vertex, with its diagonal entry, its coupling to each vertex of the
+    first ring (the center row's entry in that ring's column 0) and that
+    column's coupling back, couples to mode 0 alone and is unknown 0 of
     every mode (an identity row for k > 0). The modes are laid out one
     after the other as one tridiagonal, with no coupling where two modes
     meet, which LAPACK factors by LU with partial pivoting (zgttrf) and
@@ -955,16 +935,24 @@ class RingFactor:
     FFT. A singular mode raises NumericalError.
     """
 
-    def __init__(self, bands, center, to_ring, from_ring):
-        _, m, n = bands.shape
-        self.n_theta = n
+    kind = "ring"
+
+    def __init__(self, system):
+        data, mesh = system.matrix.data, system.mesh
+        n = self.n_theta = mesh.n_theta
+        m = (mesh.n_vertices - 1) // n - 1            # interior rings
+        pos, flat = mesh.wedge.bands
+        bands = np.zeros(3 * m * n)
+        bands[flat] = data[pos]
         # row (a, j) holds c(j' - j) in column (b, j'), so mode k sees
         # sum_l c(l) exp(+2 pi i l k / n): the conjugate of the FFT
-        symbol = np.fft.rfft(bands, axis=2).conj()
+        symbol = np.fft.rfft(bands.reshape(3, m, n), axis=2).conj()
         n_modes = symbol.shape[2]
+        # the center row holds (0, 0), (0, 1), ...; row 1 starts with (1, 0)
+        ptr = mesh.pattern.indptr
         diag = np.ones((n_modes, m + 1), dtype=complex)
         diag[:, 1:] = symbol[1].T
-        diag[0, 0] = center
+        diag[0, 0] = data[ptr[0]]
         # the sub- and superdiagonals A[i + 1, i] and A[i, i + 1] of each
         # mode, the couplings of ring a + 1 back to ring a and of ring a
         # to ring a + 1; their last entry, where two modes meet, is 0
@@ -973,8 +961,8 @@ class RingFactor:
         sup = np.zeros((n_modes, m + 1), dtype=complex)
         sup[:, 1:m] = symbol[2, :m - 1].T
         # the unitary transform carries the center's couplings to mode 0
-        sub[0, 0] = np.sqrt(n) * from_ring
-        sup[0, 0] = np.sqrt(n) * to_ring
+        sub[0, 0] = np.sqrt(n) * data[ptr[1]]
+        sup[0, 0] = np.sqrt(n) * data[ptr[0] + 1]
         *self.lu, info = zgttrf(sub.ravel()[:-1], diag.ravel(),
                                 sup.ravel()[:-1], overwrite_dl=1,
                                 overwrite_d=1, overwrite_du=1)

@@ -316,9 +316,10 @@ class CellSolution:
 
 @lru_cache(maxsize=1)
 def _cell_grid(n1, n2):
-    """Corner dofs, corner points, P1Pattern, areas, barycentric gradients
-    and centroids of the triangles of the crossed n1 x n2 grid; the last
-    grid is kept, since a cell sweep reuses one resolution."""
+    """Corner dofs, P1Pattern, areas, barycentric gradients and centroids
+    of the triangles of the crossed n1 x n2 grid; the last grid is kept,
+    since a cell sweep reuses one resolution. The corner points are
+    dropped once the geometry is read from them."""
     dx, dy = 1.0 / n1, 1.0 / n2
     i, j = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
     i = i.ravel()
@@ -354,11 +355,12 @@ def _cell_grid(n1, n2):
     ])
     areas, grads = p1_elements(tris_xy)
     centroids = tris_xy.mean(axis=1)
+    del tris_xy
     # every call of this resolution shares them
-    for array in (tris_dof, tris_xy, areas, grads, centroids):
+    for array in (tris_dof, areas, grads, centroids):
         array.setflags(write=False)
-    return (tris_dof, tris_xy, P1Pattern(tris_dof, 2 * n1 * n2), areas,
-            grads, centroids)
+    return (tris_dof, P1Pattern(tris_dof, 2 * n1 * n2), areas, grads,
+            centroids)
 
 
 def solve_cell(problem):
@@ -372,7 +374,7 @@ def solve_cell(problem):
     n1, n2 = problem.resolution
     if n1 < 2 or n2 < 2:
         raise PreconditionError("cell resolution must be at least 2 per axis")
-    dofs, _, pattern, areas, grads, centroids = _cell_grid(n1, n2)
+    dofs, pattern, areas, grads, centroids = _cell_grid(n1, n2)
     ndof = pattern.n
     amat = problem.matrices(centroids)
     sym_defect = np.abs(amat - amat.transpose(0, 2, 1)).max()

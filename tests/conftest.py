@@ -31,20 +31,22 @@ def factors(monkeypatch):
     from cloaksim import fem
 
     calls = []
-    real_splu, real_ring = fem.splu, fem.ring_factor
+    real_splu = fem.splu
 
     def recording_splu(matrix, **kwargs):
         lu = real_splu(matrix, **kwargs)
         calls.append(("splu", matrix, lu))
         return lu
 
-    def recording_ring(system):
-        factor = real_ring(system)
-        calls.append(("ring", system.matrix, factor))
-        return factor
+    # a subclass, not a wrapper function, so that ring_solves can still
+    # patch the solve methods of fem.RingFactor
+    class RecordingRingFactor(fem.RingFactor):
+        def __init__(self, system):
+            super().__init__(system)
+            calls.append(("ring", system.matrix, self))
 
     monkeypatch.setattr(fem, "splu", recording_splu)
-    monkeypatch.setattr(fem, "ring_factor", recording_ring)
+    monkeypatch.setattr(fem, "RingFactor", RecordingRingFactor)
     return calls
 
 

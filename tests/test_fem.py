@@ -151,7 +151,7 @@ class TestDiskMesh:
         assert mesh.areas.min() > 0.0
 
     def test_small_angular_count_refused(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="n_theta"):
             build_disk_mesh(2.0, h_target=0.2, n_theta=4)
 
     def test_boundary_arc_weights_total(self):
@@ -259,7 +259,7 @@ class TestSolveLayer:
         system = assemble_frozen(mesh, mesh.bind(field),
                                  load=mesh.load(lambda p: 1.0 + p[:, 0]))
         seen = []
-        for cls in (fem.RingFactor, fem._Reordered):
+        for cls in (fem.RingFactor, fem._InteriorLU):
             def recording(self, rhs, real=cls.solve):
                 seen.append(rhs.copy())
                 return real(self, rhs)
@@ -832,8 +832,20 @@ class TestFixedPattern:
             assert_canonical(matrix)
 
     def test_periodic_cell(self):
-        dofs, xy, pattern, areas, grads, cent = _cell_grid(6, 5)
-        # the cached geometry is that of the grid's corner points
+        n1, n2 = 6, 5
+        dofs, pattern, areas, grads, cent = _cell_grid(n1, n2)
+        # the corner points of the crossed grid's triangles, in its order:
+        # the bottom, right, top and left triangle of every square (i, j),
+        # each ending at the square's center
+        i, j = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+        square = np.stack([i.ravel(), j.ravel()], axis=1)
+        sides = np.array([[[0, 0], [1, 0]], [[1, 0], [1, 1]],
+                          [[1, 1], [0, 1]], [[0, 1], [0, 0]]])
+        xy = np.empty((4, n1 * n2, 3, 2))
+        xy[:, :, :2] = square[None, :, None] + sides[:, None]
+        xy[:, :, 2] = square + 0.5
+        xy = (xy * [1.0 / n1, 1.0 / n2]).reshape(-1, 3, 2)
+        # the cached geometry is that of those corner points
         want_areas, want_grads = p1_elements(xy)
         np.testing.assert_array_equal(areas, want_areas)
         np.testing.assert_array_equal(grads, want_grads)

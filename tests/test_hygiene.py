@@ -93,8 +93,8 @@ def test_every_superlu_factor_uses_the_shared_settings():
 
 
 def test_one_superlu_call_in_fem_and_in_homog():
-    # every disk factor goes through _InteriorOrdering.factor, and the
-    # periodic cell has its own; a second call would be a second LU path
+    # every disk factor goes through _InteriorLU, and the periodic cell
+    # has its own; a second call would be a second LU path
     for name in ("fem.py", "homog.py"):
         lines = [node.lineno
                  for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
@@ -103,17 +103,16 @@ def test_one_superlu_call_in_fem_and_in_homog():
 
 
 def test_ring_factor_sweeps_stay_in_lapack():
-    # ring_factor gathers the bands and RingFactor factors all angular
-    # modes with one zgttrf and solves them with one zgttrs, or one mode's
-    # block with one, selected from one FFT of the outer ring; a loop in
-    # either would be a sweep back in Python
+    # RingFactor gathers the bands, factors all angular modes with one
+    # zgttrf and solves them with one zgttrs, or one mode's block with one,
+    # selected from one FFT of the outer ring; a loop in it would be a
+    # sweep back in Python
     body = ast.parse((PACKAGE / "fem.py").read_text()).body
-    named = {node.name: node for node in body
-             if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
-    for name in ("ring_factor", "RingFactor"):
-        loops = [node.lineno for node in ast.walk(named[name])
-                 if isinstance(node, (ast.For, ast.While, ast.comprehension))]
-        assert not loops, f"fem.py: loops in {name} on lines {loops}"
+    (ring,) = [node for node in body
+               if isinstance(node, ast.ClassDef) and node.name == "RingFactor"]
+    loops = [node.lineno for node in ast.walk(ring)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert not loops, f"fem.py: loops in RingFactor on lines {loops}"
 
 
 def test_wedge_is_read_from_the_ring_layout_alone():
@@ -124,6 +123,27 @@ def test_wedge_is_read_from_the_ring_layout_alone():
                for node, scopes in scoped_calls(ast.parse(path.read_text()))
                if name_of(node.func) == "_wedge"]
     assert callers == [("fem.py", ["_ring_connectivity"])], callers
+
+
+def callees(func):
+    """The names a call's callee may be: its own name, or those of both
+    branches of a conditional expression."""
+    if isinstance(func, ast.IfExp):
+        return callees(func.body) + callees(func.orelse)
+    return [name_of(func)]
+
+
+def test_every_factor_is_built_by_its_system_alone():
+    # each factor is built from the system it factors, and
+    # SparseSystem._factor picks its class in one statement; a builder
+    # elsewhere would be a second place that decides the factor kind
+    builders = [(path.name, [name for name, _ in scopes], cls)
+                for path in program_sources()
+                for node, scopes in scoped_calls(ast.parse(path.read_text()))
+                for cls in callees(node.func)
+                if cls in ("RingFactor", "_InteriorLU")]
+    assert builders == [("fem.py", ["_factor"], "RingFactor"),
+                        ("fem.py", ["_factor"], "_InteriorLU")], builders
 
 
 def name_of(node):
