@@ -6,7 +6,9 @@ always extracted variationally (pairing with lifted traces), never by
 differentiating the finite element solution at the boundary. Every
 boundary number is read from pairing matrices: dn_difference compares
 whole operators, neumann_trace_error one column of two operators on the
-same mesh.
+same mesh or layout. A linear radial coefficient on a ring layout takes
+its operator from the layout alone (fem.RingSystem): one mode profile per
+column in place of a nodal solution, and no mesh.
 """
 
 import json
@@ -15,7 +17,7 @@ from collections import Counter
 import numpy as np
 
 from .errors import PreconditionError
-from .fem import assemble_frozen
+from .fem import RingLayout, assemble_frozen
 from .qsolve import PicardConfig, dn_pairing, solve_quasilinear
 
 __all__ = ["FourierBasis", "DtNOperator", "dn_operator", "dn_difference",
@@ -78,11 +80,14 @@ class DtNOperator:
 
     Column j of the pairing matrix is the boundary flux of the solution
     with datum j, paired with every trace. Operators computed by
-    dn_operator also keep the mesh, the nodal solution of each column
-    (row j solves datum j), its iteration count and factor_kinds, the
-    count of the systems it factored by SparseSystem.factor_kind;
-    operators loaded by from_json have None there, so only dn_difference
-    takes them.
+    dn_operator also keep the mesh (a TriMesh, or the RingLayout they were
+    computed on), the solution of each column (row j solves datum j), its
+    iteration count and factor_kinds, the count of the systems it factored
+    by SparseSystem.factor_kind; operators loaded by from_json have None
+    there, so only dn_difference takes them. On a TriMesh the solutions
+    are nodal, (size, n_vertices); on a RingLayout they are mode profiles
+    (RingSystem.mode_columns), (size, 1 + rings) complex, the cos(theta)
+    column's read by fem.mode_l2_norm.
     """
 
     def __init__(self, basis, pairing_matrix, coefficient="", nonlinear=False,
@@ -140,35 +145,57 @@ class DtNOperator:
 def dn_operator(A, basis, mesh, cfg=None):
     """Solve one boundary value problem per basis function and pair fluxes.
 
-    A basis whose max_mode reaches half the boundary vertex count raises
+    mesh is a TriMesh or a RingLayout (fem.disk_layout). A basis whose
+    max_mode reaches half the boundary vertex count raises
     PreconditionError: on that polygon the traces of modes k and n - k
     coincide, and their columns would be aliases.
 
-    For a state-independent coefficient a single factorization serves all
-    columns, and every full nodal solution is kept; a ring-factored
-    (radial) system solves each datum in its one angular mode
-    (RingFactor.solve). Otherwise each column is an independent nonlinear
-    solve at amplitude one, all with the coefficient bound once, and the
-    operator records a nonlinearity flag: the matrix is then a finite
-    probe of a nonlinear map, not a linear restriction. Each such column
-    is paired as soon as its solve returns, and its system is dropped
-    before the next column's solve.
+    A linear radial coefficient (A.is_linear and A.radial) on a ring
+    layout with an interior ring, the RingLayout itself or the mesh built
+    from one, takes its operator from the layout alone: the rows of its
+    wedge (fem.RingSystem), one factor for all columns, and each datum
+    solved in its one angular mode, with no array of one entry per
+    vertex. The operator keeps each column's mode profile, and on a mesh
+    the nodal solutions rebuilt from them (RingLayout.nodal). Every other
+    coefficient is solved on a mesh, which a RingLayout builds for it
+    (RingLayout.mesh). Another state-independent coefficient is factored
+    once for all columns, and every full nodal solution is kept.
+    Otherwise each column is an independent nonlinear solve at amplitude
+    one, all with the coefficient bound once, and the operator records a
+    nonlinearity flag: the matrix is then a finite probe of a nonlinear
+    map, not a linear restriction. Each such column is paired as soon as
+    its solve returns, and its system is dropped before the next column's
+    solve.
     """
-    rb = np.linalg.norm(mesh.vertices[mesh.boundary], axis=1)
+    points = mesh.boundary_points()
+    rb = np.linalg.norm(points, axis=1)
     if np.abs(rb - basis.radius).max() > 1e-9 * basis.radius:
         raise PreconditionError(
             f"basis radius {basis.radius:g} does not match the mesh boundary "
             f"radius {rb.max():.12g}")
-    if 2 * basis.max_mode >= len(mesh.boundary):
+    if 2 * basis.max_mode >= len(points):
         raise PreconditionError(
             f"basis max_mode {basis.max_mode} needs more than "
             f"{2 * basis.max_mode} boundary vertices, the mesh has "
-            f"{len(mesh.boundary)}: the traces of modes k and n - k coincide")
+            f"{len(points)}: the traces of modes k and n - k coincide")
     cfg = cfg or PicardConfig()
     traces = basis.trace_matrix(mesh)
-    solutions = np.empty((basis.size, mesh.n_vertices))
-    if A.is_linear:
+    layout = mesh if isinstance(mesh, RingLayout) else mesh.layout
+    by_mode = A.is_linear and A.radial and layout is not None \
+        and len(layout.rings) > 1
+    if mesh is layout and not by_mode:
+        mesh = layout.mesh()
+    if by_mode:
+        system = assemble_frozen(layout, layout.bind(A))
+        solutions, matrix = system.mode_columns(traces, basis.modes())
+        if mesh is not layout:
+            solutions = layout.nodal(solutions, basis.modes(), traces)
+        iterations = [1] * basis.size
+        converged = None
+        kinds = Counter([system.factor_kind])
+    elif A.is_linear:
         system = assemble_frozen(mesh, mesh.bind(A))
+        solutions = np.empty((basis.size, mesh.n_vertices))
         for j in range(basis.size):
             solutions[j] = system.solve_dirichlet(traces[j])
         matrix = dn_pairing(system, solutions, traces)
@@ -177,6 +204,7 @@ def dn_operator(A, basis, mesh, cfg=None):
         kinds = Counter([system.factor_kind])
     else:
         coef = mesh.bind(A)
+        solutions = np.empty((basis.size, mesh.n_vertices))
         matrix = np.empty((basis.size, basis.size))
         iterations, converged, kinds = [], [], Counter()
         for j in range(basis.size):

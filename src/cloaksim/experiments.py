@@ -1,10 +1,14 @@
 """Sweep drivers measuring the cloaking constructions, and report emission.
 
-Each driver builds meshes that align every coefficient interface with a
-vertex ring, computes references on the same mesh as the perturbed problem
-(so leading discretization error cancels), and returns a DecayReport of
-per-parameter rows plus log-log slope fits. Its meta lists, per row, the
-factor_kinds of the row's perturbed operator as a plain dict.
+Each driver lays out rings that align every coefficient interface with a
+vertex ring, computes references on the same rings as the perturbed
+problem (so leading discretization error cancels), and returns a
+DecayReport of per-parameter rows plus log-log slope fits. Its meta lists,
+per row, the factor_kinds of the row's perturbed operator as a plain
+dict. The truncated-shell and oscillating-shell sweeps pass the ring
+layout itself (fem.disk_layout) to dn_operator, which serves their linear
+radial fields from the layout alone and builds a mesh only for a
+nonlinear inclusion; the other two build meshes.
 """
 
 import json
@@ -15,7 +19,7 @@ import numpy as np
 from .coeff import identity_field
 from .dnmap import FourierBasis, dn_operator, dn_difference, neumann_trace_error
 from .errors import PreconditionError
-from .fem import build_disk_mesh, l2_norm, h1_norm
+from .fem import build_disk_mesh, disk_layout, h1_norm, l2_norm, mode_l2_norm
 from .geometry import (pushforward, regular_blowup, transformed_inner_tensor,
                        truncated_singular_cloak)
 from .homog import build_isotropic_cloak_sequence
@@ -166,17 +170,19 @@ def run_truncated_singular_sweep(cfg):
         # mode-k pairing error grows like (k dr)^2 and the weighted norm
         # reaches k = modes, which would drown the true gap at small rho
         bands = [(1.0, rho, layer / 8.0), (1.0, 2.0, 1.0 / 160.0)]
-        mesh = build_disk_mesh(2.0, aligned_radii=(1.0, rho), h_target=cfg.h,
-                               radial_bands=bands)
+        # a linear inclusion makes a cloak that the layout alone serves; a
+        # nonlinear one gets its mesh from dn_operator
+        layout = disk_layout(2.0, aligned_radii=(1.0, rho), h_target=cfg.h,
+                             radial_bands=bands)
         cloak = truncated_singular_cloak(rho, interior=inclusion)
-        op_c = dn_operator(cloak, basis, mesh, cfg.picard)
+        op_c = dn_operator(cloak, basis, layout, cfg.picard)
         kinds.append(dict(op_c.factor_kinds))
-        op_i = dn_operator(identity_field(2), basis, mesh, cfg.picard)
+        op_i = dn_operator(identity_field(2), basis, layout, cfg.picard)
         rows.append({
             "rho": rho,
             "dn": dn_difference(op_c, op_i),
             "converged": op_c.all_converged,
-            "n_vertices": mesh.n_vertices,
+            "n_vertices": layout.n_vertices,
         })
         # the row is recorded: its operators go before the next are built
         del op_c, op_i
@@ -193,27 +199,25 @@ def run_truncated_singular_sweep(cfg):
     return report
 
 
-def _mode_limit_values(mesh):
-    """Large-n limit field for the cos(theta) datum on the radius-3 disk:
+def _mode_limit_values(layout):
+    """Large-n limit field for the cos(theta) datum on the radius-3 disk,
+    as its mode-1 profile on the layout's rings (fem.mode_l2_norm):
     matched harmonic mode outside radius 2, shell mode inside, zero under
     the cloak."""
-    rr = np.linalg.norm(mesh.vertices, axis=1)
-    ct = np.where(rr > 0, mesh.vertices[:, 0] / np.maximum(rr, 1e-30), 0.0)
-    vals = np.zeros(mesh.n_vertices)
-    out = rr >= 2.0
-    vals[out] = (rr[out] / 3.0) * ct[out]
-    shell = (rr > 1.0) & (rr < 2.0)
-    vals[shell] = (2.0 * (rr[shell] - 1.0) / 3.0) * ct[shell]
-    return vals
+    r = np.concatenate([[0.0], layout.rings])
+    return np.where(r >= 2.0, r / 3.0,
+                    np.where(r > 1.0, 2.0 * (r - 1.0) / 3.0, 0.0))
 
 
 def run_homogenization_sweep(cfg):
     """Oscillating isotropic shells against their anisotropic targets.
 
-    Domain is the radius-3 disk; each term n is solved on its own mesh with
-    radial spacing eps_n/8 inside radius 2, together with the target-shell
-    reference and the identity problem on the same mesh. Terms whose period
-    cannot get 8 elements are refused.
+    Domain is the radius-3 disk; each term n is solved on its own ring
+    layout with radial spacing eps_n/8 inside radius 2, together with the
+    target-shell reference and the identity problem on the same layout.
+    Every field is linear and radial, so no mesh is built. Terms whose
+    period cannot get 8 elements are refused, and so are terms whose mesh
+    would have more than 4e6 vertices.
     """
     sched = list(cfg.schedule)
     if not sched or any(n < 1 or not float(n).is_integer() for n in sched):
@@ -240,35 +244,36 @@ def run_homogenization_sweep(cfg):
             raise PreconditionError(
                 f"term n={n}: mesh of about {est:.2g} vertices refused; "
                 "the period is too small for this driver")
-        mesh = build_disk_mesh(
+        layout = disk_layout(
             3.0, aligned_radii=(1.0, spec.R - 2 * spec.eta, spec.R, 2.0),
             h_target=cfg.h, n_theta=n_theta,
             radial_bands=[(seam, 2.0, dr)])
         sigma_n = spec.field()
         target = spec.homogenized()
         ident = identity_field(2)
-        # dn_operator keeps its nodal solves; the cos-theta column doubles
-        # as the field solution, avoiding extra factorizations of the big
-        # systems here
-        op_n = dn_operator(sigma_n, basis, mesh, cfg.picard)
+        # the three fields are linear and radial: each operator on the
+        # layout keeps the mode profile of every column, and the cos-theta
+        # column doubles as the field solution, whose norms are band sums
+        op_n = dn_operator(sigma_n, basis, layout, cfg.picard)
         kinds.append(dict(op_n.factor_kinds))
         u_n = op_n.solutions[_COS1]
-        op_t = dn_operator(target, basis, mesh, cfg.picard)
+        op_t = dn_operator(target, basis, layout, cfg.picard)
         u_t = op_t.solutions[_COS1]
-        op_i = dn_operator(ident, basis, mesh, cfg.picard)
-        limit = _mode_limit_values(mesh)
+        op_i = dn_operator(ident, basis, layout, cfg.picard)
+        limit = _mode_limit_values(layout)
+        mode = basis.modes()[_COS1]
         rows.append({
             "n": n,
             "eps": spec.eps,
-            "l2_target": l2_norm(mesh, u_n - u_t),
-            "l2_limit": l2_norm(mesh, u_n - limit),
+            "l2_target": mode_l2_norm(layout, u_n - u_t, mode),
+            "l2_limit": mode_l2_norm(layout, u_n - limit, mode),
             "dn_target": dn_difference(op_n, op_t),
             "dn_identity": dn_difference(op_n, op_i),
             "fit_residual": spec.max_residual,
             "fallback_points": spec.n_fallback,
             "iterations": op_n.iterations[_COS1],
             "converged": op_n.all_converged,
-            "n_vertices": mesh.n_vertices,
+            "n_vertices": layout.n_vertices,
         })
         # the row is recorded: its operators go before the next are built
         del op_n, op_t, op_i, u_n, u_t, limit

@@ -2,54 +2,60 @@
 
 Meshes are structured: concentric vertex rings with a common angular count,
 so requested radii (interfaces of piecewise coefficients) can be matched
-exactly by a ring of vertices. The coefficient is sampled at the three
-edge midpoints of each element: once per mesh edge (TriMesh.edges), each
-interior edge serving its two triangles, and gathered to the elements by
-TriMesh.edge_of. One elementwise kernel (_element_matrices) forms the
-element matrices of the stiffness, of the Newton term and of the periodic
-cell: plain arithmetic on (nt, 3) arrays of gradient components, with no
-batched matrix product. Every matrix assembled on one mesh shares one CSR
-pattern (P1Pattern): an assembly sums the element matrices into its data
-array, J = K + C is the sum of two data arrays, and a linear system
-(SparseSystem) is made from that data alone. The pattern is built from the
-triangles' edges, and gives the edges and the edges of each triangle with
-it. A TriMesh is its vertices and the geometry read from them (areas,
-gradients, edge midpoints) on a Connectivity: the triangles, the pattern
-and every map read from it, the boundary blocks and, on a ring mesh, its
-Wedge. No vertex coordinate enters the connectivity, so build_disk_mesh
-builds it once per layout (ring count and n_theta) and the meshes of a
-sweep that moves only the ring radii share it, read-only. Only the layouts
-of build_disk_mesh carry a ring count and a Wedge, which _wedge reads from
-the order in which the layout lists its triangles; Connectivity.of, for
-any triangulation, gives neither. One reader,
-P1Pattern.block, gives every block of the pattern: the boundary blocks and
-the interior block of each LU.
+exactly by a ring of vertices. The rings come first, as a RingLayout
+(disk_layout: the ring radii, n_theta and the geometry of the layout's
+wedge), and build_disk_mesh places the vertices of the layout's mesh. The
+coefficient is sampled at the three edge midpoints of each element: once
+per mesh edge (TriMesh.edges), each interior edge serving its two
+triangles, and gathered to the elements by TriMesh.edge_of. One
+elementwise kernel (_element_matrices) forms the element matrices of the
+stiffness, of the Newton term and of the periodic cell: plain arithmetic
+on (nt, 3) arrays of gradient components, with no batched matrix product.
+Every matrix assembled on one mesh shares one CSR pattern (P1Pattern): an
+assembly sums the element matrices into its data array, J = K + C is the
+sum of two data arrays, and a linear system (SparseSystem) is made from
+that data alone. The pattern is built from the triangles' edges, and gives
+the edges and the edges of each triangle with it. A TriMesh is its
+vertices and the geometry read from them (areas, gradients, edge
+midpoints) on a Connectivity: the triangles, the pattern and every map
+read from it, the boundary blocks and, on a ring mesh, its Wedge. No
+vertex coordinate enters the connectivity, so it is built once per layout
+(ring count and n_theta) and the meshes of a sweep that moves only the
+ring radii share it, read-only. Only ring layouts carry a ring count and
+a Wedge, which _wedge reads from the order in which the layout lists its
+triangles; Connectivity.of, for any triangulation, gives neither. One
+reader, P1Pattern.block, gives every block of the pattern: the boundary
+blocks and the interior block of each LU.
 
-On a ring mesh the rows at one angular index fix the whole stiffness of a
-radial field (CoefficientField.radial: A(Qx, t) = Q A(x, t) Q^T for every
-rotation Q) frozen at the zero state. assemble_frozen then assembles only
-the Wedge, the triangles with a corner at angular index 0 or 1 and the
-center fan, and gathers the rest of the data from the rows at angular
-index 0 (Wedge.spin). Two checks guard the declaration. TriMesh.bind
-evaluates the field at the wedge's edge midpoints turned by 1/4, 1/2 and
-3/4 of a turn, where A(Qx) must be Q A(x) Q^T to 1e-9 of the largest
-entry; and the rows at angular index 1, assembled too, must match the
-gathered ones to 1e-9 of the largest band entry, which catches a field
-that jumps at the quadrature points. A field that fails either is not
-radial, and NumericalError is raised. The angular Fourier transform then
-splits such a system into one tridiagonal system over the rings per mode
-(Bernardi, Dauge & Maday, Spectral Methods for Axisymmetric Domains,
-1999); LAPACK factors all modes as one tridiagonal, by LU with partial
-pivoting (RingFactor).
-A right-hand side that is zero off the outer interior ring and in one
-mode k on it (a trace cos k theta or sin k theta, no load) is solved in
-mode k's block alone, read from that ring's FFT and rebuilt from
-cos k theta and sin k theta; any other transforms each ring by FFT and
-solves all modes at once. Every other system is factored by SuperLU
+On a ring layout the rows at one angular index fix the whole stiffness of
+a radial field (CoefficientField.radial: A(Qx, t) = Q A(x, t) Q^T for
+every rotation Q) frozen at the zero state. assemble_frozen then
+assembles only the layout's wedge (RingWedge: the triangles with a corner
+at angular index 0 or 1 and the center fan, on a pattern of their own),
+and on a mesh gathers the rest of the data from the rows at angular index
+0 (Wedge.spin). Two checks guard the declaration. The field is evaluated
+at the wedge's edge midpoints turned by 1/4, 1/2 and 3/4 of a turn, where
+A(Qx) must be Q A(x) Q^T to 1e-9 of the largest entry (_radial_at); and
+the rows at angular index 1 must match the rows at index 0 turned to 1e-9
+of the largest band entry, which catches a field that jumps at the
+quadrature points. A field that fails either is not radial, and
+NumericalError is raised. The angular Fourier transform then splits such
+a system into one tridiagonal system over the rings per mode (Bernardi,
+Dauge & Maday, Spectral Methods for Axisymmetric Domains, 1999); LAPACK
+factors all modes as one tridiagonal, by LU with partial pivoting
+(RingFactor). A Fourier datum with no load is solved in its mode's block
+alone, from the FFT of its right-hand side on the outer interior ring: its
+solution is a mode profile, one complex number per ring. On a layout
+(RingSystem, what assemble_frozen gives for a RingLayout) the profile, its
+boundary flux and its band-summed L2 norm (mode_l2_norm) are all a linear
+radial DN operator needs, so no mesh and no array of one entry per vertex
+is made. On a mesh the circulant SparseSystem rebuilds the nodal solution
+from the profile, and solves any other right-hand side by an FFT of each
+ring and all modes at once. Every other system is factored by SuperLU
 (_InteriorLU): the interior block, gathered from the pattern data through
 one call of splu. Each factor is built from the system it factors, and
-SparseSystem picks its class in one statement. The first SuperLU factor on
-a mesh computes a fill-reducing ordering, which the mesh keeps
+one statement picks its class. The first SuperLU factor on a mesh
+computes a fill-reducing ordering, which the mesh keeps
 (TriMesh.ordering); every later one on that mesh reuses it. Every SuperLU
 factor in the package, the periodic cell's included, is made with one
 setting of its supernode sizes, SUPERLU_SETTINGS. A solve reads the
@@ -72,9 +78,12 @@ from .errors import NumericalError, PreconditionError
 __all__ = [
     "Connectivity",
     "TriMesh",
+    "RingLayout",
     "SparseSystem",
+    "RingSystem",
     "RingFactor",
     "P1Pattern",
+    "disk_layout",
     "build_disk_mesh",
     "assemble_frozen",
     "newton_system",
@@ -82,6 +91,7 @@ __all__ = [
     "p1_gradient",
     "p1_stiffness",
     "l2_norm",
+    "mode_l2_norm",
     "h1_norm",
     "h1_seminorm",
     "SUPERLU_SETTINGS",
@@ -93,32 +103,65 @@ __all__ = [
 SUPERLU_SETTINGS = {"relax": 1, "panel_size": 1}
 
 
-class Wedge(NamedTuple):
-    """The part of a ring mesh that fixes the stiffness of a radial field.
+class RingWedge(NamedTuple):
+    """The wedge of a ring layout, the part that fixes the stiffness of a
+    radial field, on a pattern of its own: the triangles with a corner at
+    angular index 0 or 1, and the center fan, in the layout's order
+    (_ring_triangles). No vertex coordinate enters it.
 
-    triangles : the triangles with a corner at angular index 0 or 1, and
-        the center fan, ascending: every triangle at the vertices of
-        angular index 0 and 1 and at the center.
-    edges : their edges, ascending indices in TriMesh.edges.
-    edge_of : (nw, 3) the index in edges of the edges m01, m12, m20 of
-        each of the triangles.
-    spin : for each stored entry of the pattern, the position in data of
-        the entry its row rotates to at angular index 0 (the entry itself
-        in the center row and in the rows at angular index 0).
-    turned : the positions of the entries in the rows at angular index 1.
+    vertices : the layout's vertices that the wedge holds, ascending;
+        local vertex i is vertices[i].
+    triangles : (nw, 3) the corners of its triangles, in local vertices.
+    pattern : the P1Pattern of those triangles. Its edges come in the
+        order of the layout's, and its rows at angular index 0 and 1 and
+        the center row hold every term of the layout's; the other rows
+        lack the triangles outside the wedge.
+    shape : (m, n_theta), the interior rings and the vertices per ring.
     bands : (positions, flat indices) of the entries of the rows at angular
         index 0 of the interior rings, the center column left out, and
         their places in the (3, m, n_theta) bands of RingFactor.
+    center : the positions of the center's diagonal entry, of its coupling
+        to vertex (0, 0) and of that vertex's coupling back.
+    turned, spun : the positions of the entries in the rows at angular
+        index 1, and of the entries each turns back to at angular index 0.
+    boundary : the positions of the entries of the boundary row (m, 0) in
+        the columns (m - 1, n - 1), (m - 1, 0), (m, n - 1), (m, 0) and
+        (m, 1); None with no interior ring.
+
+    Positions are in the wedge's own data. Only _ring_wedge builds one.
+    """
+
+    vertices: np.ndarray
+    triangles: np.ndarray
+    pattern: "P1Pattern"
+    shape: tuple
+    bands: tuple
+    center: np.ndarray
+    turned: np.ndarray
+    spun: np.ndarray
+    boundary: np.ndarray
+
+
+class Wedge(NamedTuple):
+    """The wedge of a ring mesh in the mesh's pattern: how the layout's
+    RingWedge spreads over the whole stiffness of a radial field.
+
+    spin : for each stored entry of the pattern, the position in data of
+        the entry its row rotates to at angular index 0 (the entry itself
+        in the center row and in the rows at angular index 0).
+    local : for each entry of the RingWedge's pattern, its position in
+        this pattern.
+    bands, center, shape : those of the RingWedge (RingFactor reads
+        them), with positions in this pattern.
 
     Only _ring_connectivity builds one, from the order of its triangles.
     """
 
-    triangles: np.ndarray
-    edges: np.ndarray
-    edge_of: np.ndarray
     spin: np.ndarray
-    turned: np.ndarray
+    local: np.ndarray
     bands: tuple
+    center: np.ndarray
+    shape: tuple
 
 
 class Connectivity(NamedTuple):
@@ -181,7 +224,23 @@ def _read_only(*arrays):
         array.setflags(write=False)
 
 
-class TriMesh:
+class _Disk:
+    """What a mesh and a ring layout share: the boundary circle, read from
+    boundary_points()."""
+
+    def boundary_angles(self):
+        b = self.boundary_points()
+        return np.arctan2(b[:, 1], b[:, 0])
+
+    def boundary_arc_weights(self):
+        """Trapezoid weights of the closed boundary polygon."""
+        b = self.boundary_points()
+        nxt = np.roll(b, -1, axis=0)
+        seg = np.linalg.norm(nxt - b, axis=1)
+        return 0.5 * (seg + np.roll(seg, 1))
+
+
+class TriMesh(_Disk):
     """Triangulation of a disk: the vertices and the geometry read from
     them, on a Connectivity.
 
@@ -197,7 +256,11 @@ class TriMesh:
     ordering : the interior ordering of the mesh's first LU
         (_InteriorOrdering), which _InteriorLU keeps here; None before
         it.
+    layout : the RingLayout the mesh was built from (RingMesh); None for
+        any other triangulation.
     """
+
+    layout = None
 
     def __init__(self, vertices, connectivity):
         self.vertices = np.asarray(vertices, dtype=float)
@@ -220,13 +283,12 @@ class TriMesh:
 
         Every field is bound at every midpoint by its own
         CoefficientField.bind, which is called only at the states a solve
-        asks for. On a mesh with a wedge, a radial field is also evaluated
-        at the wedge's edge midpoints at the zero state (BoundField.wedge),
-        after a check of its declaration there (_radial_at); the wedge
-        assembly at the zero state reads that alone."""
+        asks for. On a mesh with a wedge, a radial field is also bound as
+        its layout binds it (RingLayout.bind); the wedge assembly at the
+        zero state reads that alone."""
         wedge = None
         if self.wedge is not None and field.radial:
-            wedge = _radial_at(field, self.midpoints[self.wedge.edges])
+            wedge = self.layout.bind(field).wedge
         return BoundField(field.bind(self.midpoints), wedge)
 
     def load(self, source):
@@ -239,16 +301,19 @@ class TriMesh:
         return np.bincount(self.triangles.ravel(), weights=contrib.ravel(),
                            minlength=self.n_vertices)
 
-    def boundary_angles(self):
-        b = self.vertices[self.boundary]
-        return np.arctan2(b[:, 1], b[:, 0])
+    def boundary_points(self):
+        return self.vertices[self.boundary]
 
-    def boundary_arc_weights(self):
-        """Trapezoid weights of the closed boundary polygon."""
-        b = self.vertices[self.boundary]
-        nxt = np.roll(b, -1, axis=0)
-        seg = np.linalg.norm(nxt - b, axis=1)
-        return 0.5 * (seg + np.roll(seg, 1))
+
+class RingMesh(TriMesh):
+    """The TriMesh of a RingLayout (RingLayout.mesh), which keeps it as its
+    layout."""
+
+    def __init__(self, layout):
+        super().__init__(
+            layout.points(np.arange(layout.n_vertices)),
+            _ring_connectivity(len(layout.rings), layout.n_theta))
+        self.layout = layout
 
 
 class BoundField:
@@ -256,8 +321,9 @@ class BoundField:
 
     Called with the states at the edge midpoints (a scalar or one per
     edge), it gives the tensors there, (ne, 2, 2). wedge, for a radial
-    field on a mesh with a Wedge, is its tensors at the wedge's edge
-    midpoints at the zero state; None otherwise.
+    field on a mesh with a Wedge or on a RingLayout, is its tensors at the
+    wedge's edge midpoints at the zero state; None otherwise. A field
+    bound by a RingLayout has nothing else: every is None.
     """
 
     def __init__(self, every, wedge):
@@ -292,24 +358,27 @@ def _radial_at(field, points):
     return amats[0].copy()
 
 
-def _wedge(pattern, triangles, n):
-    """The Wedge of the pattern of _ring_connectivity's triangles, with n
-    vertices per ring and at least two rings, read-only.
+def _wedge(pattern, triangles, wedge):
+    """The Wedge of the pattern of _ring_connectivity's triangles, whose
+    layout's RingWedge is wedge (at least two rings), read-only.
 
     The triangles come in runs of n, one per angular index j = t mod n: the
     center fan, then each band's (a, d, b) and its (a, c, d) triangles. The
     rotation back by s angular steps maps triangle t corner for corner to
     t - j + (j - s) mod n, in the same run, and so the entry of corners i
-    and k of t to that of corners i and k of the turned triangle."""
+    and k of t to that of corners i and k of the turned triangle. The
+    wedge's triangles are those with a corner at the center or at angular
+    index 0 or 1, in the same order."""
     nv = pattern.n
+    m, n = wedge.shape
     # the angular index of each vertex, 0 for the center
     index = np.zeros(nv, dtype=np.int64)
     index[1:] = np.arange(nv - 1) % n
     # the center and the vertices of angular index 0 and 1
     marked = index < 2
     (ours,) = np.nonzero(marked[triangles].any(axis=1))
-    edges = np.unique(pattern.edge_of[ours])
-    edge_of = np.searchsorted(edges, pattern.edge_of[ours])
+    local = np.empty(wedge.pattern.nnz, dtype=np.int32)
+    local[wedge.pattern.slot] = pattern.slot.reshape(-1, 9)[ours].ravel()
     # for each corner i of each triangle, the triangle turned back by the
     # angular index of corner i: entry (i, k) goes to its entry (i, k)
     t = np.arange(len(triangles))[:, None]
@@ -323,16 +392,22 @@ def _wedge(pattern, triangles, n):
     spin = np.empty(pattern.nnz, dtype=np.int32)
     spin[slot] = source
     del source
-    rows = pattern.rows()
-    (turned,) = np.nonzero(index[rows] == 1)
-    # the rows at angular index 0 of the interior rings against every ring
-    # vertex: the entry of row (a, 0) in column (b, j) goes to band
-    # 1 + b - a, ring a, angle j
-    m = (nv - 1) // n - 1
     ring, pos, col = pattern.block(1 + n * np.arange(m), np.arange(1, nv))
+    ptr = pattern.indptr
+    center = np.array([ptr[0], ptr[0] + 1, ptr[1]])
+    _read_only(spin, local, pos, center)
+    return Wedge(spin, local, (pos, _band_places(ring, col, m, n)), center,
+                 (m, n))
+
+
+def _band_places(ring, col, m, n):
+    """The places in the (3, m, n) bands of RingFactor of the entries of
+    the rows (ring, 0) in the columns col, numbered from vertex (0, 0): the
+    entry of row (a, 0) in column (b, j) goes to band 1 + b - a, ring a,
+    angle j."""
     flat = ((1 + col // n - ring) * m + ring) * n + col % n
-    _read_only(ours, edges, edge_of, spin, turned, pos, flat)
-    return Wedge(ours, edges, edge_of, spin, turned, (pos, flat))
+    _read_only(flat)
+    return flat
 
 
 def _ring_radii(radius, aligned_radii, h_target, radial_bands):
@@ -364,9 +439,10 @@ def _ring_radii(radius, aligned_radii, h_target, radial_bands):
     return np.array(radii)
 
 
-def build_disk_mesh(radius, aligned_radii=(), h_target=0.1, n_theta=None,
-                    radial_bands=None):
-    """Structured disk triangulation with exactly matched interface circles.
+def disk_layout(radius, aligned_radii=(), h_target=0.1, n_theta=None,
+                radial_bands=None):
+    """The RingLayout of a structured disk triangulation with exactly
+    matched interface circles; build_disk_mesh places its vertices.
 
     Parameters
     ----------
@@ -383,6 +459,9 @@ def build_disk_mesh(radius, aligned_radii=(), h_target=0.1, n_theta=None,
     radial_bands : list of (r_lo, r_hi, h), optional
         Locally finer radial spacing, e.g. to resolve a thin layer or an
         oscillating coefficient.
+
+    The edges are measured on the layout's wedge: every edge of the mesh
+    is the rotation of one of the wedge's.
     """
     if radius <= 0 or h_target <= 0:
         raise PreconditionError("radius and h_target must be positive")
@@ -394,40 +473,178 @@ def build_disk_mesh(radius, aligned_radii=(), h_target=0.1, n_theta=None,
         raise PreconditionError(
             f"n_theta={n_theta} too small: need at least 8 vertices per "
             "circle")
-    rings = _ring_radii(radius, aligned_radii, h_target, radial_bands)[1:]
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    verts = np.zeros((1 + len(rings) * n_theta, 2))
-    verts[1:, 0] = np.outer(rings, np.cos(theta)).ravel()
-    verts[1:, 1] = np.outer(rings, np.sin(theta)).ravel()
-    mesh = TriMesh(verts, _ring_connectivity(len(rings), n_theta))
-    if default_theta and radial_bands is None and mesh.h_max > 1.5 * h_target:
+    layout = RingLayout(
+        _ring_radii(radius, aligned_radii, h_target, radial_bands)[1:],
+        n_theta)
+    if default_theta and radial_bands is None and \
+            layout.h_max > 1.5 * h_target:
         raise NumericalError(
-            f"mesh h_max {mesh.h_max:.3g} exceeds 1.5 * h_target")
-    return mesh
+            f"mesh h_max {layout.h_max:.3g} exceeds 1.5 * h_target")
+    return layout
 
 
-@lru_cache(maxsize=1)
-def _ring_connectivity(n_rings, n_theta):
-    """The Connectivity of the layout of build_disk_mesh with n_rings rings
-    of n_theta vertices, with its n_theta and, from two rings up, its Wedge;
-    the last layout is kept, since a sweep that moves only the ring radii
-    builds every mesh on one layout. _wedge reads the rotation from the
-    order of the triangles here: runs of n_theta, one per angular index."""
+def build_disk_mesh(*args, **kwargs):
+    """Structured disk triangulation with exactly matched interface
+    circles: the mesh of disk_layout(*args, **kwargs), whose parameters it
+    takes (RingLayout.mesh)."""
+    return disk_layout(*args, **kwargs).mesh()
+
+
+class RingLayout(_Disk):
+    """The rings of a disk triangulation of disk_layout, before the mesh
+    places its vertices: a center vertex and rings of n_theta vertices,
+    vertex (a, j) of ring a at radius rings[a] and angle 2 pi j / n_theta,
+    with the same triangles at every angular step (_ring_triangles). It
+    holds the geometry of its wedge alone, which is all that a linear
+    radial field's DN operator reads (RingSystem).
+
+    rings : the ring radii from the inside out, the last the boundary.
+    n_theta : the vertices per ring.
+    n_vertices : 1 + len(rings) * n_theta, the vertex count of its mesh.
+    wedge : its RingWedge.
+    areas, grads : the wedge's element areas and barycentric gradients
+        (p1_elements, which refuses a degenerate or flipped triangle), the
+        bits of those of the same triangles of the mesh.
+    midpoints : the midpoints of the wedge's edges, where a radial field is
+        bound (bind).
+    h_max : the longest edge of the wedge.
+    """
+
+    def __init__(self, rings, n_theta):
+        self.rings = np.array(rings, dtype=float)
+        _read_only(self.rings)
+        self.n_theta = n = int(n_theta)
+        self.n_vertices = 1 + len(self.rings) * n
+        theta = 2.0 * np.pi * np.arange(n) / n
+        self._cos, self._sin = np.cos(theta), np.sin(theta)
+        self.wedge = _ring_wedge(len(self.rings), n)
+        points = self.points(self.wedge.vertices)
+        self.areas, self.grads = p1_elements(points[self.wedge.triangles])
+        edges = self.wedge.pattern.edges
+        start, end = points[edges[:, 0]], points[edges[:, 1]]
+        self.midpoints = start + end
+        self.midpoints *= 0.5
+        end -= start
+        self.h_max = float(np.sqrt((end * end).sum(axis=1).max()))
+
+    def points(self, vertices):
+        """The coordinates of these vertices, as the mesh places them."""
+        ring, angle = np.divmod(np.asarray(vertices) - 1, self.n_theta)
+        out = np.zeros((len(ring), 2))
+        on = ring >= 0
+        radius = self.rings[ring[on]]
+        out[on, 0] = radius * self._cos[angle[on]]
+        out[on, 1] = radius * self._sin[angle[on]]
+        return out
+
+    def boundary_points(self):
+        return self.points(self.n_vertices - self.n_theta
+                           + np.arange(self.n_theta))
+
+    def mesh(self):
+        """The TriMesh with these rings (RingMesh)."""
+        return RingMesh(self)
+
+    def bind(self, field):
+        """A radial field at the wedge's edge midpoints at the zero state,
+        after a check of its declaration there (_radial_at): what
+        assemble_frozen takes on the layout (BoundField.wedge)."""
+        return BoundField(None, _radial_at(field, self.midpoints))
+
+    def nodal(self, profiles, modes, traces):
+        """The nodal values on the layout's mesh of mode profiles
+        (RingSystem.mode_columns) in these angular modes, one row per
+        profile; the boundary ring takes the trace of the same row."""
+        n = self.n_theta
+        out = np.empty((len(profiles), self.n_vertices))
+        for u, p, k, g in zip(out, profiles, modes, traces):
+            u[0] = p[0].real
+            u[1:-n] = _ring_values(p[1:-1], k, n).ravel()
+            u[-n:] = g
+        return out
+
+
+def _ring_triangles(n_rings, n_theta, angles):
+    """The triangles of the layout with n_rings rings of n_theta vertices:
+    the center fan, then band by band the (a, d, b) triangles of its quads
+    at the given angular indices (ascending) and then its (a, c, d)
+    triangles there. At every angular index, these are all the layout's
+    triangles, in the order _wedge reads the rotation from: runs of
+    n_theta, one per angular index."""
     # vertex (i, j) of ring i at angle j, and its neighbour (i, j + 1)
     j = np.arange(n_theta)
     first = 1 + n_theta * np.arange(n_rings)[:, None]
     at, after = first + j, first + (j + 1) % n_theta
     fan = np.stack([np.zeros_like(j), at[0], after[0]], axis=1)
-    # ring bands: quad (a inner-j, b inner-j+1, c outer-j, d outer-j+1),
-    # band by band, all (a, d, b) of a band before all its (a, c, d)
-    a, b, c, d = at[:-1], after[:-1], at[1:], after[1:]
+    # ring bands: quad (a inner-j, b inner-j+1, c outer-j, d outer-j+1)
+    a, b, c, d = (v[:, angles] for v in (at[:-1], after[:-1], at[1:],
+                                         after[1:]))
     quads = np.array([[a, d, b], [a, c, d]]).transpose(2, 0, 3, 1)
-    tris = np.concatenate([fan, quads.reshape(-1, 3)])
-    layout = Connectivity.of(tris, at[-1], 1 + n_rings * n_theta)
+    return np.concatenate([fan, quads.reshape(-1, 3)])
+
+
+@lru_cache(maxsize=1)
+def _ring_connectivity(n_rings, n_theta):
+    """The Connectivity of the layout with n_rings rings of n_theta
+    vertices, with its n_theta and, from two rings up, its Wedge; the last
+    layout is kept, since a sweep that moves only the ring radii builds
+    every mesh on one layout."""
+    boundary = 1 + n_theta * (n_rings - 1) + np.arange(n_theta)
+    layout = Connectivity.of(
+        _ring_triangles(n_rings, n_theta, np.arange(n_theta)), boundary,
+        1 + n_rings * n_theta)
     wedge = None
     if n_rings > 1:
-        wedge = _wedge(layout.pattern, layout.triangles, n_theta)
+        wedge = _wedge(layout.pattern, layout.triangles,
+                       _ring_wedge(n_rings, n_theta))
     return layout._replace(n_theta=n_theta, wedge=wedge)
+
+
+@lru_cache(maxsize=1)
+def _ring_wedge(n_rings, n):
+    """The RingWedge of the layout with n_rings rings of n vertices,
+    read-only; the last one is kept, as _ring_connectivity keeps its
+    layout. Its triangles are the layout's at angular index 0, 1 and n - 1
+    and the center fan: those with a corner at the center or at angular
+    index 0 or 1."""
+    vertices, triangles = np.unique(_ring_triangles(n_rings, n, [0, 1, n - 1]),
+                                    return_inverse=True)
+    triangles = triangles.reshape(-1, 3)
+    nl = len(vertices)
+    pattern = P1Pattern(triangles, nl)
+    m = n_rings - 1
+    # the layout's vertex of each stored entry's row and column; the keys
+    # row nl + column of the local vertices ascend in the pattern's order
+    local_rows = pattern.rows()
+    rows, cols = vertices[local_rows], vertices[pattern.indices]
+    keys = local_rows * nl + pattern.indices
+
+    def position(row, col):
+        """The positions of the entries in these rows and columns of the
+        layout."""
+        return np.searchsorted(keys, np.searchsorted(vertices, row) * nl
+                               + np.searchsorted(vertices, col))
+
+    def back(vertex):
+        """The vertex turned back by one angular step."""
+        return np.where(vertex > 0, vertex - 1 + n * ((vertex - 1) % n == 0),
+                        0)
+
+    (pos,) = np.nonzero(((rows - 1) % n == 0) & ((rows - 1) // n < m)
+                        & (cols > 0))
+    flat = _band_places((rows[pos] - 1) // n, cols[pos] - 1, m, n)
+    center = position([0, 0, 1], [0, 1, 0])
+    (turned,) = np.nonzero((rows > 0) & ((rows - 1) % n == 1))
+    spun = position(back(rows[turned]), back(cols[turned]))
+    boundary = None
+    if m:
+        inner, outer = 1 + (m - 1) * n, 1 + m * n
+        boundary = position(outer, [inner + n - 1, inner, outer + n - 1,
+                                    outer, outer + 1])
+    _read_only(*(a for a in (vertices, triangles, pos, center, turned, spun,
+                             boundary) if a is not None))
+    return RingWedge(vertices, triangles, pattern, (m, n), (pos, flat),
+                     center, turned, spun, boundary)
 
 
 def _nodal(mesh, values):
@@ -506,14 +723,12 @@ def _element_matrices(grads, fx, fy):
     return local
 
 
-def p1_stiffness(areas, grads, amats, pattern, triangles=None):
+def p1_stiffness(areas, grads, amats, pattern):
     """Data of the global P1 stiffness matrix of elementwise constant
     tensors, in the pattern.
 
     amats : (nt, 2, 2) coefficient per triangle, not necessarily symmetric
     pattern : P1Pattern of the triangles' degrees of freedom
-    triangles : the pattern's triangles that areas, grads and amats are of,
-        ascending; all of them when omitted (P1Pattern.scatter)
     """
     gx, gy = grads[:, :, 0], grads[:, :, 1]
     # area A g_j at each corner j
@@ -525,7 +740,7 @@ def p1_stiffness(areas, grads, amats, pattern, triangles=None):
     # dropped before the scatter allocates the data: kept alive, they
     # raise the resident peak of a sweep of cell solves by 3 %
     del fx, fy
-    return pattern.scatter(local, triangles)
+    return pattern.scatter(local)
 
 
 class P1Pattern:
@@ -622,13 +837,11 @@ class P1Pattern:
         return csr_matrix((data, self.indices, self.indptr),
                           shape=(self.n, self.n))
 
-    def scatter(self, local, triangles=None):
+    def scatter(self, local):
         """The data of the sum of the (nt, 3, 3) element matrices
-        local[t, i, j] of all the triangles, or of these triangles (in
-        ascending order) alone."""
-        slot = self.slot if triangles is None else \
-            self.slot.reshape(-1, 9)[triangles].ravel()
-        return np.bincount(slot, weights=local.ravel(), minlength=self.nnz)
+        local[t, i, j] of the triangles."""
+        return np.bincount(self.slot, weights=local.ravel(),
+                           minlength=self.nnz)
 
 
 def _corner_sums(mids):
@@ -663,8 +876,12 @@ def assemble_frozen(mesh, coef, state=None, load=None):
 
     With no state and a coefficient bound on the mesh's wedge (a radial
     field on a ring mesh), only the wedge is assembled (_wedge_stiffness),
-    and the system is ring-factored.
+    and the system is ring-factored. On a RingLayout, with a coefficient
+    that the layout bound (RingLayout.bind), the system is the wedge's rows
+    alone (RingSystem), with no state and no load.
     """
+    if isinstance(mesh, RingLayout):
+        return RingSystem(mesh, _wedge_rows(mesh, coef.wedge))
     if load is None:
         load = np.zeros(mesh.n_vertices)
     if state is None and coef.wedge is not None:
@@ -695,26 +912,24 @@ def _triangle_means(amid, edge_of):
     return amean
 
 
-def _wedge_stiffness(mesh, amid):
-    """The stiffness data of a radial field, from the tensors at the
+def _wedge_rows(layout, amid):
+    """The data of the rows of the layout's wedge (RingWedge) of the
+    stiffness of a radial field at the zero state, from its tensors at the
     wedge's edge midpoints alone.
 
-    The wedge's triangles are summed in the mesh's order into the mesh's
-    pattern slots, so its rows at angular index 0, the rows RingFactor
-    reads, hold the bits a full assembly would give. Every other entry is
-    the one its row rotates to at angular index 0 (Wedge.spin). The rows at
-    angular index 1, assembled as well, must match their gathered values
-    to 1e-9 of the largest band entry; a field that is not radial fails
-    that by orders of magnitude, and raises NumericalError.
+    The wedge's triangles are summed in the layout's order, so its rows at
+    angular index 0, the rows RingFactor reads, hold the bits a full
+    assembly would give. The rows at angular index 1 must match the rows
+    at index 0 turned to 1e-9 of the largest band entry; a field that is
+    not radial fails that by orders of magnitude, and raises
+    NumericalError.
     """
-    wedge = mesh.wedge
-    tris = wedge.triangles
-    part = p1_stiffness(mesh.areas[tris], mesh.grads[tris],
-                        _triangle_means(amid, wedge.edge_of), mesh.pattern,
-                        tris)
-    data = part[wedge.spin]
+    wedge = layout.wedge
+    data = p1_stiffness(layout.areas, layout.grads,
+                        _triangle_means(amid, wedge.pattern.edge_of),
+                        wedge.pattern)
     scale = np.abs(data[wedge.bands[0]]).max()
-    defect = np.abs(data[wedge.turned] - part[wedge.turned]).max()
+    defect = np.abs(data[wedge.spun] - data[wedge.turned]).max()
     if defect > 1e-9 * scale:
         raise NumericalError(
             f"the stiffness of a field declared radial is not rotation "
@@ -723,6 +938,15 @@ def _wedge_stiffness(mesh, amid):
             f"band entry (above 1e-9). The field is not radial, or it jumps "
             f"at the quadrature points")
     return data
+
+
+def _wedge_stiffness(mesh, amid):
+    """The stiffness data of a radial field on a ring mesh: the rows of its
+    layout's wedge (_wedge_rows), and every other entry the one its row
+    rotates to at angular index 0 (Wedge.spin)."""
+    part = np.zeros(mesh.pattern.nnz)
+    part[mesh.wedge.local] = _wedge_rows(mesh.layout, amid)
+    return part[mesh.wedge.spin]
 
 
 # forward-difference step in the state for the derivative of A
@@ -778,7 +1002,20 @@ def newton_system(frozen, coef, state):
     return newton
 
 
-class SparseSystem:
+class _System:
+    """What SparseSystem and RingSystem share: the factor of the system,
+    made on its first solve from the system itself, a RingFactor if the
+    system is circulant and SuperLU (_InteriorLU) otherwise, and its kind
+    (factor_kind)."""
+
+    def _factor(self):
+        if self._solver is None:
+            self._solver = (RingFactor if self.circulant else _InteriorLU)(self)
+            self.factor_kind = self._solver.kind
+        return self._solver
+
+
+class SparseSystem(_System):
     """Assembled system with Dirichlet elimination.
 
     data holds the entries of the matrix in the mesh's P1Pattern, and
@@ -816,11 +1053,10 @@ class SparseSystem:
         other.factor_kind = "chord"
         return other
 
-    def _factor(self):
-        if self._solver is None:
-            self._solver = (RingFactor if self.circulant else _InteriorLU)(self)
-            self.factor_kind = self._solver.kind
-        return self._solver
+    @property
+    def ring_rows(self):
+        """The data and the Wedge that a RingFactor reads."""
+        return self.matrix.data, self.mesh.wedge
 
     def solve_dirichlet(self, boundary_values):
         """Solve with the given boundary vertex values.
@@ -850,6 +1086,95 @@ class SparseSystem:
                 f"linear solve residual {resid / scale:.3e} above 1e-8 "
                 f"({self.factor_kind} factor)")
         return full
+
+
+class RingSystem(_System):
+    """The stiffness of a radial field at the zero state on a RingLayout,
+    held as the data of the rows of the layout's wedge (_wedge_rows): what
+    assemble_frozen gives on a layout. Its mesh's system would be
+    circulant, so a RingFactor factors it, and mode_columns solves and
+    pairs one datum per angular mode from it, with no array of one entry
+    per vertex. factor_kind is "ring" once factored, None before.
+    """
+
+    circulant = True
+
+    def __init__(self, layout, data):
+        self.layout = layout
+        self.data = data
+        self._solver = None
+        self.factor_kind = None
+
+    @property
+    def ring_rows(self):
+        """The data and the RingWedge that a RingFactor reads."""
+        return self.data, self.layout.wedge
+
+    def mode_columns(self, traces, modes):
+        """The mode profile and the pairing column of each datum: the trace
+        traces[j] on the boundary ring, in the one angular mode modes[j],
+        with no load.
+
+        Returns the profiles, (len(traces), 1 + rings) complex, and the
+        (len(traces), len(traces)) pairing matrix, whose (i, j) entry is
+        the work of datum j's boundary flux against trace i. A mode-k
+        profile p holds the center's value, then one number per ring, the
+        boundary last: the solution is Re(p exp(i k theta_j)) at the
+        vertex of angle theta_j (_ring_values).
+
+        Each datum is solved in mode k's block alone
+        (RingFactor.mode_profile), from the unitary FFT of its right-hand
+        side on the outer interior ring, which holds the bits of
+        SparseSystem.solve_dirichlet's on the layout's mesh. The rows at
+        angular index 0, applied to the complex wave p exp(i k theta),
+        give the residual (every other row is their rotation); above 1e-8
+        of the right-hand side it raises NumericalError. The boundary flux
+        is the boundary rows, the row (m, 0) turned, applied to the outer
+        interior ring and the trace, summed in dn_pairing's order; so the
+        pairing holds the bits of dn_pairing of the mesh's one-mode solves.
+        """
+        n = self.layout.n_theta
+        factor = self._factor()
+        stencil, (diag, c01, c10) = factor.stencil, factor.center
+        m = stencil.shape[1]
+        # row (m - 1, j) couples to the boundary vertices (m, j), (m, j + 1)
+        e0, e1 = stencil[2, m - 1, 1:]
+        # boundary row i holds entry e of row (m, 0) in column cols[i, e] of
+        # the outer interior ring (0 ... n - 1) and the boundary (n ... 2n
+        # - 1), the entries in the order of their columns
+        i = np.arange(n)[:, None]
+        cols = np.hstack([(i - 1) % n, i, n + (i - 1) % n, n + i,
+                          n + (i + 1) % n])
+        entry = np.argsort(cols, axis=1)
+        cols = np.take_along_axis(cols, entry, axis=1)
+        row = self.data[self.layout.wedge.boundary][entry]
+        which = np.repeat(np.arange(n), 5)
+        phases = np.exp((2j * np.pi / n) * np.outer(modes, [-1, 0, 1]))
+        profiles = np.empty((len(traces), m + 2), dtype=complex)
+        matrix = np.empty((len(traces), len(traces)))
+        for j, (g, k, p) in enumerate(zip(traces, modes, profiles)):
+            rhs = 0.0 - (e0 * g + e1 * np.roll(g, -1))
+            p[:-1] = factor.mode_profile(np.fft.rfft(rhs, norm="ortho")[k], k)
+            p[-1] = _wave_scale(k, n) * np.fft.rfft(g, norm="ortho")[k]
+            # each band's entries in row (a, 0) at angular offsets -1, 0, 1
+            # against the wave's phases there
+            near = stencil @ phases[j]
+            res = near[0] * p[:m] + near[1] * p[1:-1] + near[2] * p[2:]
+            res[0] += c10 * p[0]
+            # the center row sees mode 0 alone, once where a ring row counts
+            # n times
+            hub = diag * p[0] + n * c01 * p[1] if k == 0 else 0.0
+            resid = np.sqrt(np.vdot(res, res).real + abs(hub) ** 2 / n)
+            scale = abs(near[2, m - 1] * p[-1])
+            if resid > 1e-8 * scale:
+                raise NumericalError(
+                    f"linear solve residual {resid / scale:.3e} above 1e-8 "
+                    f"({self.factor_kind} factor)")
+            u = np.concatenate([_ring_values(p[m:m + 1], k, n)[0], g])
+            flux = np.bincount(which, weights=(row * u[cols]).ravel(),
+                               minlength=n)
+            matrix[:, j] = traces @ flux
+        return profiles, matrix
 
 
 class _InteriorLU:
@@ -916,43 +1241,49 @@ class _InteriorOrdering:
 
 class RingFactor:
     """Interior factor of a circulant system (SparseSystem.circulant: its
-    data block-circulant over the mesh's rings), by mode; kind "ring".
+    data block-circulant over the mesh's rings, or a RingSystem), by mode;
+    kind "ring".
 
     The matrix is block-circulant over the rings, so the angular Fourier
     transform of each ring decouples the modes. Mode k is a tridiagonal
     system over the interior rings whose entries are the transforms of
-    the rows at angular index 0 (Wedge.bands): bands[1 + d, a, j] is the
-    entry of row (a, 0) in column (a + d, j), for d = -1, 0, 1. The center
-    vertex, with its diagonal entry, its coupling to each vertex of the
-    first ring (the center row's entry in that ring's column 0) and that
-    column's coupling back, couples to mode 0 alone and is unknown 0 of
-    every mode (an identity row for k > 0). The modes are laid out one
-    after the other as one tridiagonal, with no coupling where two modes
-    meet, which LAPACK factors by LU with partial pivoting (zgttrf) and
-    solves (zgttrs); no row interchange crosses that zero coupling. solve
-    solves a right-hand side in one mode k in block k alone, and any other
-    by a real FFT of each ring, one zgttrs of every mode and the inverse
-    FFT. A singular mode raises NumericalError.
+    the rows at angular index 0 (the bands of the system's Wedge or
+    RingWedge, ring_rows): bands[1 + d, a, j] is the entry of row (a, 0) in
+    column (a + d, j), for d = -1, 0, 1. The center vertex, with its
+    diagonal entry, its coupling to each vertex of the first ring (the
+    center row's entry in that ring's column 0) and that column's coupling
+    back, couples to mode 0 alone and is unknown 0 of every mode (an
+    identity row for k > 0). The modes are laid out one after the other as
+    one tridiagonal, with no coupling where two modes meet, which LAPACK
+    factors by LU with partial pivoting (zgttrf) and solves (zgttrs); no
+    row interchange crosses that zero coupling. solve solves a right-hand
+    side in one mode k in block k alone (mode_profile), and any other by a
+    real FFT of each ring, one zgttrs of every mode and the inverse FFT. A
+    singular mode raises NumericalError. stencil (3, m, 3) keeps the
+    bands' entries at the angles n - 1, 0 and 1, the only ones stored, and
+    center the center's diagonal entry and its couplings to and from
+    vertex (0, 0).
     """
 
     kind = "ring"
 
     def __init__(self, system):
-        data, mesh = system.matrix.data, system.mesh
-        n = self.n_theta = mesh.n_theta
-        m = (mesh.n_vertices - 1) // n - 1            # interior rings
-        pos, flat = mesh.wedge.bands
+        data, wedge = system.ring_rows
+        m, n = wedge.shape                            # interior rings
+        self.n_theta = n
+        pos, flat = wedge.bands
         bands = np.zeros(3 * m * n)
         bands[flat] = data[pos]
+        bands = bands.reshape(3, m, n)
+        self.stencil = bands[:, :, [-1, 0, 1]]
+        self.center = data[wedge.center]
         # row (a, j) holds c(j' - j) in column (b, j'), so mode k sees
         # sum_l c(l) exp(+2 pi i l k / n): the conjugate of the FFT
-        symbol = np.fft.rfft(bands.reshape(3, m, n), axis=2).conj()
+        symbol = np.fft.rfft(bands, axis=2).conj()
         n_modes = symbol.shape[2]
-        # the center row holds (0, 0), (0, 1), ...; row 1 starts with (1, 0)
-        ptr = mesh.pattern.indptr
         diag = np.ones((n_modes, m + 1), dtype=complex)
         diag[:, 1:] = symbol[1].T
-        diag[0, 0] = data[ptr[0]]
+        diag[0, 0] = self.center[0]
         # the sub- and superdiagonals A[i + 1, i] and A[i, i + 1] of each
         # mode, the couplings of ring a + 1 back to ring a and of ring a
         # to ring a + 1; their last entry, where two modes meet, is 0
@@ -961,8 +1292,8 @@ class RingFactor:
         sup = np.zeros((n_modes, m + 1), dtype=complex)
         sup[:, 1:m] = symbol[2, :m - 1].T
         # the unitary transform carries the center's couplings to mode 0
-        sub[0, 0] = np.sqrt(n) * data[ptr[1]]
-        sup[0, 0] = np.sqrt(n) * data[ptr[0] + 1]
+        sub[0, 0] = np.sqrt(n) * self.center[2]
+        sup[0, 0] = np.sqrt(n) * self.center[1]
         *self.lu, info = zgttrf(sub.ravel()[:-1], diag.ravel(),
                                 sup.ravel()[:-1], overwrite_dl=1,
                                 overwrite_d=1, overwrite_du=1)
@@ -987,7 +1318,7 @@ class RingFactor:
             # ring workloads); what this drops stays far below the 1e-8
             # residual check of solve_dirichlet
             if np.count_nonzero(size > 1e-12 * size[k]) == 1:
-                return self._solve_mode(spectrum[k], k, m)
+                return self._solve_mode(spectrum[k], k)
         return self._solve_all(rhs)
 
     def _solve_all(self, rhs):
@@ -1003,11 +1334,21 @@ class RingFactor:
         x[1:] = np.fft.irfft(b[:, 1:].T, n=n, axis=1, norm="ortho").ravel()
         return x
 
-    def _solve_mode(self, coefficient, k, m):
+    def _solve_mode(self, coefficient, k):
         """Interior solution for the right-hand side that is zero off the
-        outer of the m interior rings, whose unitary FFT there holds
-        coefficient in mode k alone."""
-        n = self.n_theta
+        outer interior ring, whose unitary FFT there holds coefficient in
+        mode k alone: its profile (mode_profile) on the rings."""
+        p = self.mode_profile(coefficient, k)
+        return np.concatenate([p[:1].real,
+                               _ring_values(p[1:], k, self.n_theta).ravel()])
+
+    def mode_profile(self, coefficient, k):
+        """The mode-k profile of the interior solution whose right-hand
+        side is zero off the outer interior ring and whose unitary FFT
+        there holds coefficient in mode k alone: the center's value, then
+        one number p per interior ring, whose values are
+        Re(p exp(i k theta_j)) (_ring_values)."""
+        m = self.stencil.shape[1]
         b = np.zeros((m + 1, 1), dtype=complex)
         b[m] = coefficient
         # mode k's block of the factor: rows first ... first + m, whose
@@ -1017,15 +1358,59 @@ class RingFactor:
         b, _ = zgttrs(dl[first:first + m], d[first:first + m + 1],
                       du[first:first + m], du2[first:first + m - 1],
                       ipiv[first:first + m + 1] - first, b, overwrite_b=1)
-        # the inverse real FFT of one mode, Re(X) cos - Im(X) sin over
-        # sqrt(n), twice over unless the mode is its own conjugate (0, n/2)
-        parts = b.view(float).reshape(m + 1, 2)
-        if 2 * k % n:
-            parts *= 2.0
-        angles = (2.0 * np.pi * k / n) * np.arange(n)
-        wave = np.array([np.cos(angles), -np.sin(angles)])
-        wave /= np.sqrt(n)
-        x = np.empty(1 + m * n)
-        x[0] = parts[0, 0]
-        np.matmul(parts[1:], wave, out=x[1:].reshape(m, n))
-        return x
+        # unknown 0 is the center's value, 1 ... m the rings' unitary
+        # coefficients
+        p = b[:, 0] * _wave_scale(k, self.n_theta)
+        p[0] = b[0, 0]
+        return p
+
+
+def _wave_scale(k, n):
+    """What turns the unitary FFT coefficient of mode k on a ring of n
+    vertices into its profile: the inverse real FFT of one mode is
+    Re(X exp(i k theta_j)) over sqrt(n), twice over unless the mode is its
+    own conjugate (0, n/2)."""
+    return (1.0 if 2 * k % n == 0 else 2.0) / np.sqrt(n)
+
+
+def _ring_values(profile, k, n):
+    """The values Re(p exp(i k theta_j)) at the n angles theta_j = 2 pi j / n
+    of the rings whose mode-k profile is p, (len(p), n). Each value is
+    computed alone, so a ring's values are the same bits whichever rings
+    are computed with it."""
+    angles = (2.0 * np.pi * k / n) * np.arange(n)
+    out = np.multiply.outer(profile.real, np.cos(angles))
+    out -= np.multiply.outer(profile.imag, np.sin(angles))
+    return out
+
+
+def mode_l2_norm(layout, profile, k):
+    """L2 norm of the P1 function on the layout's mesh whose mode-k profile
+    is profile (RingSystem.mode_columns): Re(p exp(i k theta_j)) on each
+    ring, integrated exactly as l2_norm integrates it, band by band.
+
+    The triangles of a band are the rotations of its two triangles at
+    angular index 0, and those of the center fan of one, so the sum over
+    a band is a quadratic form in the profile on its two rings. Over the
+    n rotations of a triangle whose corner c has the value
+    Re(X_c exp(i k theta_j)), sum_j u_c u_c' is
+    n/2 Re(X_c conj(X_c') + X_c X_c' [2 k = 0 mod n]).
+    """
+    n = layout.n_theta
+    p = np.asarray(profile, dtype=complex)
+    step = np.exp(2j * np.pi * k / n)
+    inner, outer = p[1:-1], p[2:]
+    aliased = 2 * k % n == 0
+    # the fan's triangle (center, (0, 0), (0, 1)); each band's (a, d, b)
+    # and (a, c, d) at angular index 0 (the wedge's first of each run)
+    shapes = [(layout.areas[:1], (p[:1], p[1:2], p[1:2] * step)),
+              (layout.areas[n::6], (inner, outer * step, inner * step)),
+              (layout.areas[n + 3::6], (inner, outer, outer * step))]
+    total = 0.0
+    for areas, corners in shapes:
+        whole = sum(corners)
+        form = abs(whole) ** 2 + sum(abs(x) ** 2 for x in corners)
+        if aliased:
+            form += (whole * whole).real + sum((x * x).real for x in corners)
+        total += np.dot(areas, form)
+    return float(np.sqrt(total * n / 24.0))

@@ -27,7 +27,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def factors(monkeypatch):
     """Record (kind, matrix, factor) for every factorization made by
     cloaksim.fem: kind "splu" (SuperLU of the interior block) or "ring"
-    (the angular-mode factor of the assembled matrix)."""
+    (the angular-mode factor; its matrix is the data it reads the bands
+    from, RingFactor's system.ring_rows)."""
     from cloaksim import fem
 
     calls = []
@@ -43,7 +44,7 @@ def factors(monkeypatch):
     class RecordingRingFactor(fem.RingFactor):
         def __init__(self, system):
             super().__init__(system)
-            calls.append(("ring", system.matrix, self))
+            calls.append(("ring", system.ring_rows[0], self))
 
     monkeypatch.setattr(fem, "splu", recording_splu)
     monkeypatch.setattr(fem, "RingFactor", RecordingRingFactor)
@@ -52,22 +53,23 @@ def factors(monkeypatch):
 
 @pytest.fixture
 def ring_solves(monkeypatch):
-    """Record, for every RingFactor solve, the angular mode it solved alone,
-    or None for a solve of every mode."""
+    """Record, for every RingFactor solve, the angular mode it solved alone
+    (RingFactor.mode_profile, which the one-mode solves of a SparseSystem
+    and of a RingSystem both make), or None for a solve of every mode."""
     from cloaksim import fem
 
     calls = []
-    real_mode, real_all = fem.RingFactor._solve_mode, fem.RingFactor._solve_all
+    real_mode, real_all = fem.RingFactor.mode_profile, fem.RingFactor._solve_all
 
-    def recording_mode(self, coefficient, k, m):
+    def recording_mode(self, coefficient, k):
         calls.append(int(k))
-        return real_mode(self, coefficient, k, m)
+        return real_mode(self, coefficient, k)
 
     def recording_all(self, rhs):
         calls.append(None)
         return real_all(self, rhs)
 
-    monkeypatch.setattr(fem.RingFactor, "_solve_mode", recording_mode)
+    monkeypatch.setattr(fem.RingFactor, "mode_profile", recording_mode)
     monkeypatch.setattr(fem.RingFactor, "_solve_all", recording_all)
     return calls
 

@@ -10,11 +10,12 @@ from cloaksim.dnmap import (DtNOperator, FourierBasis, dn_difference,
                             dn_operator, neumann_trace_error)
 from cloaksim.errors import NumericalError, PreconditionError
 from cloaksim.fem import (P1Pattern, assemble_frozen, build_disk_mesh,
-                          p1_stiffness)
+                          disk_layout, l2_norm, mode_l2_norm, p1_stiffness)
 from cloaksim.geometry import (DiffMap, pushforward, regular_blowup,
                                transformed_inner_tensor,
                                truncated_singular_cloak)
 from cloaksim.presets import inclusion_field, preset_field
+from cloaksim.qsolve import dn_pairing
 from conftest import bare_mesh, lu_reference, oscillating_case
 
 
@@ -345,6 +346,82 @@ class TestRingFactor:
         # and the DN map is positive semi-definite: the constant is its
         # null vector, every other mode pairs to a positive energy
         assert np.linalg.eigvalsh(0.5 * (M + M.T))[0] >= -1e-10 * scale
+
+
+class TestRingLayout:
+    """A linear radial operator from the ring layout alone, against the
+    one-mode solves of the layout's mesh, against SuperLU, and its band
+    sums against the nodal norm."""
+
+    @pytest.mark.parametrize("case", sorted(RADIAL_CASES))
+    def test_pairing_is_the_one_mode_solves_of_the_mesh(self, case):
+        field, mesh = RADIAL_CASES[case]()
+        layout = mesh.layout
+        radius = np.linalg.norm(mesh.vertices[mesh.boundary[0]])
+        basis = FourierBasis(max_mode=6, radius=float(radius))
+        op = dn_operator(field, basis, layout)
+        assert op.mesh is layout and op.factor_kinds == {"ring": 1}
+        traces = basis.trace_matrix(mesh)
+        assert np.array_equal(basis.trace_matrix(layout), traces)
+        assert np.array_equal(basis.masses(layout), basis.masses(mesh))
+        # the same right-hand sides, FFTs, mode solves and flux sums as the
+        # circulant system of the mesh, so bit for bit
+        system = assemble_frozen(mesh, mesh.bind(field))
+        solutions = np.array([system.solve_dirichlet(g) for g in traces])
+        assert np.array_equal(op.pairing_matrix,
+                              dn_pairing(system, solutions, traces))
+        assert np.array_equal(layout.nodal(op.solutions, basis.modes(),
+                                           traces), solutions)
+        ref = dn_operator(field, basis, bare_mesh(mesh)).pairing_matrix
+        assert np.abs(op.pairing_matrix - ref).max() <= \
+            1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 4])
+    def test_band_sums_are_the_nodal_norm(self, k):
+        # the profile's values from the vertex coordinates; with 8 vertices
+        # per ring, mode 4 is its own conjugate
+        rng = np.random.default_rng(k)
+        for mesh in (build_disk_mesh(1.0, h_target=0.5, n_theta=8),
+                     build_disk_mesh(2.0, h_target=0.2, n_theta=27),
+                     build_disk_mesh(2.0, aligned_radii=(1.0,), h_target=0.3,
+                                     radial_bands=[(0.8, 1.2, 0.05)]),
+                     oscillating_case(target=False)[1]):
+            layout = mesh.layout
+            profile = [1, 1j] @ rng.standard_normal((2, len(layout.rings) + 1))
+            if k:
+                profile[0] = 0.0
+            ring = (np.arange(mesh.n_vertices) - 1) // mesh.n_theta
+            angle = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
+            want = l2_norm(mesh, (profile[1 + ring]
+                                  * np.exp(1j * k * angle)).real)
+            assert abs(mode_l2_norm(layout, profile, k) - want) <= 1e-12 * want
+
+    def test_no_solve_of_every_mode(self, monkeypatch):
+        def refuse(self, rhs):
+            raise AssertionError("solved in every mode")
+
+        monkeypatch.setattr(fem.RingFactor, "_solve_all", refuse)
+        layout = disk_layout(2.0, aligned_radii=(1.0, 1.5), h_target=0.2,
+                             radial_bands=[(1.0, 1.5, 0.125)])
+        field = truncated_singular_cloak(1.5, interior=inclusion_field("5I"))
+        op = dn_operator(field, FourierBasis(max_mode=4), layout)
+        assert op.factor_kinds == {"ring": 1}
+        assert op.solutions.shape == (9, len(layout.rings) + 1)
+
+    def test_residual_check_names_the_factor(self, monkeypatch):
+        # every interior ring of each profile 1e-6 off: the residual is
+        # 1e-6 of the right-hand side
+        real = fem.RingFactor.mode_profile
+
+        def off(self, coefficient, k):
+            p = real(self, coefficient, k)
+            p[1:] *= 1.0 + 1e-6
+            return p
+
+        monkeypatch.setattr(fem.RingFactor, "mode_profile", off)
+        with pytest.raises(NumericalError, match=r"\(ring factor\)"):
+            dn_operator(identity_field(2), FourierBasis(max_mode=2),
+                        disk_layout(2.0, h_target=0.2))
 
 
 class TestJson:

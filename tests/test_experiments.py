@@ -1,17 +1,21 @@
 import json
+import traceback
 
 import numpy as np
 import pytest
 
+from cloaksim import fem
 from cloaksim.coeff import constant_field
+from cloaksim.dnmap import FourierBasis
 from cloaksim.errors import PreconditionError
 from cloaksim.experiments import (DecayReport, ExperimentConfig,
-                                  emit_report, fit_loglog,
-                                  run_diffeo_invariance,
+                                  _mode_limit_values, emit_report,
+                                  fit_loglog, run_diffeo_invariance,
                                   run_homogenization_sweep,
                                   run_regular_cloak_sweep,
                                   run_truncated_singular_sweep)
 from cloaksim.qsolve import PicardConfig
+from conftest import oscillating_case
 
 
 class TestConfig:
@@ -211,3 +215,54 @@ class TestDrivers:
         for rows in (rep.rows[:2], rep.rows[2:]):
             for row in rows:
                 assert row["factors"] == [rows[0]["dn"] / rows[1]["dn"]]
+
+
+class TestRingLayoutSweeps:
+    """The linear radial sweeps run on ring layouts alone."""
+
+    @staticmethod
+    def truncated(inclusion):
+        return run_truncated_singular_sweep(ExperimentConfig(
+            schedule=(1.5, 1.25), h=0.2, modes=4, inclusion=inclusion))
+
+    def test_linear_sweeps_build_no_mesh(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("a TriMesh was built")
+
+        monkeypatch.setattr(fem.TriMesh, "__init__", refuse)
+        rep = self.truncated("5I")
+        assert rep.meta["factor_kinds"] == [{"ring": 1}] * 2
+        rep = run_homogenization_sweep(ExperimentConfig(schedule=(1,), h=0.2))
+        assert rep.meta["factor_kinds"] == [{"ring": 1}]
+        assert rep.rows[0]["n_vertices"] > 0
+
+    def test_nonlinear_cloak_builds_one_mesh_per_row(self, monkeypatch):
+        # each row's mesh is built for its nonlinear operator, by
+        # dn_operator; the identity's operator needs none
+        built = []
+        real = fem.TriMesh.__init__
+
+        def counting(self, *args):
+            callers = [frame.name for frame in traceback.extract_stack()]
+            built.append(("dn_operator" in callers, len(args[0])))
+            real(self, *args)
+
+        monkeypatch.setattr(fem.TriMesh, "__init__", counting)
+        rep = self.truncated("sin-5I")
+        assert built == [(True, row["n_vertices"]) for row in rep.rows]
+        assert all(kinds["ring"] == 9 for kinds in rep.meta["factor_kinds"])
+
+    def test_mode_limit_profile_is_the_nodal_limit(self):
+        # the limit field as the sweep built it on the mesh's vertices
+        _, mesh = oscillating_case(target=False)
+        rr = np.linalg.norm(mesh.vertices, axis=1)
+        ct = np.where(rr > 0, mesh.vertices[:, 0] / np.maximum(rr, 1e-30),
+                      0.0)
+        want = np.zeros(mesh.n_vertices)
+        out = rr >= 2.0
+        want[out] = (rr[out] / 3.0) * ct[out]
+        shell = (rr > 1.0) & (rr < 2.0)
+        want[shell] = (2.0 * (rr[shell] - 1.0) / 3.0) * ct[shell]
+        cos = FourierBasis(1, radius=3.0).trace_matrix(mesh)[[1]]
+        got = mesh.layout.nodal([_mode_limit_values(mesh.layout)], [1], cos)
+        assert np.abs(got[0] - want).max() <= 1e-15

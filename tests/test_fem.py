@@ -493,17 +493,28 @@ class TestWedge:
             for _ in range(index[r]):
                 r, c = back[r], back[c]
             want[k] = slots[r, c]
-        wedge = mesh.wedge
+        wedge, ring = mesh.wedge, mesh.layout.wedge
         assert np.array_equal(wedge.spin, want)
-        assert np.array_equal(wedge.turned,
-                              np.nonzero((index[rows] == 1) & (rows > 0))[0])
-        # the triangles at the center or at angular index 0 or 1
+        # the layout's wedge: the triangles at the center or at angular
+        # index 0 or 1, in the mesh's order, and their edges, ascending as
+        # the mesh's edges do
         corners = mesh.triangles
-        at = (corners == 0) | (index[corners] < 2)
-        assert np.array_equal(wedge.triangles, np.nonzero(at.any(axis=1))[0])
-        assert np.array_equal(mesh.edges[wedge.edges][wedge.edge_of],
-                              np.sort(corners[wedge.triangles][:, ENDS],
-                                      axis=2))
+        ours = corners[((corners == 0) | (index[corners] < 2)).any(axis=1)]
+        assert np.array_equal(ring.vertices[ring.triangles], ours)
+        edges = ring.vertices[ring.pattern.edges]
+        assert np.array_equal(edges[ring.pattern.edge_of],
+                              np.sort(ours[:, ENDS], axis=2))
+        assert np.all(np.diff(edges[:, 0] * nv + edges[:, 1]) > 0)
+        # each entry of the wedge's pattern is the mesh's entry at local
+        wrows = ring.vertices[ring.pattern.rows()]
+        assert np.array_equal(rows[wedge.local], wrows)
+        assert np.array_equal(pattern.indices[wedge.local],
+                              ring.vertices[ring.pattern.indices])
+        # the rows at angular index 1, and the entries they turn back to
+        assert np.array_equal(ring.turned,
+                              np.nonzero((index[wrows] == 1) & (wrows > 0))[0])
+        assert np.array_equal(wedge.local[ring.spun],
+                              want[wedge.local[ring.turned]])
 
     @pytest.mark.parametrize("layout", list(WEDGE_LAYOUTS))
     def test_bands_of_each_interior_ring(self, layout):
@@ -956,20 +967,23 @@ class TestSharedConnectivity:
 
     def test_shared_arrays_are_read_only(self):
         mesh = build_disk_mesh(2.0, h_target=0.2)
-        pattern, wedge = mesh.pattern, mesh.wedge
+        pattern, wedge, ring = mesh.pattern, mesh.wedge, mesh.layout.wedge
         shared = [mesh.triangles, mesh.boundary, mesh.interior,
                   pattern.indptr, pattern.indices, pattern.slot, mesh.edges,
                   mesh.edge_of, *mesh.boundary_band, *mesh.boundary_rows,
-                  wedge.triangles, wedge.edges, wedge.edge_of, wedge.spin,
-                  wedge.turned, *wedge.bands]
+                  wedge.spin, wedge.local, *wedge.bands, wedge.center,
+                  ring.vertices, ring.triangles, ring.pattern.slot,
+                  *ring.bands, ring.center, ring.turned, ring.spun,
+                  ring.boundary, mesh.layout.rings]
         for array in shared:
             with pytest.raises(ValueError):
                 array[0] = array[0]
 
     def test_a_sweep_over_rho_builds_one_connectivity(self):
+        # a nonlinear inclusion: only its cloak's operators need a mesh
         fem._ring_connectivity.cache_clear()
         run_truncated_singular_sweep(ExperimentConfig(
-            schedule=(1.5, 1.25, 1.1), h=0.25, modes=2))
+            schedule=(1.5, 1.25, 1.1), h=0.25, modes=2, inclusion="sin-5I"))
         info = fem._ring_connectivity.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
