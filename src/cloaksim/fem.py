@@ -1262,7 +1262,10 @@ class RingFactor:
     singular mode raises NumericalError. stencil (3, m, 3) keeps the
     bands' entries at the angles n - 1, 0 and 1, the only ones stored, and
     center the center's diagonal entry and its couplings to and from
-    vertex (0, 0).
+    vertex (0, 0). Mode 0's symbol, each band's sum over a ring, is
+    summed from the stencil in long double; where long double is double
+    (MSVC), it has the FFT's rounding, several times SuperLU's error on a
+    mode-0 solve of the oscillating shells.
     """
 
     kind = "ring"
@@ -1280,6 +1283,13 @@ class RingFactor:
         # row (a, j) holds c(j' - j) in column (b, j'), so mode k sees
         # sum_l c(l) exp(+2 pi i l k / n): the conjugate of the FFT
         symbol = np.fft.rfft(bands, axis=2).conj()
+        # mode 0 sees each band's row sum. On sigma_1 (the first oscillating
+        # shell), whose mode-0 tridiagonal has near-vanishing strips, the
+        # FFT's rounding of these sums (up to 4.4e-16 of entries up to 892)
+        # put the constant datum's solve 2.7e-12 from 1, against 4.2e-13 by
+        # SuperLU; the stored entries summed in long double put it 6.5e-13
+        # from 1
+        symbol[:, :, 0] = self.stencil.astype(np.longdouble).sum(axis=2)
         n_modes = symbol.shape[2]
         diag = np.ones((n_modes, m + 1), dtype=complex)
         diag[:, 1:] = symbol[1].T

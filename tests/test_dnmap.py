@@ -229,8 +229,8 @@ class TestRingFactor:
     @pytest.mark.parametrize("case", sorted(RADIAL_CASES))
     def test_mode_solve_matches_all_modes(self, case, ring_solves):
         # every Fourier datum, no load: zero off the outer ring, one mode.
-        # The ring factor of sigma-1, in every mode alike, is 2.8e-12 off
-        # SuperLU (CHANGES.md, the FOUND on RingFactor accuracy)
+        # The ring factor is at most 7.1e-13 off SuperLU (sigma-1), since
+        # mode 0's symbol is summed in long double
         field, mesh = RADIAL_CASES[case]()
         system = assemble_frozen(mesh, mesh.bind(field))
         radius = np.linalg.norm(mesh.vertices[mesh.boundary[0]])
@@ -241,13 +241,26 @@ class TestRingFactor:
             assert ring_solves[-1] == k
             want = lu_reference(system, trace)
             scale = np.abs(want).max()
-            assert np.abs(u - want).max() <= 1e-11 * scale
+            assert np.abs(u - want).max() <= 1e-12 * scale
             full = np.zeros(mesh.n_vertices)
             full[mesh.boundary] = trace
             every = system._factor()._solve_all(
                 (system.load - system.matrix @ full)[ii])
             assert np.abs(u[ii] - every).max() <= 1e-12 * scale
         assert system.factor_kind == "ring"
+
+    def test_constant_datum_on_sigma_1(self):
+        # the solution is 1 up to the stiffness's row sums (2.3e-13); with
+        # mode 0's symbol summed in double by the FFT, the ring solve was
+        # 2.7e-12 from it (SuperLU 4.2e-13)
+        field, mesh = oscillating_case(target=False)
+        system = assemble_frozen(mesh, mesh.bind(field))
+        u = system.solve_dirichlet(np.ones(len(mesh.boundary)))
+        assert system.factor_kind == "ring"
+        assert np.abs(u - 1.0).max() <= 1e-12
+        op = dn_operator(field, FourierBasis(max_mode=2, radius=3.0),
+                         mesh.layout)
+        assert np.abs(op.solutions[0] - 1.0).max() <= 1e-12
 
     def test_mode_zero_keeps_a_radial_load(self, ring_solves):
         # the center row's right-hand side is its load alone: a radial
