@@ -86,8 +86,8 @@ class DtNOperator:
     by SparseSystem.factor_kind; operators loaded by from_json have None
     there, so only dn_difference takes them. On a TriMesh the solutions
     are nodal, (size, n_vertices); on a RingLayout they are mode profiles
-    (RingSystem.mode_columns), (size, 1 + rings) complex, the cos(theta)
-    column's read by fem.mode_l2_norm.
+    (RingSystem.mode_columns), (size, 1 + rings) complex, whose L2 norms
+    fem.mode_l2_norm takes.
     """
 
     def __init__(self, basis, pairing_matrix, coefficient="", nonlinear=False,

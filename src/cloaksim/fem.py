@@ -151,17 +151,12 @@ class Wedge(NamedTuple):
         in the center row and in the rows at angular index 0).
     local : for each entry of the RingWedge's pattern, its position in
         this pattern.
-    bands, center, shape : those of the RingWedge (RingFactor reads
-        them), with positions in this pattern.
 
     Only _ring_connectivity builds one, from the order of its triangles.
     """
 
     spin: np.ndarray
     local: np.ndarray
-    bands: tuple
-    center: np.ndarray
-    shape: tuple
 
 
 class Connectivity(NamedTuple):
@@ -370,7 +365,7 @@ def _wedge(pattern, triangles, wedge):
     wedge's triangles are those with a corner at the center or at angular
     index 0 or 1, in the same order."""
     nv = pattern.n
-    m, n = wedge.shape
+    n = wedge.shape[1]
     # the angular index of each vertex, 0 for the center
     index = np.zeros(nv, dtype=np.int64)
     index[1:] = np.arange(nv - 1) % n
@@ -392,22 +387,8 @@ def _wedge(pattern, triangles, wedge):
     spin = np.empty(pattern.nnz, dtype=np.int32)
     spin[slot] = source
     del source
-    ring, pos, col = pattern.block(1 + n * np.arange(m), np.arange(1, nv))
-    ptr = pattern.indptr
-    center = np.array([ptr[0], ptr[0] + 1, ptr[1]])
-    _read_only(spin, local, pos, center)
-    return Wedge(spin, local, (pos, _band_places(ring, col, m, n)), center,
-                 (m, n))
-
-
-def _band_places(ring, col, m, n):
-    """The places in the (3, m, n) bands of RingFactor of the entries of
-    the rows (ring, 0) in the columns col, numbered from vertex (0, 0): the
-    entry of row (a, 0) in column (b, j) goes to band 1 + b - a, ring a,
-    angle j."""
-    flat = ((1 + col // n - ring) * m + ring) * n + col % n
-    _read_only(flat)
-    return flat
+    _read_only(spin, local)
+    return Wedge(spin, local)
 
 
 def _ring_radii(radius, aligned_radii, h_target, radial_bands):
@@ -630,9 +611,13 @@ def _ring_wedge(n_rings, n):
         return np.where(vertex > 0, vertex - 1 + n * ((vertex - 1) % n == 0),
                         0)
 
+    # the rows at angular index 0 of the interior rings against every ring
+    # vertex: the entry of row (a, 0) in column (b, j) goes to band
+    # 1 + b - a, ring a, angle j
     (pos,) = np.nonzero(((rows - 1) % n == 0) & ((rows - 1) // n < m)
                         & (cols > 0))
-    flat = _band_places((rows[pos] - 1) // n, cols[pos] - 1, m, n)
+    ring, (col_ring, angle) = (rows[pos] - 1) // n, np.divmod(cols[pos] - 1, n)
+    flat = ((1 + col_ring - ring) * m + ring) * n + angle
     center = position([0, 0, 1], [0, 1, 0])
     (turned,) = np.nonzero((rows > 0) & ((rows - 1) % n == 1))
     spun = position(back(rows[turned]), back(cols[turned]))
@@ -641,8 +626,8 @@ def _ring_wedge(n_rings, n):
         inner, outer = 1 + (m - 1) * n, 1 + m * n
         boundary = position(outer, [inner + n - 1, inner, outer + n - 1,
                                     outer, outer + 1])
-    _read_only(*(a for a in (vertices, triangles, pos, center, turned, spun,
-                             boundary) if a is not None))
+    _read_only(*(a for a in (vertices, triangles, pos, flat, center, turned,
+                             spun, boundary) if a is not None))
     return RingWedge(vertices, triangles, pattern, (m, n), (pos, flat),
                      center, turned, spun, boundary)
 
@@ -1055,8 +1040,9 @@ class SparseSystem(_System):
 
     @property
     def ring_rows(self):
-        """The data and the Wedge that a RingFactor reads."""
-        return self.matrix.data, self.mesh.wedge
+        """The data of the rows of the layout's wedge and the RingWedge,
+        which a RingFactor reads."""
+        return self.matrix.data[self.mesh.wedge.local], self.mesh.layout.wedge
 
     def solve_dirichlet(self, boundary_values):
         """Solve with the given boundary vertex values.
@@ -1247,10 +1233,10 @@ class RingFactor:
     The matrix is block-circulant over the rings, so the angular Fourier
     transform of each ring decouples the modes. Mode k is a tridiagonal
     system over the interior rings whose entries are the transforms of
-    the rows at angular index 0 (the bands of the system's Wedge or
-    RingWedge, ring_rows): bands[1 + d, a, j] is the entry of row (a, 0) in
-    column (a + d, j), for d = -1, 0, 1. The center vertex, with its
-    diagonal entry, its coupling to each vertex of the first ring (the
+    the rows at angular index 0 (the bands of the layout's RingWedge, read
+    from the system's ring_rows): bands[1 + d, a, j] is the entry of row
+    (a, 0) in column (a + d, j), for d = -1, 0, 1. The center vertex, with
+    its diagonal entry, its coupling to each vertex of the first ring (the
     center row's entry in that ring's column 0) and that column's coupling
     back, couples to mode 0 alone and is unknown 0 of every mode (an
     identity row for k > 0). The modes are laid out one after the other as
@@ -1282,7 +1268,9 @@ class RingFactor:
         self.center = data[wedge.center]
         # row (a, j) holds c(j' - j) in column (b, j'), so mode k sees
         # sum_l c(l) exp(+2 pi i l k / n): the conjugate of the FFT
-        symbol = np.fft.rfft(bands, axis=2).conj()
+        symbol = np.fft.rfft(bands, axis=2)
+        np.conjugate(symbol, out=symbol)
+        del bands
         # mode 0 sees each band's row sum. On sigma_1 (the first oscillating
         # shell), whose mode-0 tridiagonal has near-vanishing strips, the
         # FFT's rounding of these sums (up to 4.4e-16 of entries up to 892)

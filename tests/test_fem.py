@@ -529,9 +529,9 @@ class TestWedge:
                                 TestFixedPattern.skew_tensor(pts, t))
         data = assemble_frozen(bare, bare.bind(field)).matrix.data
         dense = mesh.pattern.matrix(data).toarray()
-        pos, flat = mesh.wedge.bands
+        pos, flat = mesh.layout.wedge.bands
         bands = np.zeros(3 * m * n)
-        bands[flat] = data[pos]
+        bands[flat] = data[mesh.wedge.local[pos]]
         bands = bands.reshape(3, m, n)
         want = np.zeros((3, m, n))
         for a in range(m):
@@ -971,8 +971,7 @@ class TestSharedConnectivity:
         shared = [mesh.triangles, mesh.boundary, mesh.interior,
                   pattern.indptr, pattern.indices, pattern.slot, mesh.edges,
                   mesh.edge_of, *mesh.boundary_band, *mesh.boundary_rows,
-                  wedge.spin, wedge.local, *wedge.bands, wedge.center,
-                  ring.vertices, ring.triangles, ring.pattern.slot,
+                  wedge.spin, wedge.local, ring.vertices, ring.triangles, ring.pattern.slot,
                   *ring.bands, ring.center, ring.turned, ring.spun,
                   ring.boundary, mesh.layout.rings]
         for array in shared:
