@@ -134,9 +134,9 @@ def callees(func):
 
 
 def test_every_factor_is_built_by_its_system_alone():
-    # each factor is built from the system it factors, and
-    # SparseSystem._factor picks its class in one statement; a builder
-    # elsewhere would be a second place that decides the factor kind
+    # each factor is built from the system it factors, and _factor, which
+    # SparseSystem and RingSystem share, picks its class in one statement;
+    # a builder elsewhere would be a second place that decides the kind
     builders = [(path.name, [name for name, _ in scopes], cls)
                 for path in program_sources()
                 for node, scopes in scoped_calls(ast.parse(path.read_text()))
