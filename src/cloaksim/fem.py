@@ -1347,19 +1347,26 @@ class RingFactor:
         one number p per interior ring, whose values are
         Re(p exp(i k theta_j)) (_ring_values)."""
         m = self.stencil.shape[1]
-        b = np.zeros((m + 1, 1), dtype=complex)
-        b[m] = coefficient
-        # mode k's block of the factor: rows first ... first + m, whose
-        # row interchanges stay inside it
-        first = k * (m + 1)
         dl, d, du, du2, ipiv = self.lu
-        b, _ = zgttrs(dl[first:first + m], d[first:first + m + 1],
-                      du[first:first + m], du2[first:first + m - 1],
-                      ipiv[first:first + m + 1] - first, b, overwrite_b=1)
+        # mode k's block of the factor: rows first ... first + m, whose
+        # row interchanges stay inside it. scipy's zgttrs refuses a system
+        # of two rows (one interior ring), so such a block takes one row of
+        # the next mode with it, or of the mode before for the last: no
+        # coupling and no interchange crosses the zero between two modes,
+        # and that row's right-hand side and solution are 0
+        first = k * (m + 1)
+        lo, hi = first, first + m + 1
+        if m == 1:
+            lo, hi = (lo - 1, hi) if hi == len(d) else (lo, hi + 1)
+        b = np.zeros((hi - lo, 1), dtype=complex)
+        b[first + m - lo] = coefficient
+        b, _ = zgttrs(dl[lo:hi - 1], d[lo:hi], du[lo:hi - 1], du2[lo:hi - 2],
+                      ipiv[lo:hi] - lo, b, overwrite_b=1)
         # unknown 0 is the center's value, 1 ... m the rings' unitary
         # coefficients
-        p = b[:, 0] * _wave_scale(k, self.n_theta)
-        p[0] = b[0, 0]
+        b = b[first - lo:first - lo + m + 1, 0]
+        p = b * _wave_scale(k, self.n_theta)
+        p[0] = b[0]
         return p
 
 

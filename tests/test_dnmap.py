@@ -195,6 +195,10 @@ RADIAL_CASES = {
     "identity": lambda: (identity_field(2), build_disk_mesh(2.0, h_target=0.2)),
     "5I": lambda: (inclusion_field("5I"),
                    build_disk_mesh(2.0, h_target=0.2, n_theta=27)),
+    # each mode's block of the ring factor is two rows
+    "one interior ring": lambda: (inclusion_field("5I"),
+                                  build_disk_mesh(1.0, h_target=0.5,
+                                                  n_theta=16)),
     "shell-1.5": lambda: _shell_case(1.5),
     "shell-1.1": lambda: _shell_case(1.1),
     "homogenized-radial": lambda: (
